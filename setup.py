@@ -1,9 +1,10 @@
 """Setup shim for environments without the ``wheel`` package.
 
-All project metadata lives in ``pyproject.toml``; this file only
-enables legacy (non-PEP-517) editable installs:
+All project metadata lives in ``pyproject.toml``.  Install with
+``pip install .``; where ``wheel`` is missing and no package index is
+reachable, an editable install still works through this file:
 
-    pip install -e . --no-use-pep517 --no-build-isolation
+    python setup.py develop
 """
 
 from setuptools import setup

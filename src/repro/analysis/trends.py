@@ -9,9 +9,8 @@ the loss beyond the widest measured point grows at half the fitted
 rate.
 """
 
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 #: SPEC CPU2017 IPC of Intel Redwood Cove (paper Table 1, from [31]).
 REDWOOD_COVE_IPC = 2.03
@@ -34,9 +33,8 @@ def fit_trend(xs, ys):
     """Least-squares linear fit; returns a :class:`TrendFit`."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two (x, y) points")
-    slope, intercept = np.polyfit(np.asarray(xs, dtype=float),
-                                  np.asarray(ys, dtype=float), 1)
-    return TrendFit(float(slope), float(intercept), tuple(xs), tuple(ys))
+    slope, intercept = statistics.linear_regression(xs, ys)
+    return TrendFit(slope, intercept, tuple(xs), tuple(ys))
 
 
 def extrapolate(fit, target_ipc=REDWOOD_COVE_IPC):

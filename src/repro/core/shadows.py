@@ -89,12 +89,3 @@ class ShadowTracker:
         """Snapshot of (seq, kind) pairs, oldest first (for debugging)."""
         return sorted(self._active.items())
 
-
-def root_is_safe(root, vp):
-    """Shared YRoT-safety predicate against a visibility point value.
-
-    ``root`` is a load sequence number or None (untainted); ``vp`` is a
-    visibility point (oldest active shadow seq) or None (no shadows).
-    A taint root is safe once the root load is bound-to-commit.
-    """
-    return root is None or vp is None or root <= vp

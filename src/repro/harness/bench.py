@@ -169,8 +169,6 @@ def _bench_scheme(suite, config, scheme_name, repeats):
             "cycles_per_second": round(cycles / best_wall, 1),
             "committed_kips": round(instructions / best_wall / 1000.0, 3),
             "fast_forwarded_cycles": core.ff_skipped_cycles,
-            "replay_batch_events": core.replay_batch_events,
-            "replay_batch_uops": core.replay_batch_uops,
         })
     totals = {
         "wall_seconds": round(total_wall, 6),

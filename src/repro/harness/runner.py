@@ -268,11 +268,6 @@ class CampaignRunner:
             progress.finish()
         return summary
 
-    def full_grid(self, configs=None, schemes=None):
-        """Force-populate the whole grid (useful for timing the cost)."""
-        self.run_grid(configs=configs, schemes=schemes)
-        return self
-
 
 _SHARED = {}
 

@@ -328,18 +328,6 @@ class Manifest:
                 db.execute("DELETE FROM cells WHERE key IN (%s)"
                            % ",".join("?" * len(chunk)), chunk)
 
-    def cells_in_segment(self, segment_id):
-        with self._lock:
-            return self._db().execute(
-                _SELECT_CELL + " WHERE c.segment=? ORDER BY c.offset",
-                (segment_id,)).fetchall()
-
-    def relocate_cell(self, key, segment_id, offset):
-        with self._lock:
-            self._db().execute(
-                "UPDATE cells SET segment=?, offset=? WHERE key=?",
-                (segment_id, offset, key))
-
     def relocate_cells(self, moves):
         """Batched relocation: ``moves`` is ``(segment_id, offset, key)``
         triples, applied in one transaction."""

@@ -91,21 +91,6 @@ class OpcodeInfo:
     is_transmitter: bool = False
 
     @cached_property
-    def is_plain_alu(self):
-        """Register-writing, non-control, non-memory: the opcode class
-        whose outcome is a pure function of its register sources — the
-        batch-replay candidates (see :mod:`repro.pipeline.core`).
-        Covers the ALU/shift/compare group, ``li``, and mul/div/rem;
-        excludes loads (live memory decides), jumps (control
-        resolution), and everything that writes no register.
-
-        ``cached_property`` stores into the instance ``__dict__``,
-        bypassing the frozen-dataclass ``__setattr__`` — the same trick
-        :attr:`Instruction.info` uses.
-        """
-        return self.writes_rd and not (self.is_load or self.is_jump)
-
-    @cached_property
     def casts_c_shadow(self):
         """Needs a branch checkpoint (casts a control shadow): every
         conditional branch plus the one predicted-indirect jump (JALR —

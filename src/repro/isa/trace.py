@@ -49,18 +49,13 @@ execution.  :meth:`from_payload` validates the format version, the
 declared endianness/item size, base64 integrity, column-length
 agreement, and that the flag columns are strictly 0/1 — a truncated or
 corrupted persisted trace raises ``ValueError`` and the disk cache
-falls back to re-recording.  NumPy, when importable, accelerates the
-bulk payload validation; the pure-stdlib path is mandatory and
-bit-identical (``REPRO_NO_NUMPY=1`` forces it, and the test suite pins
-the equivalence).
+falls back to re-recording.
 
 **Replay contract.**  The timing pipeline (:mod:`repro.pipeline.core`)
 consumes the trace via per-uop ``trace_index`` positions maintained by
 the fetch unit; the replay contract — when a recorded outcome may
-substitute for in-line evaluation, the purity tracking that guards it,
-and the *batch-consume* legality rules that let whole on-trace
-stretches complete as one kernel step — is documented in the core's
-module docstring.
+substitute for in-line evaluation, and the purity tracking that guards
+it — is documented in the core's module docstring.
 
 Traces are content-addressed and disk-persisted next to generated
 programs; see :mod:`repro.workloads.program_cache`.  The format bump to
@@ -70,7 +65,6 @@ on disk is simply ignored and re-recorded.
 
 import base64
 import binascii
-import os
 import sys
 from array import array
 
@@ -88,18 +82,6 @@ TRACE_FORMAT_VERSION = "trace-v2"
 #: Canonical byte order of serialised word columns.
 _PAYLOAD_ENDIAN = "little"
 _ITEMSIZE = 8
-
-#: Optional NumPy acceleration for bulk payload validation.  ``None``
-#: selects the pure-stdlib path — mandatory, bit-identical, and pinned
-#: equivalent by tests (which monkeypatch this global); the
-#: ``REPRO_NO_NUMPY`` environment variable forces it for whole runs.
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - depends on environment
-    _np = None
 
 # 'q'/'Q' guarantee *at least* 8 bytes; every supported platform uses
 # exactly 8, and the payload contract depends on it.
@@ -152,12 +134,8 @@ def _decode_words(text, typecode, what):
 
 def _check_flag_column(data, what):
     """Reject flag bytes outside {0, 1} (corruption that would silently
-    flip replay decisions).  NumPy path and stdlib path are equivalent:
-    both accept exactly the same inputs."""
-    if _np is not None:
-        if data and int(_np.frombuffer(data, dtype=_np.uint8).max()) > 1:
-            raise ValueError("trace column %r has non-boolean bytes" % what)
-    elif data and max(data) > 1:
+    flip replay decisions)."""
+    if data and max(data) > 1:
         raise ValueError("trace column %r has non-boolean bytes" % what)
 
 

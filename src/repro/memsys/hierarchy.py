@@ -99,10 +99,6 @@ class MemoryHierarchy:
         self.l2.insert(address)
         self.l1.insert(address)
 
-    def would_hit_l1(self, address):
-        """Non-mutating L1 presence probe (for hit-speculation checks)."""
-        return self.l1.contains(address)
-
     def warm(self, addresses, level="l2"):
         """Pre-install lines into the hierarchy (measurement warmup).
 

@@ -41,8 +41,7 @@ def _accumulate(bucket, telemetry):
     bucket["cells"] += 1
     bucket["wall_seconds"] += float(telemetry.get("wall_seconds") or 0.0)
     for key in ("simulated_cycles", "committed_instructions",
-                "replayed_uops", "ff_skipped_cycles",
-                "replay_batch_events", "replay_batch_uops"):
+                "replayed_uops", "ff_skipped_cycles"):
         value = telemetry.get(key)
         if value:
             bucket[key] = bucket.get(key, 0) + int(value)

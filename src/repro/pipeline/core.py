@@ -47,48 +47,6 @@ machine; with one attached, every stat, register, and memory word is
 byte-identical (the golden fixture asserts this with replay on and
 off).
 
-**Batch replay.**  On top of per-uop replay, the issue stage coalesces
-replay candidates into *batch events*: when several plain-ALU micro-ops
-(``op_is_plain`` — register-writing, non-memory, non-control; their
-outcome is a pure function of register sources) issue in one cycle,
-are all on-trace, and complete on the same future cycle, the core
-schedules ONE event carrying the whole stretch instead of one event
-per uop, and the handler bulk-completes them straight from the trace
-columns.  Legality rests on three invariants:
-
-* *Squash-freedom is per-member, not assumed.*  Batch members snapshot
-  ``(uop, gen)`` at issue; a squash or spec-wakeup replay between
-  issue and completion bumps the generation, so the handler skips that
-  member exactly as the event loop skips a dead singleton event.
-  Spec-wakeup kills run at priority 0, strictly before any same-cycle
-  batch, so no member is ever bulk-completed from a revoked input.
-* *Purity is re-checked at dispatch, per member.*  The batch gate is
-  the singleton gate — on-trace AND every source register pure — and a
-  member that fails it falls back to the ordinary functional
-  completion path (:meth:`_ev_complete_alu`), marking its destination
-  impure.  Purity bits read by a batch member cannot be written by
-  other completions in the same cycle bucket: a same-cycle producer's
-  value was not usable when the member issued, so same-bucket
-  completions are always independent — which is also why completing
-  them in batch order instead of interleaved singleton order is
-  unobservable (wakeups insert by sequence number, and distinct
-  destination registers commute).
-* *Ordering within the completion priority class is preserved.*  A
-  non-batchable completion (branch, JALR, JAL, wrong-path ALU) bound
-  for the same cycle closes any open batch first, so the cycle
-  bucket's insertion order is exactly what per-uop scheduling would
-  have produced.
-
-Loads, stores, and control never batch — live memory, the store
-queue, and control resolution remain authoritative — and batching
-changes *when handlers run within a phase*, never what they compute:
-simulated cycles, stats, and architectural state stay bit-identical
-with batching on, off, or absent (``REPRO_NO_BATCH_REPLAY=1`` or
-``batch_replay=False`` force it off; the CI smoke pins equivalence).
-Engagement is observable via ``replay_batch_events`` /
-``replay_batch_uops`` — core attributes, deliberately not SimStats
-counters, exactly like ``ff_skipped_cycles``.
-
 Per-cycle phase order (chosen so values flow like bypass networks):
 
 1. **commit** — retire completed micro-ops in order; ordering
@@ -117,13 +75,11 @@ whole-group steps:
    off the free list, branch checkpoints snapshotted mid-group, so
    same-cycle dependencies chain through the group (the paper's
    Figure 2 walkthrough).  The pass also marks every allocated
-   destination not-ready (``PhysRegFile.mark_alloc_group`` fused in
-   via the ``reg_state`` argument) before any member meets the issue
-   queue.
+   destination not-ready (via the ``reg_state`` argument) before any
+   member meets the issue queue.  A 1-uop group takes the same path.
 2. Batched admission — one ``rob.extend`` and one
    ``IssueQueue.add_group``; C-shadow casts and LDQ/STQ appends ride
-   the group-build loop itself (the inlined form of
-   ``LoadStoreUnit.admit_group``).
+   the group-build loop itself.
 3. The scheme's ``on_rename_group`` hook — one call per group; the
    default derives per-uop hook order (checkpoint hook then rename
    hook, program order), STT-Rename overrides it with a single
@@ -194,7 +150,6 @@ additionally capped at the watchdog and ``max_cycles`` horizons so
 error paths fire at the same cycle they would when stepping.
 """
 
-import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -236,24 +191,6 @@ _K_STORE_ADDR = 3
 _K_STORE_DATA = 4
 _K_SPEC_READY = 5
 _K_SPEC_KILL = 6
-_K_REPLAY_BATCH = 7
-
-
-class _BatchToken:
-    """Stand-in micro-op for batch events.
-
-    The event loop's liveness check reads ``uop.killed`` / ``uop.gen``;
-    the token is never killed and never regenerated, so a batch event
-    always dispatches — per-member liveness is the handler's job (each
-    member carries its own ``(uop, gen)`` snapshot).
-    """
-
-    __slots__ = ()
-    killed = False
-    gen = 0
-
-
-_BATCH_TOKEN = _BatchToken()
 
 
 @dataclass
@@ -320,7 +257,6 @@ class OoOCore:
         watchdog_cycles=50_000,
         warm_caches=False,
         trace=None,
-        batch_replay=None,
         account=None,
         tracer=None,
     ):
@@ -402,14 +338,6 @@ class OoOCore:
             self._tr_results = None
             self._tr_addrs = None
             self._tr_taken = None
-        # Batch replay (see the module docstring): coalesce same-cycle
-        # plain-ALU replay completions into one event.  Defaults on
-        # whenever a trace is attached; REPRO_NO_BATCH_REPLAY=1 (or
-        # batch_replay=False) forces the per-uop stepping path, which
-        # must stay bit-identical — the CI smoke pins it.
-        if batch_replay is None:
-            batch_replay = not os.environ.get("REPRO_NO_BATCH_REPLAY")
-        self._batch_replay = bool(batch_replay) and trace is not None
         self.fetch = FetchUnit(self, program, self.predictor, self.btb,
                                trace=trace)
         # Resolve the predictor-training entry points once instead of
@@ -452,7 +380,6 @@ class OoOCore:
             self._ev_store_data,
             self._ev_spec_ready,
             self._ev_spec_kill,
-            self._ev_replay_batch,
         )
         # Micro-op recycling and the reusable rename-group container
         # (cleared each cycle, never reallocated).
@@ -466,11 +393,6 @@ class OoOCore:
         #: deliberately not a SimStats counter so results stay
         #: bit-identical to pure stepping).
         self.ff_skipped_cycles = 0
-        #: Batch-replay engagement (diagnostic only, same discipline):
-        #: batch events dispatched, and members bulk-completed straight
-        #: from the trace columns (fallback members are not counted).
-        self.replay_batch_events = 0
-        self.replay_batch_uops = 0
 
         if account is not None:
             account.attach(self)
@@ -892,49 +814,6 @@ class OoOCore:
         uop.completed = True
         uop.complete_cycle = self.cycle
 
-    def _ev_replay_batch(self, _token, members):
-        """Bulk-complete one issued stretch of plain-ALU replay
-        candidates from the trace columns.
-
-        Each member is an issue-time ``(uop, gen)`` snapshot.  Dead
-        members (squashed or wakeup-replayed since issue) are skipped
-        exactly as the event loop skips dead singletons; members whose
-        sources went impure since issue fall back to the singleton
-        functional path.  See "Batch replay" in the module docstring
-        for why batch order within the completion class is
-        unobservable.
-        """
-        pure = self._pure
-        results = self._tr_results
-        write = self.prf.write
-        confirm_spec = self.iq.confirm_spec
-        cycle = self.cycle
-        replayed = 0
-        for uop, gen in members:
-            if uop.killed or uop.gen != gen:
-                continue
-            prs1 = uop.prs1
-            prs2 = uop.prs2
-            ti = uop.trace_index
-            if (
-                ti >= 0
-                and (prs1 is None or pure[prs1])
-                and (prs2 is None or pure[prs2])
-            ):
-                uop.result = result = results[ti]
-                prd = uop.prd
-                if prd is not None:
-                    pure[prd] = 1
-                    write(prd, result)
-                    confirm_spec(prd)
-                uop.completed = True
-                uop.complete_cycle = cycle
-                replayed += 1
-            else:
-                self._ev_complete_alu(uop)
-        self.replay_batch_events += 1
-        self.replay_batch_uops += replayed
-
     def _ev_load_agen(self, uop, _payload=None):
         self.lsu.load_agen(uop, self.cycle)
 
@@ -1088,15 +967,6 @@ class OoOCore:
         cycle = self.cycle
         buckets = self._event_buckets
         cycles_heap = self._event_cycles
-        # A lone issued half can never form a batch of two; skip the
-        # accumulator bookkeeping outright (singleton emission is
-        # identical to batching off).
-        batching = self._batch_replay and len(issued) > 1
-        # Open batches for this issue pass: completion cycle -> ordered
-        # (uop, gen) members.  Flushed before any non-batch completion
-        # bound for the same cycle (order within the completion class
-        # must match per-uop scheduling), and drained at the end.
-        pending = None
         for uop, half in issued:
             # Inlined _schedule (hot path: one event per issued half).
             if uop.op_is_load:
@@ -1118,53 +988,12 @@ class OoOCore:
                     # shadow stays open through regread/execute/BRU.
                     latency += self.config.branch_resolve_extra
                 when = cycle + latency
-                if batching and uop.op_is_plain and uop.trace_index >= 0:
-                    # Replay candidate: accumulate instead of emitting
-                    # an event now; same-completion-cycle candidates
-                    # coalesce into one batch event.
-                    if pending is None:
-                        pending = {}
-                    members = pending.get(when)
-                    if members is None:
-                        pending[when] = members = []
-                    members.append((uop, uop.gen))
-                    continue
                 event = (_P_COMPLETE, _K_COMPLETE_ALU, uop, uop.gen, None)
-                if pending is not None:
-                    members = pending.pop(when, None)
-                    if members is not None:
-                        # A non-batch completion is joining the same
-                        # cycle: emit the (older) open batch first so
-                        # insertion order within the priority class is
-                        # exactly the per-uop order.
-                        self._emit_batch(when, members, buckets,
-                                         cycles_heap)
             bucket = buckets.get(when)
             if bucket is None:
                 buckets[when] = bucket = []
                 heappush(cycles_heap, when)
             bucket.append(event)
-        if pending:
-            for when, members in pending.items():
-                self._emit_batch(when, members, buckets, cycles_heap)
-
-    def _emit_batch(self, when, members, buckets, cycles_heap):
-        """Schedule one issue pass's replay candidates for ``when``.
-
-        A lone candidate goes out as the ordinary singleton completion
-        event — identical to batching off — so batch machinery only
-        ever engages for stretches of at least two.
-        """
-        if len(members) == 1:
-            uop, gen = members[0]
-            event = (_P_COMPLETE, _K_COMPLETE_ALU, uop, gen, None)
-        else:
-            event = (_P_COMPLETE, _K_REPLAY_BATCH, _BATCH_TOKEN, 0, members)
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = bucket = []
-            heappush(cycles_heap, when)
-        bucket.append(event)
 
     # ------------------------------------------------------------------
     # Rename / dispatch.
@@ -1287,10 +1116,9 @@ class OoOCore:
             group.append(uop)
             n += 1
             if is_load:
-                # LDQ/STQ allocation folded into the group build (the
-                # batched form of LoadStoreUnit.admit_group): program
-                # order is preserved and nothing observes the queues
-                # before the group dispatches.
+                # LDQ/STQ allocation folded into the group build:
+                # program order is preserved and nothing observes the
+                # queues before the group dispatches.
                 ldq.append(uop)
             elif is_store:
                 stq.append(uop)
@@ -1309,21 +1137,12 @@ class OoOCore:
 
         # ---- one in-order RAT pass over the whole group --------------
         # The pass also marks the allocated destinations not-ready
-        # (mark_alloc_group fused in via reg_state).  1-uop groups —
-        # the steady state of low-IPC cells (fence serialisation,
-        # chronic mispredicts) — take the dedicated solo path and skip
-        # the group-iteration overhead entirely.
-        if n == 1:
-            solo = group[0]
-            rename.rename_solo(solo, self.prf.state)
-            self.rob.append(solo)
-            self.iq.add(solo)
-        else:
-            rename.rename_group(group, self.prf.state)
+        # (fused in via reg_state).
+        rename.rename_group(group, self.prf.state)
 
-            # ---- batched downstream admission ------------------------
-            self.rob.extend(group)
-            self.iq.add_group(group)
+        # ---- batched downstream admission ----------------------------
+        self.rob.extend(group)
+        self.iq.add_group(group)
 
         # ---- scheme hook: one call per group -------------------------
         hook = self._scheme_on_rename_group

@@ -96,7 +96,9 @@ class FetchUnit:
         self.fetch_pc = program.entry
         self.stalled_until = 0
         self.halted = False
-        # Recycled FetchEntry objects (bounded by the buffer size).
+        # Recycled FetchEntry objects (bounded by the buffer size):
+        # the core's rename stage appends each entry it pops, and
+        # redirect() returns the squashed buffer.
         self._entry_pool = []
         # Trace replay: architectural successor column and the current
         # fetch-stream position within the trace (-1 = off-trace).
@@ -232,10 +234,6 @@ class FetchUnit:
         if self.halted or len(self.queue) >= self.config.fetch_buffer_entries:
             return None
         return cycle if cycle >= self.stalled_until else self.stalled_until
-
-    def recycle_entry(self, entry):
-        """Return a consumed (renamed) entry to the free list."""
-        self._entry_pool.append(entry)
 
     # -- recovery ------------------------------------------------------------------
 

@@ -83,48 +83,22 @@ class IssueQueue:
     def __len__(self):
         return len(self.entries)
 
-    @property
-    def is_full(self):
-        return len(self.entries) >= self.config.iq_entries
-
     def has_ready(self):
         """Any entry the next select pass could examine?  (Used by the
         core's idle-cycle fast-forward: an empty ready list guarantees
         ``select_and_issue`` is a no-op.)"""
         return bool(self._ready)
 
-    def add(self, uop):
-        self.entries[uop.seq] = uop
-        # Renamed micro-ops arrive in age order, so a ready newcomer
-        # always belongs at the back of the ready list — append, don't
-        # insort.  Fast path: every operand usable already
-        # (state != NOT_READY == 0, i.e. truthy).
-        state = self.core.prf.state
-        if uop.op_is_store:
-            if self._store_can_fire(uop, state):
-                uop.iq_status = IQ_READY
-                self._ready.append((uop.seq, uop))
-                return
-        else:
-            prs1 = uop.prs1
-            prs2 = uop.prs2
-            if (prs1 is None or state[prs1]) and (
-                prs2 is None or state[prs2]
-            ):
-                uop.iq_status = IQ_READY
-                self._ready.append((uop.seq, uop))
-                return
-        self._classify(uop)
-
     def add_group(self, uops):
         """Insert one renamed fetch group (age order), as one call.
 
-        Exactly :meth:`add` per micro-op with the hot lookups hoisted:
-        the group arrives age-ordered, so ready newcomers append to the
-        back of the ready list, and each member's readiness is judged
-        against the live register state — which already carries the
-        whole group's destination allocations, so an in-group consumer
-        of an in-group producer correctly starts out waiting.
+        Renamed micro-ops arrive in age order, so a ready newcomer
+        always belongs at the back of the ready list — append, don't
+        insort.  Each member's readiness is judged against the live
+        register state (a usable operand is truthy: ``state !=
+        NOT_READY``), which already carries the whole group's
+        destination allocations, so an in-group consumer of an
+        in-group producer correctly starts out waiting.
         """
         entries = self.entries
         ready = self._ready

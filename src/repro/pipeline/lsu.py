@@ -74,30 +74,6 @@ class LoadStoreUnit:
         """Current ``(ldq, stq)`` entry counts."""
         return len(self.ldq), len(self.stq)
 
-    def add_load(self, uop):
-        self.ldq.append(uop)
-
-    def add_store(self, uop):
-        self.stq.append(uop)
-
-    def admit_group(self, uops):
-        """Queue one renamed fetch group's memory micro-ops (age order).
-
-        Loads and stores land in their queues in program order in one
-        call; non-memory micro-ops pass through untouched.  Capacity
-        was checked by the dispatch gates before the group was built.
-        This is the reference form of the admission the core's group
-        build performs inline (hot path); tools and tests drive it
-        directly.
-        """
-        ldq = self.ldq
-        stq = self.stq
-        for uop in uops:
-            if uop.op_is_load:
-                ldq.append(uop)
-            elif uop.op_is_store:
-                stq.append(uop)
-
     # -- load execution -----------------------------------------------------
 
     def load_agen(self, uop, cycle):

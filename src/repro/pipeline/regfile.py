@@ -51,23 +51,6 @@ class PhysRegFile:
         """
         self.state[preg] = NOT_READY
 
-    def mark_alloc_group(self, uops):
-        """Batch :meth:`mark_alloc` for one renamed fetch group.
-
-        Safe to run after the whole group's RAT pass: an in-group
-        consumer of an in-group producer keys its readiness checks off
-        these marks, and they land before the issue queue examines any
-        group member.  The core's hot path fuses these marks into
-        ``RenameUnit.rename_group`` (its ``reg_state`` argument); this
-        method is the standalone form for callers composing the group
-        steps themselves.
-        """
-        state = self.state
-        for uop in uops:
-            preg = uop.prd
-            if preg is not None:
-                state[preg] = NOT_READY
-
     def write(self, preg, value):
         """Write a produced value and mark the register READY."""
         self.values[preg] = value

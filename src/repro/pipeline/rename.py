@@ -114,9 +114,8 @@ class RenameUnit:
         ``reg_state``, when given, is the physical register file's
         readiness list: each allocated destination is marked not-ready
         (0) in the same pass — the hardware truth that allocation
-        clears the ready bit — sparing the core a separate
-        ``mark_alloc_group`` sweep.  In-group consumers only read the
-        state after the whole pass, so fusing the marks is equivalent.
+        clears the ready bit.  In-group consumers only read the state
+        after the whole pass, so fusing the marks is equivalent.
         """
         rat = self.rat
         popleft = self.free_list.popleft
@@ -136,32 +135,6 @@ class RenameUnit:
                     reg_state[preg] = 0  # NOT_READY
             if info.casts_c_shadow:
                 self.create_checkpoint(uop, uop.ghr_at_predict)
-
-    def rename_solo(self, uop, reg_state=None):
-        """Rename a single micro-op: the 1-wide slice of
-        :meth:`rename_group`, without the group iteration overhead.
-
-        Behaviourally identical to ``rename_group([uop], reg_state)`` —
-        the core's dispatch stage takes this path for 1-uop groups (the
-        steady state of low-IPC cells, e.g. under the fence scheme,
-        where almost every cycle renames at most one instruction).
-        """
-        instr = uop.instr
-        info = instr.info
-        rat = self.rat
-        if info.reads_rs1 and instr.rs1 != 0:
-            uop.prs1 = rat[instr.rs1]
-        if info.reads_rs2 and instr.rs2 != 0:
-            uop.prs2 = rat[instr.rs2]
-        if instr.writes_rd:
-            preg = self.free_list.popleft()
-            uop.stale_prd = rat[instr.rd]
-            uop.prd = preg
-            rat[instr.rd] = preg
-            if reg_state is not None:
-                reg_state[preg] = 0  # NOT_READY
-        if info.casts_c_shadow:
-            self.create_checkpoint(uop, uop.ghr_at_predict)
 
     # -- checkpoints ------------------------------------------------------
 

@@ -76,7 +76,7 @@ DATA = "data"
 HOT_SLOTS = (
     "seq", "pc", "instr", "fetch_cycle",
     "op_is_load", "op_is_store", "op_is_branch", "op_is_transmitter",
-    "op_is_div", "op_is_plain", "op_latency",
+    "op_is_div", "op_latency",
     "prs1", "prs2", "prd", "stale_prd", "checkpoint_id",
     "in_rob", "completed", "committed", "killed",
     "spec_deps", "iq_status", "order_violation",
@@ -186,10 +186,6 @@ class MicroOp:
         "op_is_branch",
         "op_is_transmitter",
         "op_is_div",
-        # Plain-ALU classification: completion is a pure function of
-        # register sources, making this the batch-replay candidate
-        # class (see repro.pipeline.core).
-        "op_is_plain",
         "op_latency",
         # Pool bookkeeping (see MicroOpPool): True while parked on the
         # free list, guarding against double release.
@@ -230,7 +226,6 @@ class MicroOp:
         self.op_is_branch = info.is_branch
         self.op_is_transmitter = info.is_transmitter
         self.op_is_div = info.is_div
-        self.op_is_plain = info.is_plain_alu
         self.op_latency = info.latency
         self.prs1 = None
         self.prs2 = None

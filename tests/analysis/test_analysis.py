@@ -48,6 +48,10 @@ def test_trend_fit_exact_line():
     assert fit.slope == pytest.approx(-0.1)
     assert fit.at(4.0) == pytest.approx(0.6)
     assert extrapolate(fit, 4.0) == pytest.approx(0.6)
+    # Points off any one line: the least-squares fit, not a pass-through.
+    fit = fit_trend([1, 2, 3, 4], [1, 3, 2, 5])
+    assert fit.slope == pytest.approx(1.1)
+    assert fit.intercept == pytest.approx(0.0, abs=1e-12)
 
 
 def test_halved_slope_is_less_pessimistic():

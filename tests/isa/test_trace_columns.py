@@ -1,5 +1,5 @@
 """Columnar trace storage: typed-layout coercion, payload round-trips,
-corruption rejection, and numpy-vs-stdlib equivalence.
+and corruption rejection.
 
 The serialisation contract (trace-v2) is load-bearing for the disk
 cache: a payload must survive array -> payload -> array bit-identically
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.isa.trace as trace_mod
 from repro.isa.trace import (
     _ITEMSIZE,
     _PAYLOAD_ENDIAN,
@@ -124,28 +123,6 @@ def test_damaged_payloads_are_rejected(mutation):
 def test_good_payload_still_loads():
     clone = DynamicTrace.from_payload(_good_payload())
     assert list(clone.results) == [-7, 0, 5]
-
-
-def test_numpy_and_stdlib_paths_are_bit_identical(monkeypatch):
-    """The numpy gate only accelerates validation: payloads, rebuilt
-    columns, and rejection behaviour are identical with ``_np`` forced
-    off (the REPRO_NO_NUMPY / no-numpy-installed path)."""
-    program = streaming_kernel(iterations=3, array_words=64)
-    with_np = record_trace(program)
-    payload_np = with_np.to_payload()
-
-    monkeypatch.setattr(trace_mod, "_np", None)
-    without_np = record_trace(program)
-    payload_std = without_np.to_payload()
-    assert payload_std == payload_np
-
-    clone = DynamicTrace.from_payload(payload_np)
-    assert clone.to_payload() == payload_np
-    bad = dict(payload_np)
-    bad["l1_hit"] = base64.b64encode(
-        bytes(b ^ 2 for b in clone.l1_hit)).decode("ascii")
-    with pytest.raises(ValueError):
-        DynamicTrace.from_payload(bad)
 
 
 def test_recorded_trace_uses_typed_columns():

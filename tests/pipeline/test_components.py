@@ -49,35 +49,6 @@ def test_uop_replay_resets_issue_state():
     assert uop.gen == gen + 1
 
 
-def test_group_admission_reference_apis():
-    """The standalone group APIs (the reference forms of the core's
-    inlined group build): mark_alloc_group marks exactly the writers,
-    admit_group queues memory micro-ops in program order."""
-    from repro.pipeline.config import SMALL
-    from repro.pipeline.lsu import LoadStoreUnit
-    from repro.workloads.kernels import streaming_kernel
-
-    uops = [
-        MicroOp(0, 0, Instruction(Opcode.LW, rd=3, rs1=1, imm=0)),
-        MicroOp(1, 1, Instruction(Opcode.ADD, rd=4, rs1=3, rs2=3)),
-        MicroOp(2, 2, Instruction(Opcode.SW, rs1=1, rs2=4, imm=8)),
-        MicroOp(3, 3, Instruction(Opcode.LW, rd=5, rs1=1, imm=16)),
-    ]
-    uops[0].prd, uops[1].prd = 40, 41  # as the RAT pass would set
-
-    prf = PhysRegFile(64)
-    prf.mark_alloc_group(uops)
-    assert prf.state[40] == NOT_READY and prf.state[41] == NOT_READY
-    assert prf.state[42] == READY  # untouched
-
-    core = OoOCore(streaming_kernel(iterations=2, array_words=32),
-                   config=SMALL)
-    lsu = LoadStoreUnit(core)
-    lsu.admit_group(uops)
-    assert [u.seq for u in lsu.ldq] == [0, 3]
-    assert [u.seq for u in lsu.stq] == [2]
-
-
 def test_regfile_spec_state_machine():
     prf = PhysRegFile(40)
     prf.mark_alloc(35)
