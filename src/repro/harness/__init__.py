@@ -25,11 +25,19 @@ shared segment files indexed by a SQLite manifest::
 Each segment record is ``"SBR1" | u32 payload-length | u32 CRC32 |
 zlib(canonical JSON)`` where the JSON payload is the envelope
 ``{"key", "model_version", "meta", "result"}`` — the same envelope the
-original JSON-file-per-cell layout stored, so the logical format never
-changed.  The manifest's ``cells`` table maps every *full* 64-hex key
-to its segment/offset/length and carries the benchmark/config/scheme
-columns, hot counters, and a per-cell statistics blob: ``keys()`` and
-``len()`` are pure index reads, ``load_many`` returns lazily-decoded
+original JSON-file-per-cell layout stored.  Inside ``result`` the final
+memory image is packed as contiguous runs in ascending address order,
+``[[base, [v0, v1, ...]], ...]`` (see
+:meth:`~repro.pipeline.core.SimulationResult.to_dict`); records
+written by 1.1.0 before the packed form hold a ``{"address": value}``
+object instead, and every read path — ``load``, ``load_many``, the
+lazy results' ``memory`` — decodes both through
+:func:`~repro.pipeline.core.unpack_memory`, so such stores stay valid
+under the same model version.  The manifest's ``cells`` table maps
+every *full* 64-hex key to its segment/offset/length and carries the
+benchmark/config/scheme columns, hot counters, and a per-cell
+statistics blob: ``keys()`` and ``len()`` are pure index reads,
+``load_many`` returns lazily-decoded
 results (snapshot payloads decompress only when touched), and
 ``iter_results(fields=...)`` / ``load_columns`` serve analysis passes
 columnar with zero segment I/O.  Writers append a record and flush

@@ -110,6 +110,7 @@ class ClusterCoordinator:
         self._workers = {}  # name -> _WorkerState
         self._attribution = {}  # worker name -> cells completed, ever
         self._requeues = 0
+        self._persisted = 0  # results whose on_result returned
         #: Campaign-wide execution telemetry (wall time, replay
         #: counters, peak RSS), aggregated from the optional
         #: ``telemetry`` riding each first-winning result frame.
@@ -247,10 +248,12 @@ class ClusterCoordinator:
                 pass
         with self._lock:
             workers = list(self._workers.values())
+            # Under the lock: every journal append holds it too, and
+            # sees _closed once this section has run.
+            if self._journal is not None:
+                self._journal.close()
         for state in workers:
             self._disconnect(state.conn)
-        if self._journal is not None:
-            self._journal.close()
 
     def __enter__(self):
         return self.start()
@@ -398,7 +401,9 @@ class ClusterCoordinator:
         import time
 
         if message.get("protocol") != PROTOCOL_VERSION:
-            return None, "protocol version mismatch"
+            return None, ("protocol version mismatch: coordinator v%s,"
+                          " worker v%s" % (PROTOCOL_VERSION,
+                                           message.get("protocol")))
         from repro.core.registry import scheme_wire_versions
 
         theirs = message.get("schemes")
@@ -428,7 +433,12 @@ class ClusterCoordinator:
     # -- queue management -------------------------------------------------
 
     def _journal_event(self, record):
-        if self._journal is not None:
+        """Append one event; the caller holds ``self._lock``.
+
+        A closed coordinator journals nothing: its serve threads may
+        still settle a late result or drop a worker after ``close``.
+        """
+        if self._journal is not None and not self._closed:
             try:
                 self._journal.append(record)
             except OSError:
@@ -487,7 +497,6 @@ class ClusterCoordinator:
                                      "key": self._keys[cell_id]})
             self._journal_event({"event": "done",
                                  "key": self._keys[cell_id]})
-            completed = len(self._results)
             finished = self._settled_locked() >= len(self._specs)
         # The done event must fire even if a callback blows up (full
         # disk in the store-save, a buggy progress hook): the result is
@@ -496,6 +505,9 @@ class ClusterCoordinator:
         try:
             if self.on_result is not None:
                 self.on_result(cell_id, result)
+            with self._lock:
+                self._persisted += 1
+                persisted = self._persisted
             if self.progress is not None:
                 if cleared is not None:
                     self.progress.failure_cleared(cleared.kind)
@@ -503,8 +515,11 @@ class ClusterCoordinator:
         finally:
             if finished:
                 self._done.set()
+        # Counted once on_result returned, not once recorded: another
+        # connection may still be inside its own store write, and the
+        # injected kill must not cut it off.
         if (self._fault_plan is not None
-                and self._fault_plan.on_result_recorded(completed)):
+                and self._fault_plan.on_result_recorded(persisted)):
             # Injected coordinator death: vanish abruptly, no drain —
             # exactly what SIGKILL looks like to workers and callers.
             self.close()

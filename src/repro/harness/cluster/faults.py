@@ -36,8 +36,9 @@ Fault kinds and where they fire:
     result frame — the late-duplicate race the coordinator's
     first-result-wins rule must absorb.
 ``kill_coordinator``
-    The coordinator closes abruptly (no drain) after recording its
-    *at*-th result: the crash that ``serve --resume`` recovers from.
+    The coordinator closes abruptly (no drain) once its *at*-th result
+    is persisted (its ``on_result`` returned): the crash that ``serve
+    --resume`` recovers from.
 
 Determinism contract: the *schedule* is deterministic, the
 *interleaving* is not (work stealing races by design) — so chaos tests
@@ -74,7 +75,7 @@ class Fault:
     ``worker=None`` matches any worker (first to reach the count wins);
     ``at`` counts steals for ``crash``, substantive sent frames for the
     frame kinds, started simulations for ``slow_cell``, completed
-    reports for ``duplicate_result``, and recorded results for
+    reports for ``duplicate_result``, and persisted results for
     ``kill_coordinator``.  ``arg`` is kind-specific (seconds, benchmark
     name).  All faults are one-shot except ``poison_cell``.
     """
@@ -219,10 +220,11 @@ class FaultPlan:
 
     # -- coordinator seam -------------------------------------------------
 
-    def on_result_recorded(self, completed):
-        """True when the coordinator must die after this many results."""
+    def on_result_recorded(self, persisted):
+        """True when the coordinator must die once this many results
+        are persisted (their ``on_result`` callbacks have returned)."""
         return self._match(("kill_coordinator",), "coordinator",
-                           completed) is not None
+                           persisted) is not None
 
 
 def send_corrupted(sock, message):

@@ -42,6 +42,14 @@ fields are wire-versioned: :data:`PROTOCOL_VERSION` was bumped when
 they landed, so a mixed-generation pair refuses at ``hello`` instead
 of silently degrading failure records.
 
+**Packed memory images** (protocol generation 3).  A ``result``
+frame carries :meth:`~repro.pipeline.core.SimulationResult.to_dict`,
+whose ``memory`` is a list of contiguous runs,
+``[[base, [v0, v1, ...]], ...]``, instead of the generation-2
+``{"address": value}`` object.  A generation-2 coordinator would call
+``.items()`` on the list, so the bump makes a mixed pair refuse at
+``hello`` rather than fail on the first result.
+
 **Cell specs on the wire.**  :func:`spec_to_wire` expands a spec tuple
 into plain JSON — the *complete* ``CoreConfig`` parameter record
 travels with every cell (via ``CoreConfig.to_dict`` /
@@ -84,7 +92,8 @@ from repro.pipeline.config import config_from_dict
 
 #: Protocol generation, exchanged in hello/welcome; mismatches refuse.
 #: 2: structured error frames (``failure_kind``/``traceback``).
-PROTOCOL_VERSION = 2
+#: 3: result frames carry the packed-run memory image.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's payload (a full SimulationResult for a
 #: large cell is ~100 KiB; 64 MiB is comfortably above any real frame).

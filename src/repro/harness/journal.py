@@ -119,11 +119,11 @@ class CampaignJournal:
 
     def append(self, record):
         """Append one event line (flushed; safe from many threads)."""
-        if self._handle is None:
-            raise RuntimeError("journal not opened: call begin() or"
-                               " resume() first")
         line = json.dumps(record, separators=(",", ":"))
         with self._lock:
+            if self._handle is None:
+                raise RuntimeError("journal not opened: call begin() or"
+                                   " resume() first")
             self._handle.write(line + "\n")
             self._handle.flush()
 

@@ -71,7 +71,7 @@ from repro.harness.segments import (
     pack_record,
     unpack_record,
 )
-from repro.pipeline.core import SimulationResult
+from repro.pipeline.core import SimulationResult, unpack_memory
 from repro.pipeline.stats import SimStats
 
 #: Stamp hashed into every key; results computed by a different model
@@ -498,8 +498,7 @@ class _StoredResult(SimulationResult):
         d = self.__dict__
         d.setdefault("_stats", SimStats.from_dict(data["stats"]))
         d["_regs"] = list(data["regs"])
-        d["_memory"] = {int(addr): value
-                        for addr, value in data["memory"].items()}
+        d["_memory"] = unpack_memory(data["memory"])
         d["_extra"] = dict(data.get("extra", {}))
 
     @property

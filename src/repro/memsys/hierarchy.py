@@ -1,6 +1,8 @@
 """Two-level cache hierarchy with a backing DRAM latency model."""
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv
 
 from repro.memsys.cache import CacheModel
 from repro.memsys.prefetcher import StridePrefetcher
@@ -109,12 +111,12 @@ class MemoryHierarchy:
         """
         if level not in ("l1", "l2"):
             raise ValueError("level must be l1 or l2")
-        seen = set()
-        for address in addresses:
-            line = self.l2.line_address(address)
-            if line in seen:
-                continue
-            seen.add(line)
+        line_words = self.l2.line_words
+        # Each distinct line once, in first-touch order (LRU order and
+        # eviction counts depend on it).
+        lines = dict.fromkeys(map(floordiv, addresses, repeat(line_words)))
+        for line in lines:
+            address = line * line_words
             self.l2.insert(address)
             if level == "l1":
                 self.l1.insert(address)

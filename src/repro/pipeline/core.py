@@ -160,7 +160,12 @@ from repro.core.plugin import SchemeBase, overridden_hook, rename_group_hook
 from repro.core.shadows import C_SHADOW, D_SHADOW, ShadowTracker
 from repro.frontend.branch_predictor import BranchTargetBuffer, make_predictor
 from repro.isa.instructions import Opcode
-from repro.isa.interp import branch_taken, evaluate_alu, to_unsigned64
+from repro.isa.interp import (
+    branch_taken,
+    evaluate_alu,
+    to_signed64,
+    to_unsigned64,
+)
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MEGA
@@ -192,6 +197,55 @@ _K_STORE_DATA = 4
 _K_SPEC_READY = 5
 _K_SPEC_KILL = 6
 
+# Architectural ranges: addresses are unsigned, words signed 64-bit.
+_MAX_ADDRESS = (1 << 64) - 1
+_MIN_WORD = -(1 << 63)
+_MAX_WORD = (1 << 63) - 1
+
+
+def pack_memory(memory):
+    """Encode a memory image as contiguous runs in ascending address
+    order: ``[[base, [v0, v1, ...]], ...]`` holds ``v_i`` at
+    ``base + i``.  The inverse is :func:`unpack_memory`."""
+    addresses = sorted(memory)
+    values = list(map(memory.__getitem__, addresses))
+    count = len(addresses)
+    runs = []
+    start = 0
+    while start < count:
+        base = addresses[start]
+        end = start + 1
+        if end < count and addresses[end] == base + 1:
+            # address - index is constant along a run and grows at
+            # every gap: gallop past the run's end, then bisect back to
+            # it, so a run costs O(log length) steps.
+            offset = base - start
+            hi, step = end + 1, 2
+            while hi <= count and addresses[hi - 1] - (hi - 1) == offset:
+                end, hi, step = hi, hi + step, step * 2
+            hi = min(hi - 1, count)
+            while end < hi:
+                mid = (end + hi) // 2
+                if addresses[mid] - mid == offset:
+                    end = mid + 1
+                else:
+                    hi = mid
+        runs.append([base, values[start:end]])
+        start = end
+    return runs
+
+
+def unpack_memory(data):
+    """``{address: value}`` from :func:`pack_memory` output, or from the
+    legacy ``{"address": value}`` object that stores and golden fixtures
+    written before the packed form still hold."""
+    if isinstance(data, dict):
+        return dict(zip(map(int, data), data.values()))
+    memory = {}
+    for base, values in data:
+        memory.update(zip(range(base, base + len(values)), values))
+    return memory
+
 
 @dataclass
 class SimulationResult:
@@ -214,8 +268,12 @@ class SimulationResult:
     def to_dict(self):
         """JSON-serialisable form (see :meth:`from_dict` for the inverse).
 
-        Memory addresses become string keys (JSON objects only have
-        string keys); :meth:`from_dict` converts them back to ints.
+        ``memory`` is packed by :func:`pack_memory` into contiguous runs
+        in ascending address order, ``[[base, [v0, v1, ...]], ...]``:
+        a SPEC proxy's image is a handful of runs, not one string key
+        per word.  :meth:`from_dict` also reads the legacy
+        ``{"address": value}`` object (see :func:`unpack_memory`), so
+        results stored before the packed form load unchanged.
         """
         return {
             "program_name": self.program_name,
@@ -223,7 +281,7 @@ class SimulationResult:
             "config_name": self.config_name,
             "stats": self.stats.to_dict(),
             "regs": list(self.regs),
-            "memory": {str(addr): value for addr, value in self.memory.items()},
+            "memory": pack_memory(self.memory),
             "halted": self.halted,
             "cycles": self.cycles,
             "extra": dict(self.extra),
@@ -238,7 +296,7 @@ class SimulationResult:
             config_name=data["config_name"],
             stats=SimStats.from_dict(data["stats"]),
             regs=list(data["regs"]),
-            memory={int(addr): value for addr, value in data["memory"].items()},
+            memory=unpack_memory(data["memory"]),
             halted=data["halted"],
             cycles=data.get("cycles", 0),
             extra=dict(data.get("extra", {})),
@@ -292,13 +350,25 @@ class OoOCore:
         cfg = self.config
         self.stats = SimStats()
         self.prf = PhysRegFile(cfg.num_phys_regs)
+        # Initial state is loaded as the reference interpreter loads it
+        # (ArchState.write_reg / write_mem): unsigned addresses, signed
+        # 64-bit values.  An image already in range (every generated
+        # workload's) is copied whole, checked by C-level min/max
+        # instead of a per-word loop.
         for reg, value in program.initial_regs.items():
             if reg != 0:
-                self.prf.values[reg] = value
-        self.memory = {
-            to_unsigned64(addr): value
-            for addr, value in program.initial_memory.items()
-        }
+                self.prf.values[reg] = to_signed64(value)
+        image = program.initial_memory
+        if not image or (
+                0 <= min(image) and max(image) <= _MAX_ADDRESS
+                and _MIN_WORD <= min(image.values())
+                and max(image.values()) <= _MAX_WORD):
+            self.memory = dict(image)
+        else:
+            self.memory = {
+                to_unsigned64(addr): to_signed64(value)
+                for addr, value in image.items()
+            }
         self.hierarchy = MemoryHierarchy(cfg.mem)
         if warm_caches and self.memory:
             self.hierarchy.warm(self.memory.keys(), level="l2")

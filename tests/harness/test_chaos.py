@@ -12,14 +12,32 @@ envelope level, where the store contract actually lives.)
 """
 
 import json
+import socket
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.harness.cluster import ClusterExecutor, Fault, FaultPlan
+from repro.core.registry import scheme_wire_versions
+from repro.harness.cluster import (
+    PROTOCOL_VERSION,
+    ClusterCoordinator,
+    ClusterExecutor,
+    ClusterWorker,
+    Fault,
+    FaultPlan,
+    recv_frame,
+    send_frame,
+    spec_from_wire,
+)
 from repro.harness.journal import CampaignJournal, journal_path
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore
+from repro.isa.registers import NUM_ARCH_REGS
 from repro.pipeline.config import SMALL
+from repro.pipeline.core import SimulationResult
+from repro.pipeline.stats import SimStats
 
 SUBSET = ("503.bwaves", "548.exchange2")
 SCALE = 0.05
@@ -143,7 +161,7 @@ def test_chaos_with_duplicates_and_corruption(tmp_path):
 
 def test_coordinator_kill_and_resume_completes_campaign(tmp_path):
     """The big one: the coordinator dies mid-campaign (injected kill
-    after the 2nd recorded result), and ``--resume`` semantics — store
+    after the 2nd persisted result), and ``--resume`` semantics — store
     for done cells, journal for shape — finish the job.  The final
     store is byte-identical to a fault-free serial run."""
     expected = serial_store(tmp_path)
@@ -189,3 +207,140 @@ def test_coordinator_kill_and_resume_completes_campaign(tmp_path):
     assert store_bytes(chaos_root) == expected
     final = CampaignJournal.load(journal)
     assert final.sessions == 2
+
+
+def _specs():
+    return [(benchmark, SMALL, scheme, (), SCALE, 2017)
+            for scheme in ("baseline", "nda") for benchmark in SUBSET]
+
+
+def test_kill_waits_for_results_still_being_persisted():
+    """The kill counts results whose ``on_result`` returned: a result
+    recorded first but still being written when a second one lands is
+    in the store before the coordinator dies."""
+    persisted = {}
+    calls = []
+    second = threading.Event()
+    lock = threading.Lock()
+
+    def on_result(cell_id, result):
+        with lock:
+            calls.append(cell_id)
+            first = len(calls) == 1
+        if first:
+            # The slow store write: still running when the next result
+            # is recorded and persisted.
+            second.wait(timeout=60)
+            time.sleep(0.5)
+        else:
+            second.set()
+        persisted[cell_id] = result
+
+    plan = FaultPlan([Fault("kill_coordinator", at=2)])
+    coordinator = ClusterCoordinator(_specs(), on_result=on_result,
+                                     fault_plan=plan).start()
+    threads = []
+    try:
+        host, port = coordinator.address
+        for index in range(2):
+            worker = ClusterWorker(host, port, name="local-%d" % index)
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            threads.append(thread)
+        assert coordinator.wait(timeout=120)
+        assert plan.fired()
+        assert len(persisted) >= 2
+    finally:
+        coordinator.close()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+
+def test_closed_coordinator_takes_late_result_and_drop(tmp_path,
+                                                        monkeypatch):
+    """After ``close`` the journal is shut, yet a serve thread may still
+    settle a late result or drop its worker: neither may raise."""
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    journal = CampaignJournal(journal_path(tmp_path))
+    coordinator = ClusterCoordinator(_specs(), journal=journal).start()
+    conn = socket.create_connection(coordinator.address, timeout=5)
+    try:
+        send_frame(conn, {"kind": "hello", "worker": "late",
+                          "protocol": PROTOCOL_VERSION,
+                          "schemes": scheme_wire_versions()})
+        assert recv_frame(conn)["kind"] == "welcome"
+        send_frame(conn, {"kind": "steal"})
+        cell = recv_frame(conn)
+        assert cell["kind"] == "cell"
+        journaled = journal.path.read_text()
+
+        coordinator.close()  # cuts the socket: its serve thread drops
+        spec = spec_from_wire(cell["spec"])
+        late = SimulationResult(
+            program_name=spec[0], scheme_name=spec[2],
+            config_name=spec[1].name, stats=SimStats(),
+            regs=[0] * NUM_ARCH_REGS, memory={}, halted=True)
+        coordinator._complete("late", cell["cell_id"], late.to_dict())
+        for thread in coordinator._threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        conn.close()
+    assert raised == []
+    assert journal.path.read_text() == journaled
+
+
+def test_persisted_count_is_exact_under_concurrent_results():
+    """Many connections persisting at once: the kill due at the last
+    result fires only if no increment of the persisted count was lost."""
+    specs = [(benchmark, SMALL, "baseline", (), SCALE, seed)
+             for seed in range(20) for benchmark in SUBSET]
+    plan = FaultPlan([Fault("kill_coordinator", at=len(specs))])
+    coordinator = ClusterCoordinator(specs, fault_plan=plan).start()
+
+    def fake_worker(name):
+        # Steals and reports at once: no simulation, so results from
+        # every connection contend for the coordinator.
+        conn = socket.create_connection(coordinator.address, timeout=30)
+        try:
+            send_frame(conn, {"kind": "hello", "worker": name,
+                              "protocol": PROTOCOL_VERSION,
+                              "schemes": scheme_wire_versions()})
+            recv_frame(conn)
+            while True:
+                send_frame(conn, {"kind": "steal"})
+                reply = recv_frame(conn)
+                if reply is None or reply["kind"] != "cell":
+                    break
+                spec = spec_from_wire(reply["spec"])
+                result = SimulationResult(
+                    program_name=spec[0], scheme_name=spec[2],
+                    config_name=spec[1].name, stats=SimStats(),
+                    regs=[0] * NUM_ARCH_REGS, memory={}, halted=True)
+                send_frame(conn, {"kind": "result",
+                                  "cell_id": reply["cell_id"],
+                                  "result": result.to_dict()})
+                recv_frame(conn)
+        except OSError:
+            pass  # the kill cut the connection
+        finally:
+            conn.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=fake_worker, args=("fake-%d" % i,))
+               for i in range(6)]
+    try:
+        for thread in threads:
+            thread.start()
+        assert coordinator.wait(timeout=60)
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        coordinator.close()
+    assert coordinator.stats()["completed"] == len(specs)
+    assert plan.fired()

@@ -437,9 +437,20 @@ def test_protocol_version_mismatch_is_rejected():
     try:
         host, port = coordinator.address
         conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "old",
+        send_frame(conn, {"kind": "hello", "worker": "new",
                           "protocol": PROTOCOL_VERSION + 1})
         assert recv_frame(conn)["kind"] == "reject"
+        conn.close()
+        # A generation-2 worker (dict-form memory images) is refused,
+        # and the reason names both versions.
+        conn = socket.create_connection((host, port), timeout=5)
+        send_frame(conn, {"kind": "hello", "worker": "old", "protocol": 2,
+                          "schemes": scheme_wire_versions()})
+        reply = recv_frame(conn)
+        assert reply["kind"] == "reject"
+        assert reply["error"] == (
+            "protocol version mismatch: coordinator v%d, worker v2"
+            % PROTOCOL_VERSION)
         conn.close()
         # A full ClusterWorker against the same mismatch surfaces the
         # rejection instead of pretending a clean drain.

@@ -18,8 +18,10 @@ from repro.harness.store import (
     MODEL_VERSION,
     LegacyResultStore,
     ResultStore,
+    _StoredResult,
 )
 from repro.harness.storebench import synthetic_key, synthetic_result
+from repro.pipeline.core import SimulationResult
 
 
 def populate(root, count, start=0):
@@ -83,6 +85,27 @@ def test_save_load_round_trip_bit_identical(tmp_path):
     assert view.scheme_name == result.scheme_name
     (full,) = store.iter_results()
     assert full.to_dict() == result.to_dict()
+
+
+def test_dict_form_memory_from_1_1_0_envelopes_still_loads(tmp_path):
+    # Stores written by 1.1.0 before the packed memory form hold
+    # {"address": value} objects under the same model version; every
+    # read path decodes them to the image from_dict gives.
+    result = synthetic_result(3)
+    key = synthetic_key(3)
+    data = result.to_dict()
+    data["memory"] = {str(addr): value
+                      for addr, value in result.memory.items()}
+    store = ResultStore(tmp_path)
+    store._append_envelope({"key": key, "model_version": MODEL_VERSION,
+                            "meta": {}, "result": data})
+    want = SimulationResult.from_dict(data).memory
+    assert want == result.memory
+    assert ResultStore(tmp_path).load(key).memory == want
+    lazy = ResultStore(tmp_path).load_many([key])[key]
+    assert isinstance(lazy, _StoredResult)
+    assert lazy.memory == want
+    assert lazy.to_dict() == result.to_dict()
 
 
 def test_load_columns_serves_sql_and_stat_fields(tmp_path):

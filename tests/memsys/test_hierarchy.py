@@ -92,3 +92,37 @@ def test_prefetcher_table_capacity():
     prefetcher.observe(2, 0)
     prefetcher.observe(3, 0)  # evicts pc 1
     assert len(prefetcher._table) == 2
+
+
+def _warm_per_word(mem, addresses, level):
+    """The per-word warm-up loop, kept as the reference."""
+    seen = set()
+    for address in addresses:
+        line = mem.l2.line_address(address)
+        if line in seen:
+            continue
+        seen.add(line)
+        mem.l2.insert(address)
+        if level == "l1":
+            mem.l1.insert(address)
+
+
+@pytest.mark.parametrize("level", ["l1", "l2"])
+def test_warm_matches_per_word_reference(level):
+    # Small caches so the warm-up evicts; duplicate words, repeated
+    # lines reached through other words, and addresses out of order
+    # (a line's first touch fixes its LRU position).
+    cfg = MemConfig(l1_sets=2, l1_ways=2, l2_sets=4, l2_ways=2,
+                    prefetch_enabled=False)
+    addresses = [90, 3, 3, 17, 200, 5, 64, 8, 1000, 130, 16, 71, 9, 2,
+                 512, 24, 300, 3, 88, 600]
+    got, want = MemoryHierarchy(cfg), MemoryHierarchy(cfg)
+    got.access(40)  # a resident line the warm-up must respect
+    want.access(40)
+    got.warm(addresses, level=level)
+    _warm_per_word(want, addresses, level)
+    for cache in ("l1", "l2"):
+        assert getattr(got, cache)._sets == getattr(want, cache)._sets
+        assert (getattr(got, cache).evictions
+                == getattr(want, cache).evictions)
+    assert want.l2.evictions > 0

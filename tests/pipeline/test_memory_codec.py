@@ -1,0 +1,123 @@
+"""The memory-image codec and the core's initial architectural state.
+
+``SimulationResult.to_dict`` packs the final memory image into
+contiguous runs; ``from_dict`` (and the store's lazy decoder, through
+the same :func:`unpack_memory`) still reads the legacy
+``{"address": value}`` object every 1.1.0 store and the golden fixture
+hold.  The core loads ``.reg``/``.word`` values exactly as the
+reference interpreter does, so both start — and end — in the same
+architectural state.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import MEGA, OoOCore, assemble, make_scheme
+from repro.isa.interp import run_reference
+from repro.isa.registers import NUM_ARCH_REGS
+from repro.isa.trace import record_trace
+from repro.pipeline.core import SimulationResult, pack_memory, unpack_memory
+from repro.pipeline.stats import SimStats
+
+_ADDRESS = st.integers(min_value=0, max_value=2**64 - 1)
+_WORD = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+#: Images shaped like real ones and like their edge cases: a few dense
+#: runs at arbitrary bases (gaps between them, zero and negative words
+#: included), plus scattered lone words.
+_IMAGES = st.builds(
+    lambda runs, lone: {**runs, **lone},
+    st.lists(
+        st.tuples(_ADDRESS, st.lists(_WORD, max_size=40)), max_size=5,
+    ).map(lambda runs: {
+        base + offset: value
+        for base, values in runs
+        for offset, value in enumerate(values)
+    }),
+    st.dictionaries(_ADDRESS, _WORD | st.just(0), max_size=12),
+)
+
+
+def _result(memory):
+    return SimulationResult(
+        program_name="codec", scheme_name="baseline", config_name="mega",
+        stats=SimStats(), regs=[0] * NUM_ARCH_REGS, memory=memory,
+        halted=True,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_IMAGES)
+def test_packed_round_trip(memory):
+    packed = pack_memory(memory)
+    assert unpack_memory(packed) == memory
+    # Runs ascend, never touch, and each holds at least one word.
+    bases = [base for base, _values in packed]
+    assert bases == sorted(bases)
+    for (base, values), (after, _next) in zip(packed, packed[1:]):
+        assert values and base + len(values) < after
+    # ...and survive JSON unchanged.
+    assert unpack_memory(json.loads(json.dumps(packed))) == memory
+
+
+@pytest.mark.parametrize("memory, runs", [
+    ({}, []),
+    ({7: 0}, [[7, [0]]]),
+    ({3: -1, 1: 5, 2: 0, 10: 9}, [[1, [5, 0, -1]], [10, [9]]]),
+    ({2**64 - 1: -(2**63), 0: 2**63 - 1}, [[0, [2**63 - 1]],
+                                            [2**64 - 1, [-(2**63)]]]),
+])
+def test_packed_form(memory, runs):
+    assert pack_memory(memory) == runs
+    assert _result(memory).to_dict()["memory"] == runs
+
+
+def test_legacy_object_decodes_to_the_same_image():
+    memory = {4096: 7, 4097: 0, 4099: -3, 2**64 - 8: 1}
+    legacy = {str(addr): value for addr, value in memory.items()}
+    assert unpack_memory(legacy) == memory
+    data = _result(memory).to_dict()
+    data["memory"] = legacy
+    assert SimulationResult.from_dict(data).memory == memory
+
+
+# ----------------------------------------------------------------------
+# Initial state: the core loads values as the reference interpreter.
+# ----------------------------------------------------------------------
+
+#: Each loads an out-of-range initial value (a register above 2**63-1,
+#: a word above it, a negative address) and reads it back.
+OUT_OF_RANGE = {
+    "reg": """
+        .reg x5 9223372036854775808
+        add x6, x5, x0
+        halt
+    """,
+    "word": """
+        .word 100 9223372036854775808
+        lw x2, 100(x0)
+        halt
+    """,
+    "address": """
+        .word -8 18446744073709551615
+        .word 40 -9223372036854775809
+        lw x3, -8(x0)
+        lw x4, 40(x0)
+        halt
+    """,
+}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["inline", "trace"])
+@pytest.mark.parametrize("source", sorted(OUT_OF_RANGE))
+def test_initial_state_matches_reference(source, traced):
+    program = assemble(OUT_OF_RANGE[source], name=source)
+    ref = run_reference(program).state
+    trace = record_trace(program) if traced else None
+    result = OoOCore(program, config=MEGA, scheme=make_scheme("baseline"),
+                     trace=trace).run()
+    assert result.regs == [ref.read_reg(reg) for reg in range(NUM_ARCH_REGS)]
+    assert result.memory == ref.memory
