@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Store-scale smoke: a 10^4-cell segment store end to end, on a clock.
 
-Builds a synthetic campaign store (the same cells ``python -m repro
-bench --store`` uses), then drives every maintenance and analysis path
-a million-cell campaign depends on — ``store verify``, ``store
-stats``, ``store gc``, ``compact``, bulk ``load_many``, the columnar
-``metrics`` scan — and asserts each answer is correct, not just alive.
+Builds a synthetic campaign store (the cells
+:mod:`repro.harness.storebench` generates), then drives every
+maintenance and analysis path a million-cell campaign depends on —
+``store verify``, ``store stats``, ``store gc``, ``compact``, bulk
+``load_many``, the statistics-only ``metrics`` scan — and asserts each
+answer is correct, not just alive.
 The whole run must finish inside a time budget so CI catches the exact
 failure segment files were introduced to prevent: store operations
 degrading from O(index) back toward O(cells x file-open).
@@ -87,14 +88,15 @@ def main(argv=None):
             return fail("load_many round-trip drifted for cell %d" % index)
         lap("load_many")
 
-        # The metrics hot path: a columnar full-store scan.
+        # The metrics hot path: a full-store scan that reads only
+        # statistics, served from the manifest.
         cycles = 0
         rows = 0
-        for row in store.iter_results(fields=("stats",)):
+        for row in store.iter_results():
             cycles += row.stats.cycles
             rows += 1
         if rows != args.cells or cycles <= 0:
-            return fail("columnar scan saw %d rows (want %d)"
+            return fail("metrics scan saw %d rows (want %d)"
                         % (rows, args.cells))
         lap("metrics scan")
 

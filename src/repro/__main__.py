@@ -35,11 +35,12 @@ Subcommands:
     ``store gc`` evicts everything outside the standard campaign grid
     for the given scale/seed and reports the bytes reclaimed,
     ``store stats`` prints cell/segment counts, bytes on disk,
-    compression ratio, and the legacy-format flag, ``store compact``
-    folds live records into fresh sealed segments, ``store migrate``
-    converts legacy JSON-per-cell files into segment records in place,
-    and ``store failures`` lists recorded cell failures (exit 1 when
-    any exist).
+    compression ratio, and the count of unmigrated JSON-per-cell files,
+    ``store compact`` folds live records into fresh sealed segments,
+    ``store migrate`` converts JSON-per-cell files from earlier
+    releases into segment records in place (the store reads nothing
+    else), and ``store failures`` lists recorded cell failures (exit 1
+    when any exist).
 ``schemes``
     List every registered speculation scheme straight from the scheme
     registry: canonical name, grid membership, kwargs schema, and the
@@ -49,9 +50,7 @@ Subcommands:
     over the canonical workload suite; prints JSON so the BENCH
     trajectory can track kernel regressions (``--record PATH`` also
     writes the JSON to a file, e.g. ``BENCH_PR3.json`` at the repo
-    root).  ``bench --store`` benchmarks the result store instead:
-    write/load_many/iter throughput for the legacy JSON-per-cell
-    layout vs the segment backend at ``--store-cells`` sizes.
+    root).
 ``profile``
     cProfile one grid cell (default: the ``chase-cold`` throughput
     workload on mega/baseline) and print the top cumulative entries —
@@ -222,12 +221,14 @@ def build_parser():
                             " drop stale ones; gc: evict cells outside"
                             " the standard grid (reports bytes"
                             " reclaimed); stats: cell/segment counts,"
-                            " bytes on disk, compression ratio, legacy"
-                            " flag; compact: fold live records into"
-                            " fresh sealed segments; migrate: convert"
-                            " legacy JSON-per-cell files into segments"
-                            " in place; failures: list recorded cell"
-                            " failures (exit 1 when any exist)")
+                            " bytes on disk, compression ratio,"
+                            " unmigrated JSON files; compact: fold live"
+                            " records into fresh sealed segments;"
+                            " migrate: convert JSON-per-cell files from"
+                            " earlier releases into segments in place"
+                            " (no other command reads them); failures:"
+                            " list recorded cell failures (exit 1 when"
+                            " any exist)")
     store.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help="persistent store root (default %(default)s)")
     store.add_argument("--scale", type=float, default=1.0,
@@ -268,15 +269,6 @@ def build_parser():
                             " reports (per-scheme/per-workload cycles/s"
                             " delta table, warning on host-metadata"
                             " mismatch)")
-    bench.add_argument("--store", action="store_true",
-                       help="benchmark the result store instead of the"
-                            " simulator: write/load_many/iter"
-                            " throughput, legacy JSON-per-cell vs"
-                            " segment backend (see --store-cells)")
-    bench.add_argument("--store-cells", default="1000,10000",
-                       metavar="N[,N...]",
-                       help="store bench: comma-separated cell counts"
-                            " (default %(default)s)")
 
     profile = sub.add_parser(
         "profile", help="cProfile one grid cell (top cumulative entries)")
@@ -613,23 +605,6 @@ def cmd_schemes(args):
 
 def cmd_bench(args):
     from repro.harness.bench import format_bench_report, run_throughput_bench
-
-    if args.store:
-        from repro.harness.storebench import run_store_bench
-
-        counts = tuple(int(part) for part in args.store_cells.split(",")
-                       if part.strip())
-        if args.quick:
-            counts = tuple(min(count, 1000) for count in counts)
-        report = run_store_bench(cell_counts=counts)
-        text = format_bench_report(report)
-        print(text)
-        if args.record:
-            with open(args.record, "w") as handle:
-                handle.write(text)
-                handle.write("\n")
-            print("recorded to %s" % args.record, file=sys.stderr)
-        return 0
 
     if args.compare:
         import json

@@ -74,19 +74,13 @@ def cycle_account_breakdown(results):
 def store_stall_breakdown(store):
     """:func:`cycle_account_breakdown` over a whole result store.
 
-    Routes through the store's columnar bulk path
-    (``iter_results(fields=("stats",))``): statistics decode straight
-    from the manifest index, no snapshot payload is ever read — the
-    difference between an index scan and 10^4 decompress+parse round
-    trips on a campaign-sized store.  Store-like objects without the
-    columnar API (older stores, plain iterables' owners) fall back to
-    full iteration transparently.
+    ``store.iter_results()`` yields lazily-decoded results whose
+    statistics come from the manifest index, and the breakdown reads
+    nothing else, so no snapshot payload is ever read — the difference
+    between an index scan and 10^4 decompress+parse round trips on a
+    campaign-sized store.
     """
-    try:
-        results = store.iter_results(fields=("stats",))
-    except TypeError:
-        results = store.iter_results()
-    return cycle_account_breakdown(results)
+    return cycle_account_breakdown(store.iter_results())
 
 
 def _ordered_leaves(leaves):

@@ -29,11 +29,14 @@ class Gem5Model:
 
         return [name for name in SPEC_BENCHMARKS if name not in GEM5_EXCLUDED]
 
-    def run_suite(self, scheme_name):
-        """Run all (non-excluded) benchmarks; returns {name: result}."""
+    def run_suite(self, scheme_name, benchmarks=None):
+        """Run ``benchmarks`` (default: every non-excluded one) in the
+        order given; returns {name: result}."""
+        if benchmarks is None:
+            benchmarks = self.benchmarks()
         results = {}
         for name, program in spec_suite(
-            scale=self.scale, seed=self.seed, benchmarks=self.benchmarks()
+            scale=self.scale, seed=self.seed, benchmarks=benchmarks
         ):
             core = OoOCore(
                 program, config=self.config, scheme=make_scheme(scheme_name),

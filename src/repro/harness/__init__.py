@@ -24,10 +24,9 @@ shared segment files indexed by a SQLite manifest::
 
 Each segment record is ``"SBR1" | u32 payload-length | u32 CRC32 |
 zlib(canonical JSON)`` where the JSON payload is the envelope
-``{"key", "model_version", "meta", "result"}`` — the same envelope the
-original JSON-file-per-cell layout stored.  Inside ``result`` the final
-memory image is packed as contiguous runs in ascending address order,
-``[[base, [v0, v1, ...]], ...]`` (see
+``{"key", "model_version", "meta", "result"}``.  Inside ``result``
+the final memory image is packed as contiguous runs in ascending
+address order, ``[[base, [v0, v1, ...]], ...]`` (see
 :meth:`~repro.pipeline.core.SimulationResult.to_dict`); records
 written by 1.1.0 before the packed form hold a ``{"address": value}``
 object instead, and every read path — ``load``, ``load_many``, the
@@ -36,27 +35,25 @@ lazy results' ``memory`` — decodes both through
 under the same model version.  The manifest's ``cells`` table maps
 every *full* 64-hex key to its segment/offset/length and carries the
 benchmark/config/scheme columns, hot counters, and a per-cell
-statistics blob: ``keys()`` and ``len()`` are pure index reads,
-``load_many`` returns lazily-decoded
-results (snapshot payloads decompress only when touched), and
-``iter_results(fields=...)`` / ``load_columns`` serve analysis passes
-columnar with zero segment I/O.  Writers append a record and flush
-*before* indexing it, so a crash leaves at worst an unindexed orphan
-tail — never an indexed cell without bytes; each writer instance owns
-its segment, so concurrent writers never interleave.
+statistics blob: ``keys()`` and ``len()`` are pure index reads, and
+``load_many`` and ``iter_results`` return lazily-decoded results —
+statistics come from the manifest, snapshot payloads decompress only
+when touched — so analysis passes that read statistics do zero segment
+I/O.  Writers append a record and flush *before* indexing it, so a
+crash leaves at worst an unindexed orphan tail — never an indexed cell
+without bytes; each writer instance owns its segment, so concurrent
+writers never interleave.
 ``ResultStore.compact()`` folds live records into fresh sealed
 segments and reclaims dead bytes.
 
-**Legacy stores and migration.**  The original layout — one atomic
-JSON file per cell, ``<benchmark>__<config>__<scheme>__<digest12>.json``
-in the store root — is still read transparently wherever such files
-exist (:class:`~repro.harness.store.LegacyResultStore` is the intact
-reader/writer); the manifest wins when both hold a key.  ``python -m
-repro store migrate`` folds legacy files into segments in place,
-preserving each envelope verbatim (key, meta, and ``model_version``
-stamp included), and ``python -m repro store stats`` reports cell/
-segment counts, bytes on disk, compression ratio, and whether any
-legacy cells remain.
+**Legacy stores and migration.**  Segment files are the only format
+the store reads.  Earlier releases wrote one JSON envelope per cell,
+``<benchmark>__<config>__<scheme>__<digest12>.json`` in the store root;
+no read path serves those files.  ``python -m repro store migrate``
+folds them into segments in place, preserving each envelope verbatim
+(key, meta, and ``model_version`` stamp included), and ``python -m
+repro store stats`` reports cell/segment counts, bytes on disk,
+compression ratio, and how many unmigrated JSON files remain.
 
 **Version invalidation and maintenance.**  The model version stamp
 (:data:`~repro.harness.store.MODEL_VERSION`, the package version)
@@ -181,7 +178,6 @@ cells of one benchmark generate its program once per process.
     python -m repro store compact                # fold + reclaim segments
     python -m repro store migrate                # legacy JSON -> segments
     python -m repro bench --record BENCH_PR3.json
-    python -m repro bench --store                # store backend benchmark
 
 ``--jobs N`` fans simulation out over N workers, ``--executor``
 selects the backend explicitly, ``--progress`` streams live ETA lines,
@@ -194,7 +190,6 @@ from repro.harness.runner import CampaignRunner, shared_runner
 from repro.harness.store import (
     MODEL_VERSION,
     CellFailure,
-    LegacyResultStore,
     ResultStore,
     simulation_key,
 )
@@ -219,7 +214,6 @@ __all__ = [
     "CampaignRunner",
     "shared_runner",
     "ResultStore",
-    "LegacyResultStore",
     "CellFailure",
     "CampaignJournal",
     "journal_path",

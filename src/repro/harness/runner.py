@@ -25,11 +25,10 @@ Three layers cooperate:
 ``python -m repro`` exposes all of this on the command line.
 """
 
-from repro.core.registry import grid_scheme_names, make_scheme
-from repro.harness.parallel import run_cells
+from repro.core.registry import grid_scheme_names
+from repro.harness.parallel import run_cells, simulate_cell
 from repro.harness.store import simulation_key
 from repro.pipeline.config import named_configs
-from repro.pipeline.core import OoOCore
 from repro.workloads.spec2017 import spec_suite
 
 
@@ -82,22 +81,10 @@ class CampaignRunner:
             return cached
         result = self.store.load(key) if self.store is not None else None
         if result is None:
-            from repro.obs import CycleAccount
-            from repro.workloads.program_cache import cached_spec_trace
-
-            program = self.programs()[benchmark]
-            # Campaign cells always carry cycle accounting (matching
-            # the executor path in repro.harness.parallel), so stored
-            # extras are identical however a cell was produced.
-            core = OoOCore(
-                program, config=config,
-                scheme=make_scheme(scheme_name, **scheme_kwargs),
-                warm_caches=True,
-                trace=cached_spec_trace(benchmark, scale=self.scale,
-                                        seed=self.seed),
-                account=CycleAccount(),
-            )
-            result = core.run()
+            # The one cell path every executor uses, so a cell's result
+            # and stored bytes are identical however it was produced.
+            result = simulate_cell(self._cell_spec(
+                benchmark, config, scheme_name, scheme_kwargs))
             self._persist(key, result, benchmark, config, scheme_name,
                           scheme_kwargs)
         self._cache[key] = result

@@ -29,10 +29,10 @@ file per cell with two cooperating structures under the store root:
     ambiguity) to its segment/offset/length, and additionally carries
     the cross-cell query columns (benchmark, config, scheme, model
     version), the hot counters (``cycles``, ``committed``), and a
-    pickled :class:`~repro.pipeline.stats.SimStats` blob — the
-    columnar fast path that lets analysis read per-cell statistics
-    without touching (or decompressing) any segment payload.  The
-    ``segments`` table allocates segment ids and tracks sealing.  WAL
+    pickled :class:`~repro.pipeline.stats.SimStats` blob, which lets
+    analysis read per-cell statistics without touching (or
+    decompressing) any segment payload.  The ``segments`` table
+    allocates segment ids and tracks sealing.  WAL
     journaling keeps one writer and any number of readers (threads or
     processes) live on the same store.
 
@@ -209,9 +209,12 @@ class Manifest:
             elif row["v"] != FORMAT_VERSION:
                 conn.close()
                 raise RuntimeError(
-                    "store manifest %s has format %r (this build reads %r);"
-                    " rebuild it with 'python -m repro store migrate'"
-                    % (self.path, row["v"], FORMAT_VERSION))
+                    "store manifest %s was written in store format %r;"
+                    " this build reads only %r.  Move the store"
+                    " directory %s aside (its cells will be simulated"
+                    " again) or read it with the build that wrote it"
+                    % (self.path, row["v"], FORMAT_VERSION,
+                       self.path.parent))
             self._conn = conn
         return self._conn
 

@@ -28,14 +28,17 @@ On disk the store is **segment-backed** (format ``segments-v1``, see
 Results append as compressed records into segment files; the manifest
 maps every full 64-hex key to its record and carries the
 benchmark/config/scheme columns plus per-cell statistics, so
-``keys()``/``__len__`` are O(index) with zero file opens, bulk loads
-return lazily-decoded results, and analysis passes read statistics
-columnar — without decompressing a single snapshot.  The previous
-JSON-file-per-cell layout (one ``<prefix>__<digest12>.json`` per cell
-in the store root) is still read transparently wherever such files
-exist — :class:`LegacyResultStore` below is that reader/writer, kept
-whole for mixed stores, benchmarks, and ``python -m repro store
-migrate``.
+``keys()``/``__len__`` are O(index) with zero file opens, and
+``load_many``/``iter_results`` return lazily-decoded results whose
+statistics come from the manifest — a pass that reads only statistics
+never decompresses a snapshot.
+
+Segment files are the only format the store reads.  The JSON-file-per-
+cell layout of earlier releases (one ``<prefix>__<digest12>.json`` per
+cell in the store root) is invisible to every read path until
+``python -m repro store migrate`` (:meth:`ResultStore.migrate`, the one
+method that reads that layout) folds it into segments; ``store stats``
+counts such files and says so.
 
 Failures are first-class: a cell the campaign could not complete —
 quarantined after repeatedly killing workers, a deterministic
@@ -88,11 +91,6 @@ _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 #: it was quarantined; ``deterministic`` — the simulation raised;
 #: ``timeout`` — the worker's watchdog hit its wall-clock deadline.
 FAILURE_KINDS = ("poisoned", "deterministic", "timeout")
-
-#: Result fields that require decoding the stored snapshot payload;
-#: ``iter_results(fields=...)`` stays columnar only while the caller
-#: asks for none of these.
-SNAPSHOT_FIELDS = frozenset(("regs", "memory", "extra"))
 
 
 class CellFailure:
@@ -216,252 +214,6 @@ def _unpickle_stats(blob):
     return obj if isinstance(obj, SimStats) else None
 
 
-class LegacyResultStore:
-    """The original JSON-file-per-cell store (read/write).
-
-    Kept intact behind :class:`ResultStore`: mixed stores read legacy
-    cells transparently, ``store migrate`` converts them, and the
-    store benchmark uses this class as its baseline backend.  Cell
-    files live directly in the store root as
-    ``<benchmark>__<config>__<scheme>__<digest12>.json``.
-    """
-
-    def __init__(self, root=None):
-        self.root = pathlib.Path(root or DEFAULT_STORE_DIR)
-        self._paths = None  # key-prefix -> path index, built lazily
-        self._indexed_mtime = None  # directory mtime when last indexed
-
-    # -- indexing ---------------------------------------------------------
-
-    def _dir_mtime(self):
-        try:
-            return self.root.stat().st_mtime_ns
-        except OSError:
-            return None
-
-    def _index(self, refresh=False):
-        if self._paths is None or refresh:
-            paths = {}
-            self._indexed_mtime = self._dir_mtime()
-            if self.root.is_dir():
-                for path in self.root.glob("*.json"):
-                    key = path.stem.rsplit("__", 1)[-1]
-                    paths[key] = path
-            self._paths = paths
-        return self._paths
-
-    def _lookup(self, key):
-        path = self._index().get(key[:12])
-        if path is None and self._dir_mtime() != self._indexed_mtime:
-            # A writer (possibly another process) added or removed
-            # cells since the index was built; the mtime gate keeps
-            # repeated misses (a cold batch run) at one cheap stat
-            # each instead of a full directory re-glob per cell.
-            path = self._index(refresh=True).get(key[:12])
-        return path
-
-    def __contains__(self, key):
-        return self._lookup(key) is not None
-
-    def __len__(self):
-        return len(self._index(refresh=True))
-
-    def cells(self):
-        """Fresh ``{digest12: path}`` index of every legacy cell file."""
-        return dict(self._index(refresh=True))
-
-    def keys(self):
-        """Full keys of every stored cell (opens every file)."""
-        keys = []
-        for path in self._index(refresh=True).values():
-            try:
-                with open(path) as handle:
-                    keys.append(json.load(handle)["key"])
-            except (OSError, ValueError, KeyError):
-                continue
-        return keys
-
-    def iter_cells(self):
-        """Yield ``(key, envelope)`` for every readable cell file."""
-        for path in sorted(self._index(refresh=True).values()):
-            try:
-                with open(path) as handle:
-                    data = json.load(handle)
-                yield data["key"], data
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-
-    def iter_results(self):
-        for key, data in self.iter_cells():
-            try:
-                yield SimulationResult.from_dict(data["result"])
-            except (ValueError, KeyError, TypeError):
-                continue
-
-    def load_many(self, keys):
-        """Bulk read: ``{key: SimulationResult}`` for every hit."""
-        keys = list(keys)
-        index = self._index(refresh=True)
-        results = {}
-        for key in keys:
-            if key in results:
-                continue
-            path = index.get(key[:12])
-            if path is None:
-                continue
-            try:
-                with open(path) as handle:
-                    data = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if data.get("key") != key:
-                continue  # digest-prefix collision or stale file
-            try:
-                results[key] = SimulationResult.from_dict(data["result"])
-            except (ValueError, KeyError, TypeError):
-                continue
-        return results
-
-    def load_envelope(self, key):
-        """The raw stored envelope for ``key``, or ``None``."""
-        path = self._lookup(key)
-        if path is None:
-            return None
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if data.get("key") != key:
-            return None
-        return data
-
-    def load(self, key):
-        data = self.load_envelope(key)
-        if data is None:
-            return None
-        try:
-            return SimulationResult.from_dict(data["result"])
-        except (ValueError, KeyError, TypeError):
-            return None
-
-    def save(self, key, result, meta=None):
-        """Persist one result atomically; returns its path."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "key": key,
-            "model_version": MODEL_VERSION,
-            "meta": dict(meta or {}),
-            "result": result.to_dict(),
-        }
-        name = cell_filename(
-            result.program_name, result.config_name, result.scheme_name, key
-        )
-        path = self.root / name
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        if self._paths is not None:
-            self._paths[key[:12]] = path
-            # The write bumped the directory mtime; the index already
-            # reflects it, so re-arm the mtime gate instead of letting
-            # every subsequent miss trigger a full re-glob.
-            self._indexed_mtime = self._dir_mtime()
-        return path
-
-    def discard(self, key):
-        """Delete the cell file for ``key`` (exact match); True if any."""
-        path = self._lookup(key)
-        if path is None:
-            return False
-        try:
-            with open(path) as handle:
-                if json.load(handle).get("key") != key:
-                    return False
-            path.unlink()
-        except (OSError, ValueError):
-            return False
-        self._index(refresh=True)
-        return True
-
-    def clear(self):
-        for path in self._index(refresh=True).values():
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self._paths = {}
-
-    def verify(self):
-        """Legacy-cell integrity sweep; same verdicts as ever:
-        corrupt files are renamed aside ``.corrupt``, stale model
-        versions deleted.  Returns the 4-key summary."""
-        summary = {"scanned": 0, "kept": 0, "corrupt": 0, "stale": 0}
-        for path in list(self._index(refresh=True).values()):
-            summary["scanned"] += 1
-            verdict = self._verify_one(path)
-            if verdict == "kept":
-                summary["kept"] += 1
-                continue
-            summary[verdict] += 1
-            try:
-                if verdict == "corrupt":
-                    os.replace(path, str(path) + ".corrupt")
-                else:
-                    path.unlink()
-            except OSError:
-                pass
-        self._index(refresh=True)
-        return summary
-
-    def _verify_one(self, path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            key = data["key"]
-            if not isinstance(key, str) or len(key) != 64:
-                return "corrupt"
-            SimulationResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return "corrupt"
-        if data.get("model_version") != MODEL_VERSION:
-            return "stale"
-        return "kept"
-
-    def gc(self, keep_keys):
-        """Evict legacy cells whose key is not in ``keep_keys``."""
-        keep = set(keep_keys)
-        summary = {"scanned": 0, "kept": 0, "dropped": 0,
-                   "bytes_reclaimed": 0}
-        for path in list(self._index(refresh=True).values()):
-            summary["scanned"] += 1
-            try:
-                size = path.stat().st_size
-                with open(path) as handle:
-                    key = json.load(handle).get("key")
-            except (OSError, ValueError):
-                key, size = None, 0
-            if key in keep:
-                summary["kept"] += 1
-                continue
-            summary["dropped"] += 1
-            try:
-                path.unlink()
-                summary["bytes_reclaimed"] += size
-            except OSError:
-                pass
-        self._index(refresh=True)
-        return summary
-
-
 class _StoredResult(SimulationResult):
     """A stored result whose heavy fields decode on first access.
 
@@ -469,8 +221,8 @@ class _StoredResult(SimulationResult):
     the manifest row; the architectural snapshot (``regs``/``memory``/
     ``extra``) — the bulk of every payload — is only read and
     decompressed from its segment when actually touched.  This is what
-    makes ``load_many`` over 10^4 cells an index scan instead of 10^4
-    decompress+parse round trips.
+    makes ``load_many`` and ``iter_results`` over 10^4 cells an index
+    scan instead of 10^4 decompress+parse round trips.
     """
 
     @classmethod
@@ -547,89 +299,28 @@ class _StoredResult(SimulationResult):
         self.__dict__["_extra"] = value
 
 
-class ResultView:
-    """Columnar row from ``iter_results(fields=...)``.
-
-    Quacks like a :class:`SimulationResult` for every statistics-level
-    consumer (``key``, identity names, ``halted``, ``cycles``,
-    ``stats``, ``ipc``) without ever opening a segment file — stats
-    decode from the manifest blob, falling back to the authoritative
-    payload only if the blob is unusable.
-    """
-
-    __slots__ = ("key", "program_name", "config_name", "scheme_name",
-                 "halted", "cycles", "_store", "_blob", "_stats",
-                 "_segment_name", "_offset", "_length")
-
-    def __init__(self, store, row):
-        self.key = row["key"]
-        self.program_name = row["benchmark"]
-        self.config_name = row["config"]
-        self.scheme_name = row["scheme"]
-        self.halted = bool(row["halted"])
-        self.cycles = row["result_cycles"] or 0
-        self._store = store
-        self._blob = row["stats"]
-        self._stats = None
-        self._segment_name = row["segment_name"]
-        self._offset = row["offset"]
-        self._length = row["length"]
-
-    @property
-    def stats(self):
-        if self._stats is None:
-            stats = _unpickle_stats(self._blob)
-            if stats is None:
-                env = self._store._read_cell(
-                    self.key, self._segment_name, self._offset, self._length)
-                stats = SimStats.from_dict(env["result"]["stats"])
-            self._stats = stats
-            self._blob = None
-        return self._stats
-
-    @property
-    def ipc(self):
-        return self.stats.ipc
-
-
-#: ``load_columns`` fields answered straight from manifest columns —
-#: no blob, no segment read.
-_SQL_COLUMNS = {
-    "benchmark": lambda row: row["benchmark"],
-    "config": lambda row: row["config"],
-    "scheme": lambda row: row["scheme"],
-    "model_version": lambda row: row["model_version"],
-    "halted": lambda row: bool(row["halted"]),
-    "cycles": lambda row: row["cycles"],
-    "committed_instructions": lambda row: row["committed"],
-    "ipc": lambda row: ((row["committed"] or 0) / row["cycles"]
-                        if row["cycles"] else 0.0),
-}
-
-
 class ResultStore:
     """Segment-backed result store rooted at one directory.
 
-    Public surface is unchanged from the JSON-per-cell era —
-    ``save``/``load``/``load_many``/``iter_results``/``keys``/
-    ``verify``/``gc``/``clear``, the failure-record API, and
-    ``in``/``len`` — plus the columnar additions (``iter_results``
-    with ``fields=``, :meth:`load_columns`), the maintenance verbs
-    (:meth:`compact`, :meth:`migrate`, :meth:`stats`), and
-    :meth:`load_envelope` for format-level tooling.
+    Surface: ``save``/``load``/``load_many``/``iter_results``/
+    ``keys``/``verify``/``gc``/``clear``, the failure-record API,
+    ``in``/``len``, the maintenance verbs (:meth:`compact`,
+    :meth:`migrate`, :meth:`stats`), and :meth:`load_envelope` for
+    format-level tooling.  Every read answers from the manifest and
+    its segments; JSON files in the root are input for
+    :meth:`migrate` only.
 
     Concurrency: any number of reader instances (threads or processes)
     may overlap any number of writers — readers always consult the
     manifest, and every writer instance appends to its *own* segment.
     The maintenance verbs (``verify``/``gc``/``compact``/``migrate``)
     rewrite shared state and are offline operations: run them without
-    concurrent writers, exactly like their legacy counterparts.
+    concurrent writers.
     """
 
     def __init__(self, root=None, segment_bytes=None):
         self.root = pathlib.Path(root or DEFAULT_STORE_DIR)
         self.segment_bytes = segment_bytes or DEFAULT_SEGMENT_BYTES
-        self._legacy = LegacyResultStore(self.root)
         self._manifest = None
         self._active = None  # this instance's open segment, grown lazily
         self._lock = threading.RLock()
@@ -656,12 +347,9 @@ class ResultStore:
             self._manifest = Manifest(self.manifest_path)
         return self._manifest
 
-    def _legacy_cells(self):
-        """Current legacy-cell index (mtime-gated; cheap when empty)."""
-        index = self._legacy._index()
-        if self._legacy._dir_mtime() != self._legacy._indexed_mtime:
-            index = self._legacy._index(refresh=True)
-        return index
+    def _legacy_files(self):
+        """Unmigrated JSON-per-cell files in the store root, sorted."""
+        return sorted(self.root.glob("*.json"))
 
     def _active_segment(self, need):
         """This instance's open segment, rolled when ``need`` more
@@ -787,237 +475,81 @@ class ResultStore:
 
     def __contains__(self, key):
         manifest = self._manifest_if_exists()
-        if manifest is not None and manifest.has_key(key):
-            return True
-        return bool(self._legacy_cells()) and key in self._legacy
+        return manifest is not None and manifest.has_key(key)
 
     def __len__(self):
         manifest = self._manifest_if_exists()
-        count = manifest.count() if manifest is not None else 0
-        if self._legacy_cells():
-            known = set(manifest.keys()) if manifest is not None else set()
-            count += sum(1 for key in self._legacy.keys()
-                         if key not in known)
-        return count
+        return manifest.count() if manifest is not None else 0
 
     def keys(self):
         """Full keys of every stored cell — straight off the index."""
         manifest = self._manifest_if_exists()
-        keys = manifest.keys() if manifest is not None else []
-        if self._legacy_cells():
-            known = set(keys)
-            keys.extend(key for key in self._legacy.keys()
-                        if key not in known)
-        return keys
+        return manifest.keys() if manifest is not None else []
 
     # -- bulk reads -------------------------------------------------------
 
-    def iter_results(self, fields=None):
+    def iter_results(self):
         """Yield every stored result (analysis bulk read).
 
-        With ``fields=None`` every yield is a fully-decoded
-        :class:`SimulationResult`, exactly as before.  Passing the
-        fields the caller will actually touch (e.g.
-        ``fields=("stats",)``) switches to the columnar path:
-        :class:`ResultView` rows served from the manifest alone, no
-        segment I/O or payload decompression.  Any requested field in
-        :data:`SNAPSHOT_FIELDS` forces the full path.  Corrupt or
-        foreign cells are skipped silently — use :meth:`verify` to
-        surface them.
+        One lazily-decoded result per manifest row, in record order:
+        identity and statistics come from the manifest, so a pass that
+        reads only statistics never opens a segment; the snapshot
+        decodes when touched, exactly as for :meth:`load_many`.
         """
-        columnar = (fields is not None
-                    and not (set(fields) & SNAPSHOT_FIELDS))
         manifest = self._manifest_if_exists()
-        if manifest is not None:
-            if columnar:
-                for row in manifest.iter_cells(with_stats=True):
-                    yield ResultView(self, row)
-            else:
-                for row, env in self._iter_segment_envelopes():
-                    try:
-                        yield SimulationResult.from_dict(env["result"])
-                    except (ValueError, KeyError, TypeError):
-                        continue
-        if self._legacy_cells():
-            known = set(manifest.keys()) if manifest is not None else set()
-            for key, data in self._legacy.iter_cells():
-                if key in known:
-                    continue  # superseded by a segment record
-                try:
-                    yield SimulationResult.from_dict(data["result"])
-                except (ValueError, KeyError, TypeError):
-                    continue
-
-    def _iter_segment_envelopes(self, with_stats=False):
-        """Yield ``(row, envelope)`` streaming each segment once, in
-        record order; undecodable records are skipped."""
-        current_name, handle = None, None
-        try:
-            for row in self._manifest_rw().iter_cells(with_stats=with_stats):
-                if row["segment_name"] != current_name:
-                    if handle is not None:
-                        handle.close()
-                    current_name, handle = row["segment_name"], None
-                    try:
-                        handle = open(self.segments_dir / current_name, "rb")
-                    except OSError:
-                        continue
-                if handle is None:
-                    continue
-                try:
-                    handle.seek(row["offset"])
-                    record = handle.read(row["length"])
-                    yield row, decode_envelope(unpack_record(record))
-                except (OSError, CorruptRecord, ValueError):
-                    continue
-        finally:
-            if handle is not None:
-                handle.close()
+        if manifest is None:
+            return
+        for row in manifest.iter_cells(with_stats=True):
+            yield _StoredResult._from_row(self, row)
 
     def load_many(self, keys):
         """Bulk read: ``{key: SimulationResult}`` for every hit.
 
-        Segment-backed hits come back as lazily-decoded results: the
-        identity and statistics are served from the manifest, and the
-        architectural snapshot decompresses from its segment only when
-        touched.  Missing, corrupt, or key-mismatched cells are simply
-        absent from the returned dict (callers treat absence as "needs
-        simulating").
+        Hits come back as lazily-decoded results: the identity and
+        statistics are served from the manifest, and the architectural
+        snapshot decompresses from its segment only when touched.
+        Keys the index does not hold are simply absent from the
+        returned dict (callers treat absence as "needs simulating").
         """
-        keys = list(dict.fromkeys(keys))
-        results = {}
         manifest = self._manifest_if_exists()
-        if manifest is not None:
-            for key, row in manifest.cells_for(keys).items():
-                results[key] = _StoredResult._from_row(self, row)
-        missing = [key for key in keys if key not in results]
-        if missing and self._legacy_cells():
-            results.update(self._legacy.load_many(missing))
-        return results
-
-    def load_columns(self, keys, fields):
-        """Columnar point reads: ``{key: {field: value}}``.
-
-        Identity fields and the hot counters (``benchmark``,
-        ``config``, ``scheme``, ``model_version``, ``halted``,
-        ``cycles``, ``committed_instructions``, ``ipc``) are answered
-        straight from manifest columns.  Any other field selects from
-        the flattened :meth:`SimStats.as_dict` namespace (e.g.
-        ``stall_iq_full``, ``extra.cycacct.width``) and may use
-        ``fnmatch`` wildcards (``extra.cycacct.*``); those decode the
-        per-cell stats blob — still no segment I/O.  Keys without a
-        stored cell are absent from the result.
-        """
-        import fnmatch
-
-        fields = list(fields)
-        stat_fields = [f for f in fields if f not in _SQL_COLUMNS]
-        wild = [f for f in stat_fields if any(c in f for c in "*?[")]
-        out = {}
-
-        def from_stats(stats_dict, record):
-            for field in stat_fields:
-                if field in wild:
-                    for name in fnmatch.filter(stats_dict, field):
-                        record[name] = stats_dict[name]
-                elif field in stats_dict:
-                    record[field] = stats_dict[field]
-
-        manifest = self._manifest_if_exists()
-        remaining = list(dict.fromkeys(keys))
-        if manifest is not None:
-            for key, row in manifest.cells_for(remaining).items():
-                record = {}
-                for field in fields:
-                    if field in _SQL_COLUMNS:
-                        record[field] = _SQL_COLUMNS[field](row)
-                if stat_fields:
-                    stats = _unpickle_stats(row["stats"])
-                    if stats is None:
-                        try:
-                            env = self._read_cell(key, row["segment_name"],
-                                                  row["offset"], row["length"])
-                            stats = SimStats.from_dict(env["result"]["stats"])
-                        except (KeyError, CorruptRecord, OSError, ValueError,
-                                TypeError):
-                            stats = None
-                    if stats is not None:
-                        from_stats(stats.as_dict(), record)
-                out[key] = record
-            remaining = [key for key in remaining if key not in out]
-        if remaining and self._legacy_cells():
-            for key, result in self._legacy.load_many(remaining).items():
-                record = {}
-                stats_dict = result.stats.as_dict()
-                for field in fields:
-                    if field == "benchmark":
-                        record[field] = result.program_name
-                    elif field == "config":
-                        record[field] = result.config_name
-                    elif field == "scheme":
-                        record[field] = result.scheme_name
-                    elif field == "model_version":
-                        record[field] = MODEL_VERSION
-                    elif field == "halted":
-                        record[field] = result.halted
-                if stat_fields or "cycles" in fields \
-                        or "committed_instructions" in fields \
-                        or "ipc" in fields:
-                    for field in ("cycles", "committed_instructions", "ipc"):
-                        if field in fields:
-                            record[field] = stats_dict[field]
-                    from_stats(stats_dict, record)
-                out[key] = record
-        return out
+        if manifest is None:
+            return {}
+        return {key: _StoredResult._from_row(self, row)
+                for key, row in manifest.cells_for(
+                    dict.fromkeys(keys)).items()}
 
     # -- round-tripping ---------------------------------------------------
 
     def load(self, key):
         """Return the stored :class:`SimulationResult`, or ``None``."""
-        manifest = self._manifest_if_exists()
-        if manifest is not None:
-            row = manifest.cell(key)
-            if row is not None:
-                try:
-                    env = self._read_at(row["segment_name"], row["offset"],
-                                        row["length"])
-                except (OSError, CorruptRecord, ValueError):
-                    return None
-                if env.get("key") != key:
-                    return None
-                try:
-                    return SimulationResult.from_dict(env["result"])
-                except (ValueError, KeyError, TypeError):
-                    return None
-        if self._legacy_cells():
-            return self._legacy.load(key)
-        return None
+        env = self.load_envelope(key)
+        if env is None:
+            return None
+        try:
+            return SimulationResult.from_dict(env["result"])
+        except (ValueError, KeyError, TypeError):
+            return None
 
     def load_envelope(self, key):
         """The raw stored envelope (``{"key", "model_version", "meta",
         "result"}``) for ``key``, or ``None`` — format-level access for
-        tooling, chaos equivalence checks, and migration."""
+        tooling and chaos equivalence checks."""
         manifest = self._manifest_if_exists()
-        if manifest is not None:
-            row = manifest.cell(key)
-            if row is not None:
-                try:
-                    env = self._read_at(row["segment_name"], row["offset"],
-                                        row["length"])
-                except (OSError, CorruptRecord, ValueError):
-                    return None
-                return env if env.get("key") == key else None
-        if self._legacy_cells():
-            return self._legacy.load_envelope(key)
-        return None
+        row = manifest.cell(key) if manifest is not None else None
+        if row is None:
+            return None
+        try:
+            env = self._read_at(row["segment_name"], row["offset"],
+                                row["length"])
+        except (OSError, CorruptRecord, ValueError):
+            return None
+        return env if env.get("key") == key else None
 
     def save(self, key, result, meta=None):
         """Persist one result; returns the segment path it landed in.
 
         Appends a record to this instance's segment and indexes it in
-        the manifest.  A lingering legacy JSON cell for the same key is
-        deleted (the manifest supersedes it), so mixed stores converge
-        toward pure segments as cells are rewritten.
+        the manifest.
         """
         envelope = {
             "key": key,
@@ -1025,10 +557,7 @@ class ResultStore:
             "meta": dict(meta or {}),
             "result": result.to_dict(),
         }
-        path = self._append_envelope(envelope, stats=result.stats)
-        if self._legacy_cells():
-            self._legacy.discard(key)
-        return path
+        return self._append_envelope(envelope, stats=result.stats)
 
     def clear(self):
         """Delete every stored cell (keeps the directory)."""
@@ -1048,7 +577,6 @@ class ResultStore:
                 except OSError:
                     pass
             shutil.rmtree(self.segments_dir, ignore_errors=True)
-        self._legacy.clear()
 
     # -- failure records --------------------------------------------------
 
@@ -1064,8 +592,8 @@ class ResultStore:
     def save_failure(self, failure):
         """Persist one :class:`CellFailure` atomically; returns its path.
 
-        Failures live under ``failures/`` with the same browsable
-        prefix + digest naming as legacy results.  Saving is idempotent
+        Failures live under ``failures/`` with browsable prefix +
+        digest names (:func:`cell_filename`).  Saving is idempotent
         per key (atomic replace), so a quarantine re-recorded on resume
         or retried campaigns never duplicate.
         """
@@ -1134,27 +662,24 @@ class ResultStore:
     def verify(self):
         """Integrity sweep: quarantine corrupt cells, drop stale ones.
 
-        Segment cells: every record is re-read and validated (frame +
-        CRC + JSON + key match + :meth:`SimulationResult.from_dict`
-        round-trip).  A segment holding any corrupt record has its
-        healthy records salvaged into a fresh segment, then the whole
-        file is set aside with a ``.corrupt`` suffix — out of the
-        index, preserved for post-mortem.  Cells whose
-        ``model_version`` stamp differs from the running
-        :data:`MODEL_VERSION` are *stale*: unreachable anyway (their
-        keys can never be recomputed), their index rows are dropped and
-        their bytes reclaimed at the next :meth:`compact`.  Legacy JSON
-        cells keep their original verdict handling.  Offline operation.
-        Returns ``{"scanned", "kept", "corrupt", "stale"}``.
+        Every record is re-read and validated (frame + CRC + JSON + key
+        match + :meth:`SimulationResult.from_dict` round-trip).  A
+        segment holding any corrupt record has its healthy records
+        salvaged into a fresh segment, then the whole file is set aside
+        with a ``.corrupt`` suffix — out of the index, preserved for
+        post-mortem.  Cells whose ``model_version`` stamp differs from
+        the running :data:`MODEL_VERSION` are *stale*: unreachable
+        anyway (their keys can never be recomputed), their index rows
+        are dropped and their bytes reclaimed at the next
+        :meth:`compact`.  Unmigrated JSON files in the root are left
+        for :meth:`migrate`.  Offline operation.  Returns ``{"scanned",
+        "kept", "corrupt", "stale"}``.
         """
         summary = {"scanned": 0, "kept": 0, "corrupt": 0, "stale": 0}
         with self._lock:
             manifest = self._manifest_if_exists()
             if manifest is not None:
                 self._verify_segments(manifest, summary)
-            if self._legacy_cells():
-                for verdict, count in self._legacy.verify().items():
-                    summary[verdict] += count
         return summary
 
     def _verify_segments(self, manifest, summary):
@@ -1259,18 +784,15 @@ class ResultStore:
             if manifest is not None:
                 all_keys = manifest.keys()
                 drop = [key for key in all_keys if key not in keep]
-                summary["scanned"] += len(all_keys)
-                summary["kept"] += len(all_keys) - len(drop)
-                summary["dropped"] += len(drop)
+                summary["scanned"] = len(all_keys)
+                summary["kept"] = len(all_keys) - len(drop)
+                summary["dropped"] = len(drop)
                 if drop:
                     manifest.delete_cells(drop)
                     before = self._segment_disk_bytes()
                     self.compact()
-                    summary["bytes_reclaimed"] += max(
+                    summary["bytes_reclaimed"] = max(
                         0, before - self._segment_disk_bytes())
-            if self._legacy_cells():
-                for name, value in self._legacy.gc(keep).items():
-                    summary[name] += value
         return summary
 
     def compact(self):
@@ -1364,17 +886,19 @@ class ResultStore:
             return summary
 
     def migrate(self):
-        """Convert legacy JSON-per-cell files into segment records.
+        """Convert JSON-per-cell files in the root into segment records.
 
-        Each legacy envelope is appended verbatim — key, meta, and
-        ``model_version`` stamp preserved — then its file is deleted.
-        Unreadable or non-round-tripping files are skipped and left in
-        place (run :meth:`verify` to judge them).  Offline operation.
-        Returns ``{"migrated", "skipped"}``.
+        This is the only code that reads the layout earlier releases
+        wrote: one ``<benchmark>__<config>__<scheme>__<digest12>.json``
+        envelope per cell.  Each envelope is appended verbatim — key,
+        meta, and ``model_version`` stamp preserved — then its file is
+        deleted.  Unreadable or non-round-tripping files are skipped and
+        left in place.  Offline operation.  Returns ``{"migrated",
+        "skipped"}``.
         """
         summary = {"migrated": 0, "skipped": 0}
         with self._lock:
-            for path in list(self._legacy.cells().values()):
+            for path in self._legacy_files():
                 try:
                     with open(path) as handle:
                         data = json.load(handle)
@@ -1392,15 +916,18 @@ class ResultStore:
                     summary["skipped"] += 1
                     continue
                 summary["migrated"] += 1
-            self._legacy._index(refresh=True)
         return summary
 
     def stats(self):
-        """Store-level accounting for ``python -m repro store stats``."""
+        """Store-level accounting for ``python -m repro store stats``.
+
+        ``legacy_cells``/``legacy_bytes`` count the unmigrated JSON
+        files in the root, which no read path serves.
+        """
         manifest = self._manifest_if_exists()
-        legacy_cells = self._legacy_cells()
+        legacy_files = self._legacy_files()
         legacy_bytes = 0
-        for path in legacy_cells.values():
+        for path in legacy_files:
             try:
                 legacy_bytes += path.stat().st_size
             except OSError:
@@ -1422,7 +949,7 @@ class ResultStore:
             "root": str(self.root),
             "format": FORMAT_VERSION,
             "cells": manifest.count() if manifest is not None else 0,
-            "legacy_cells": len(legacy_cells),
+            "legacy_cells": len(legacy_files),
             "segments": segment_count,
             "segment_bytes": segment_bytes,
             "manifest_bytes": manifest_bytes,
@@ -1431,6 +958,6 @@ class ResultStore:
             "live_bytes": live,
             "raw_bytes": raw,
             "compression_ratio": (raw / live) if live else None,
-            "legacy": bool(legacy_cells),
+            "legacy": bool(legacy_files),
             "failures": len(self.failures()),
         }

@@ -1,41 +1,15 @@
-"""Store-scale microbenchmark: legacy JSON-per-cell vs segment backend.
+"""Synthetic campaign cells for exercising the result store at scale.
 
-Populates a store with synthetic-but-realistic campaign cells (full
-register file, a few hundred memory words, ~40 cycle-accounting
-extras — the shape real campaign results have) through each backend's
-writer, then times the read paths every consumer actually exercises,
-always through the public :class:`~repro.harness.store.ResultStore`
-facade so legacy and segment stores answer the *same* API calls:
-
-``write``
-    N ``save()`` calls (the coordinator's streaming-persist path).
-``keys``
-    ``keys()`` — index scan vs open-and-parse-every-file.
-``load_many``
-    Fresh store instance, one bulk ``load_many`` over every key — the
-    campaign resume scan (results materialised, snapshots untouched).
-``load_many_stats``
-    ``load_many`` + touching every result's statistics — the figure
-    loaders' pattern.
-``iter_results``
-    ``iter_results(fields=("stats",))`` + a stall-accounting read per
-    cell — the ``python -m repro metrics`` / analysis pass.  Columnar
-    on the segment backend; the legacy layout has no columnar path, so
-    the same call transparently falls back to full decode there.
-``iter_full``
-    ``iter_results()`` with full snapshot decode on both backends —
-    the worst-case bound, reported for transparency.
-
-Run via ``python -m repro bench --store`` (see ``BENCH_PR10.json``) or
-:mod:`benchmarks/bench_store.py` under pytest-benchmark.
+:func:`synthetic_result` builds a deterministic, realistic-shaped
+campaign cell — full register file, a few hundred memory words, ~40
+cycle-accounting extras, the shape real campaign results have — and
+:func:`synthetic_key` a matching stand-in key, so store tests and
+``scripts/store_scale_smoke.py`` can fill a store with 10^4 cells
+without simulating any of them.
 """
 
 import hashlib
-import shutil
-import tempfile
-import time
 
-from repro.harness.store import LegacyResultStore, ResultStore
 from repro.pipeline.core import SimulationResult
 from repro.pipeline.stats import SimStats
 
@@ -90,126 +64,3 @@ def synthetic_result(index):
         config_name=_CONFIGS[index % len(_CONFIGS)],
         stats=stats, regs=regs, memory=memory, halted=True, cycles=cycles,
     )
-
-
-def _populate(root, backend, count):
-    """Write ``count`` synthetic cells through the backend's writer."""
-    writer = (LegacyResultStore(root) if backend == "legacy"
-              else ResultStore(root))
-    keys = []
-    start = time.perf_counter()
-    for index in range(count):
-        key = synthetic_key(index)
-        result = synthetic_result(index)
-        writer.save(key, result, {"benchmark": result.program_name,
-                                  "scale": 1.0, "seed": 2017})
-        keys.append(key)
-    elapsed = time.perf_counter() - start
-    if backend != "legacy":
-        writer.close()
-    return keys, elapsed
-
-
-def _timed(op):
-    start = time.perf_counter()
-    checksum = op()
-    return time.perf_counter() - start, checksum
-
-
-def _read_ops(root, keys):
-    """Time every read pattern through a fresh ResultStore facade."""
-    ops = {}
-
-    store = ResultStore(root)
-    ops["keys"], found = _timed(lambda: len(store.keys()))
-    assert found == len(keys), "keys() lost cells (%d != %d)" % (
-        found, len(keys))
-
-    store = ResultStore(root)
-    seconds, found = _timed(lambda: len(store.load_many(keys)))
-    assert found == len(keys)
-    ops["load_many"] = seconds
-
-    store = ResultStore(root)
-
-    def load_many_stats():
-        results = store.load_many(keys)
-        return sum(r.stats.committed_instructions for r in results.values())
-
-    ops["load_many_stats"], _ = _timed(load_many_stats)
-
-    store = ResultStore(root)
-
-    def iter_columnar():
-        total = 0
-        for result in store.iter_results(fields=("stats",)):
-            total += result.stats.cycles
-            total += result.stats.committed_instructions
-        return total
-
-    ops["iter_results"], _ = _timed(iter_columnar)
-
-    store = ResultStore(root)
-
-    def iter_full():
-        total = 0
-        for result in store.iter_results():
-            total += result.stats.committed_instructions + len(result.memory)
-        return total
-
-    ops["iter_full"], _ = _timed(iter_full)
-    return ops
-
-
-def run_store_bench(cell_counts=(1_000, 10_000), root=None,
-                    backends=("legacy", "segment")):
-    """Run the store benchmark; returns the JSON-ready report dict."""
-    from repro.harness.bench import host_metadata
-    from repro.harness.store import MODEL_VERSION
-
-    report = {
-        "benchmark": "result_store",
-        "model_version": MODEL_VERSION,
-        "host": host_metadata(),
-        "cell_counts": list(cell_counts),
-        "backends": {},
-        "speedup": {},
-    }
-    base = None
-    if root is not None:
-        base = tempfile.mkdtemp(dir=str(root))
-    for backend in backends:
-        sections = report["backends"][backend] = {}
-        for count in cell_counts:
-            workdir = tempfile.mkdtemp(prefix="storebench-", dir=base)
-            try:
-                keys, write_seconds = _populate(workdir, backend, count)
-                ops = {"write": write_seconds}
-                ops.update(_read_ops(workdir, keys))
-                if backend != "legacy":
-                    disk = ResultStore(workdir).stats()
-                    sections.setdefault("store_stats", {})[str(count)] = {
-                        "segments": disk["segments"],
-                        "disk_bytes": disk["disk_bytes"],
-                        "compression_ratio": disk["compression_ratio"],
-                    }
-                sections[str(count)] = {
-                    op: {"seconds": round(seconds, 6),
-                         "cells_per_sec": round(count / seconds, 1)
-                         if seconds else None}
-                    for op, seconds in ops.items()
-                }
-            finally:
-                shutil.rmtree(workdir, ignore_errors=True)
-    if "legacy" in report["backends"] and "segment" in report["backends"]:
-        for count in cell_counts:
-            legacy = report["backends"]["legacy"][str(count)]
-            segment = report["backends"]["segment"][str(count)]
-            report["speedup"][str(count)] = {
-                op: round(legacy[op]["seconds"] / segment[op]["seconds"], 2)
-                for op in legacy
-                if op in segment and segment[op]["seconds"]
-            }
-    if base is not None:
-        shutil.rmtree(base, ignore_errors=True)
-    return report

@@ -1,14 +1,41 @@
 """Shared fixtures for the test suite."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro import MEGA, SMALL, OoOCore, make_scheme, run_reference
 from repro.core.registry import scheme_names
+from repro.pipeline.core import SimulationResult
 from repro.workloads.generator import WorkloadProfile, generate_program
 
 #: Every registered scheme, straight from the registry — new variants
 #: automatically join the scheme-parametrised tests.
 ALL_SCHEMES = scheme_names()
+
+#: The 56-cell golden grid: one JSON envelope (``{"key",
+#: "model_version", "meta", "result"}``) per cell, written by
+#: ``tests/pipeline/test_kernel_equivalence.py --regenerate``.
+GOLDEN_DIR = pathlib.Path(__file__).parent / "pipeline" / "golden_store"
+
+
+@pytest.fixture(scope="session")
+def golden_results():
+    """Every golden cell as ``{key: SimulationResult}``."""
+    paths = sorted(GOLDEN_DIR.glob("*.json"))
+    if not paths:
+        pytest.fail(
+            "golden fixture missing at %s — regenerate with 'PYTHONPATH=src"
+            " python tests/pipeline/test_kernel_equivalence.py"
+            " --regenerate'" % GOLDEN_DIR)
+    results = {}
+    for path in paths:
+        with open(path) as handle:
+            envelope = json.load(handle)
+        results[envelope["key"]] = SimulationResult.from_dict(
+            envelope["result"])
+    return results
 
 
 @pytest.fixture(params=ALL_SCHEMES)

@@ -16,6 +16,30 @@ SUBSET = ("503.bwaves", "548.exchange2")
 # Cache-key collisions (the root bug).
 # ----------------------------------------------------------------------
 
+def test_run_simulates_through_simulate_cell(monkeypatch):
+    # run() takes the cell path every executor takes: one simulate_cell
+    # call with the spec _cell_spec builds, and the same result.
+    from repro.harness import parallel
+    from repro.harness import runner as runner_module
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return parallel.simulate_cell(spec)
+
+    monkeypatch.setattr(runner_module, "simulate_cell", counting)
+    runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
+    result = runner.run(BENCH, SMALL, "stt-rename", split_store_taints=True)
+    spec = runner._cell_spec(BENCH, SMALL, "stt-rename",
+                             {"split_store_taints": True})
+    assert calls == [spec]
+    assert result.to_dict() == parallel.simulate_cell(spec).to_dict()
+    assert runner.run(BENCH, SMALL, "stt-rename",
+                      split_store_taints=True) is result
+    assert len(calls) == 1
+
+
 def test_same_name_different_params_distinct_cells():
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     narrow = MEGA.scaled(name="custom", width=1, issue_width=1, mem_width=1)
@@ -139,38 +163,52 @@ def test_runner_preload_from_store(tmp_path):
 def test_store_verify_drops_corrupt_and_stale(tmp_path):
     import json
 
+    from repro.harness.segments import SEGMENT_DIR
+
     store = ResultStore(tmp_path)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     key = runner.cell_key(BENCH, SMALL, "baseline")
-    store.save(key, runner.run(BENCH, SMALL, "baseline"))
-
-    # Legacy-format damage: corrupt/stale JSON cells in the store root
-    # keep their original verdict handling alongside segment cells.
-    corrupt = tmp_path / ("corrupt__x__y__%s.json" % ("b" * 12))
-    corrupt.write_text("{not json")
-    truncated = tmp_path / ("trunc__x__y__%s.json" % ("c" * 12))
-    truncated.write_text(json.dumps({"key": "c" * 64, "model_version":
-                                     "whatever"}))  # no result payload
+    result = runner.run(BENCH, SMALL, "baseline")
+    # One segment: a record to damage, the healthy cell, a stale stamp.
+    store.save("c" * 64, result)
+    store.save(key, result)
     stale_data = dict(store.load_envelope(key))
     stale_data["model_version"] = "0.0.0-ancient"
     stale_data["key"] = "d" * 64
-    stale = tmp_path / ("stale__x__y__%s.json" % ("d" * 12))
-    stale.write_text(json.dumps(stale_data))
+    store._append_envelope(stale_data)
+    store.close()
+    (segment,) = (tmp_path / SEGMENT_DIR).glob("*.seg")
+    blob = bytearray(segment.read_bytes())
+    blob[16:20] = b"\xff\xff\xff\xff"  # inside the first record
+    segment.write_bytes(bytes(blob))
+
+    # JSON files in the root, readable or not, are input for migrate
+    # only: verify judges segment records and leaves them untouched.
+    corrupt = tmp_path / ("corrupt__x__y__%s.json" % ("b" * 12))
+    corrupt.write_text("{not json")
+    legacy = tmp_path / ("stale__x__y__%s.json" % ("d" * 12))
+    legacy.write_text(json.dumps(stale_data, sort_keys=True))
+    before = {path.name: path.read_bytes()
+              for path in tmp_path.glob("*.json")}
 
     summary = store.verify()
-    assert summary == {"scanned": 4, "kept": 1, "corrupt": 2, "stale": 1}
-    # Corrupt cells are quarantined aside (forensics), not destroyed;
-    # stale cells (old model version) are plain deletions.
-    assert not corrupt.exists() and not truncated.exists()
-    assert (tmp_path / (corrupt.name + ".corrupt")).exists()
-    assert (tmp_path / (truncated.name + ".corrupt")).exists()
-    assert not stale.exists()
-    assert not (tmp_path / (stale.name + ".corrupt")).exists()
-    assert store.load(key) is not None  # the healthy cell survived
-    # The set-aside copies are invisible to the store (not *.json).
+    assert summary == {"scanned": 3, "kept": 1, "corrupt": 1, "stale": 1}
+    # The damaged segment is set aside (forensics), the healthy cell
+    # salvaged, the stale row dropped.
+    assert segment.with_name(segment.name + ".corrupt").exists()
+    assert store.load(key) is not None
     assert len(store) == 1
     assert store.verify() == {"scanned": 1, "kept": 1, "corrupt": 0,
                               "stale": 0}
+    assert {path.name: path.read_bytes()
+            for path in tmp_path.glob("*.json")} == before
+    assert store.stats()["legacy_cells"] == 2
+
+    # migrate takes the readable file (stamp preserved) and leaves the
+    # unreadable one where it was.
+    assert store.migrate() == {"migrated": 1, "skipped": 1}
+    assert corrupt.exists() and not legacy.exists()
+    assert store.load_envelope("d" * 64) == stale_data
 
 
 def test_store_failure_records_round_trip(tmp_path):

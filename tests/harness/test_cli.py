@@ -41,14 +41,23 @@ def test_cli_grid_cluster_executor(tmp_path, capsys):
 
 
 def test_cli_store_verify_and_gc(tmp_path, capsys):
+    from repro.harness.segments import SEGMENT_DIR
+
     store = ResultStore(tmp_path)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
-    # One healthy in-grid cell (default scale 1.0 for gc, so save one
-    # at scale 1.0 identity), one corrupt file.
+    # One off-grid cell whose record gets damaged, then one healthy
+    # in-grid cell (default scale 1.0 for gc, so save one at scale 1.0
+    # identity), both in the same segment.
+    result = runner.run(BENCH, SMALL, "baseline")
+    store.save("e" * 64, result)
     grid_runner = CampaignRunner(scale=1.0, benchmarks=(BENCH,))
     key = grid_runner.cell_key(BENCH, SMALL, "baseline")
-    store.save(key, runner.run(BENCH, SMALL, "baseline"))
-    (tmp_path / ("junk__x__y__%s.json" % ("e" * 12))).write_text("{broken")
+    store.save(key, result)
+    store.close()
+    (segment,) = (tmp_path / SEGMENT_DIR).glob("*.seg")
+    blob = bytearray(segment.read_bytes())
+    blob[16:20] = b"\xff\xff\xff\xff"  # inside the first record
+    segment.write_bytes(bytes(blob))
 
     assert main(["store", "verify", "--store-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out

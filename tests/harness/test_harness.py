@@ -104,3 +104,24 @@ def test_gem5_loss_computation():
     base_ipc, loss = gem5_ipc_loss("nda", "nda", scale=0.05)
     assert base_ipc > 0
     assert -0.2 <= loss <= 1.0
+
+
+def test_table5_gem5_rows_follow_runner_benchmarks(monkeypatch):
+    # Each gem5 row averages the same suite as the BOOM rows it is
+    # compared with: the runner's benchmarks minus the exclusions.
+    from repro.gem5.model import Gem5Model
+    from repro.harness.experiments import experiment_table5
+
+    simulated = []
+    run_suite = Gem5Model.run_suite
+
+    def recording(self, *args, **kwargs):
+        results = run_suite(self, *args, **kwargs)
+        simulated.append(list(results))
+        return results
+
+    monkeypatch.setattr(Gem5Model, "run_suite", recording)
+    pair = ("503.bwaves", "548.exchange2")
+    report = experiment_table5(CampaignRunner(scale=0.05, benchmarks=pair))
+    assert simulated == [list(pair)] * 4
+    assert report.data["gem5-nda"]["baseline_ipc"] > 0

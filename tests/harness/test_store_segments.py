@@ -4,21 +4,23 @@ Complements the API-contract tests in ``test_campaign.py`` with the
 format-level guarantees the segment store introduces: full-key
 indexing (no digest-prefix ambiguity), O(index) key listing,
 writer/reader interleaving, torn-record crash recovery, corrupt
-segment quarantine, legacy-store reading, and migrate round-trips.
+segment quarantine, and migrating JSON-per-cell stores from earlier
+releases, which no read path serves until then.
 """
 
 import json
 import shutil
+import sqlite3
 import threading
 
 import pytest
 
-from repro.harness.segments import SEGMENT_DIR, SEGMENT_SUFFIX
+from repro.harness.segments import MANIFEST_NAME, SEGMENT_DIR, SEGMENT_SUFFIX
 from repro.harness.store import (
     MODEL_VERSION,
-    LegacyResultStore,
     ResultStore,
     _StoredResult,
+    cell_filename,
 )
 from repro.harness.storebench import synthetic_key, synthetic_result
 from repro.pipeline.core import SimulationResult
@@ -69,6 +71,10 @@ def test_keys_and_len_never_open_segment_files(tmp_path):
     assert sorted(store.keys()) == sorted(keys)
     assert len(store) == 25
     assert keys[0] in store
+    # Nor a statistics-only scan (the metrics pass): iter_results
+    # serves every cell's statistics from the manifest.
+    assert (sorted(row.stats.cycles for row in store.iter_results())
+            == sorted(synthetic_result(i).stats.cycles for i in range(25)))
 
 
 def test_save_load_round_trip_bit_identical(tmp_path):
@@ -77,14 +83,13 @@ def test_save_load_round_trip_bit_identical(tmp_path):
     key = synthetic_key(7)
     store.save(key, result, {"benchmark": result.program_name})
     assert store.load(key).to_dict() == result.to_dict()
-    # Lazy bulk loads decode to the identical dict, and the columnar
-    # view agrees with the full result on every statistic.
+    # Both bulk reads return lazily-decoded results that decode to the
+    # identical dict.
     assert store.load_many([key])[key].to_dict() == result.to_dict()
-    (view,) = store.iter_results(fields=("stats",))
-    assert view.stats.to_dict() == result.stats.to_dict()
-    assert view.scheme_name == result.scheme_name
-    (full,) = store.iter_results()
-    assert full.to_dict() == result.to_dict()
+    (row,) = store.iter_results()
+    assert isinstance(row, _StoredResult)
+    assert row.stats.to_dict() == result.stats.to_dict()
+    assert row.to_dict() == result.to_dict()
 
 
 def test_dict_form_memory_from_1_1_0_envelopes_still_loads(tmp_path):
@@ -106,27 +111,6 @@ def test_dict_form_memory_from_1_1_0_envelopes_still_loads(tmp_path):
     assert isinstance(lazy, _StoredResult)
     assert lazy.memory == want
     assert lazy.to_dict() == result.to_dict()
-
-
-def test_load_columns_serves_sql_and_stat_fields(tmp_path):
-    keys = populate(tmp_path, 6)
-    store = ResultStore(tmp_path)
-    columns = store.load_columns(
-        keys, ["scheme", "benchmark", "cycles", "ipc",
-               "committed_instructions", "stall_iq_full",
-               "extra.cycacct.width"])
-    assert set(columns) == set(keys)
-    for index, key in enumerate(keys):
-        expected = synthetic_result(index)
-        record = columns[key]
-        assert record["scheme"] == expected.scheme_name
-        assert record["benchmark"] == expected.program_name
-        assert record["cycles"] == expected.stats.cycles
-        assert record["ipc"] == pytest.approx(expected.stats.ipc)
-        assert record["stall_iq_full"] == expected.stats.stall_iq_full
-        assert record["extra.cycacct.width"] == 4
-    # Unknown keys are absent, not errors.
-    assert store.load_columns(["9" * 64], ["scheme"]) == {}
 
 
 # ----------------------------------------------------------------------
@@ -321,40 +305,60 @@ def test_clear_removes_manifest_and_segments(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Legacy stores: transparent reads, migrate round-trip.
+# Format errors and JSON-per-cell stores from earlier releases.
 # ----------------------------------------------------------------------
 
+def test_foreign_manifest_format_names_formats_and_path(tmp_path):
+    populate(tmp_path, 1)
+    conn = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    conn.execute("UPDATE meta SET v='segments-v0' WHERE k='format'")
+    conn.commit()
+    conn.close()
+    with pytest.raises(RuntimeError) as info:
+        len(ResultStore(tmp_path))
+    message = str(info.value)
+    assert "'segments-v0'" in message and "'segments-v1'" in message
+    assert str(tmp_path) in message
+    # migrate converts root JSON files only; it cannot rebuild this.
+    assert "migrate" not in message
+
+
 def legacy_populate(root, count):
-    writer = LegacyResultStore(root)
+    """Write ``count`` cells in the JSON-per-cell layout of earlier
+    releases: one sorted-key envelope per file in the store root."""
     keys = []
     for index in range(count):
         key = synthetic_key(index)
-        writer.save(key, synthetic_result(index), {"index": index})
+        result = synthetic_result(index)
+        envelope = {"key": key, "model_version": MODEL_VERSION,
+                    "meta": {"index": index}, "result": result.to_dict()}
+        name = cell_filename(result.program_name, result.config_name,
+                             result.scheme_name, key)
+        with open(root / name, "w") as handle:
+            json.dump(envelope, handle, sort_keys=True)
         keys.append(key)
     return keys
 
 
-def test_legacy_store_reads_without_migration(tmp_path):
+def test_legacy_files_are_invisible_until_migrated(tmp_path):
     keys = legacy_populate(tmp_path, 5)
     store = ResultStore(tmp_path)
+    assert len(store) == 0
+    assert store.keys() == []
+    assert store.load(keys[2]) is None
+    assert store.load_many(keys) == {}
+    assert keys[0] not in store
+    stats = store.stats()
+    assert stats["legacy_cells"] == 5 and stats["legacy"]
+    assert stats["legacy_bytes"] > 0
+
+    assert store.migrate() == {"migrated": 5, "skipped": 0}
     assert len(store) == 5
-    assert sorted(store.keys()) == sorted(keys)
-    assert store.load(keys[2]).to_dict() == synthetic_result(2).to_dict()
     loaded = store.load_many(keys)
-    assert len(loaded) == 5
-    assert len(list(store.iter_results())) == 5
-    assert len(list(store.iter_results(fields=("stats",)))) == 5
-    assert store.stats()["legacy"]
-
-
-def test_save_supersedes_legacy_twin(tmp_path):
-    (key,) = legacy_populate(tmp_path, 1)
-    store = ResultStore(tmp_path)
-    replacement = synthetic_result(42)
-    store.save(key, replacement)
-    assert len(store) == 1  # manifest won; the JSON twin is gone
-    assert not list(tmp_path.glob("*.json"))
-    assert store.load(key).to_dict() == replacement.to_dict()
+    for index, key in enumerate(keys):
+        assert store.load(key).to_dict() == synthetic_result(index).to_dict()
+        assert loaded[key].to_dict() == synthetic_result(index).to_dict()
+    assert store.stats()["legacy_cells"] == 0
 
 
 def test_migrate_round_trip_preserves_envelopes(tmp_path):

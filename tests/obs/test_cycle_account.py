@@ -15,12 +15,10 @@ Three contracts pinned here:
   recorded obs-off fixture once those extras are stripped.
 """
 
-import pathlib
-
 import pytest
 
 from repro.core.factory import make_scheme
-from repro.harness.store import ResultStore, simulation_key
+from repro.harness.store import simulation_key
 from repro.obs import CycleAccount, LEAF_CAUSES, PipeTracer
 from repro.pipeline.config import MEGA, SMALL
 from repro.pipeline.core import OoOCore
@@ -32,9 +30,8 @@ from repro.workloads.kernels import (
     streaming_kernel,
 )
 
-#: Same grid as the golden equivalence suite (tests/pipeline).
-GOLDEN_DIR = (pathlib.Path(__file__).parent.parent
-              / "pipeline" / "golden_store")
+#: Same grid as the golden equivalence suite (tests/pipeline), read
+#: through the ``golden_results`` fixture.
 GOLDEN_VERSION = "golden-v1"
 
 SCHEME_VARIANTS = (
@@ -125,22 +122,15 @@ def assert_conserved(result, account):
         "scheme_delayed", 0)
 
 
-@pytest.fixture(scope="module")
-def golden_store():
-    if not GOLDEN_DIR.is_dir():
-        pytest.fail("golden fixture missing at %s" % GOLDEN_DIR)
-    return ResultStore(GOLDEN_DIR)
-
-
 @pytest.mark.parametrize("cell", _CELLS, ids=[_cell_id(c) for c in _CELLS])
-def test_obs_enabled_conserves_and_matches_golden(cell, golden_store):
+def test_obs_enabled_conserves_and_matches_golden(cell, golden_results):
     """One pass over the golden grid checks both contracts per cell."""
     program, config, scheme_name, scheme_kwargs = cell
     key = simulation_key(
         program.name, config, scheme_name, scheme_kwargs=scheme_kwargs,
         scale=1.0, seed=0, model_version=GOLDEN_VERSION,
     )
-    golden = golden_store.load(key)
+    golden = golden_results.get(key)
     assert golden is not None, "no golden result for %s" % _cell_id(cell)
 
     result, account = simulate_with_obs(

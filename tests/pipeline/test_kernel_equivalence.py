@@ -4,11 +4,14 @@ The fast-path work on the kernel (event heap, idle-cycle fast-forward,
 wakeup-driven issue scheduling) is only legal because it is *cycle-for-
 cycle equivalent* to the reference stepping model.  This suite pins
 that claim to data: a small scheme x config x workload grid was
-simulated with the pre-fast-path kernel and stored — via the ordinary
-:class:`~repro.harness.store.ResultStore` — under ``golden_store/``
-next to this file.  Every test re-simulates one cell with the current
-kernel and asserts a bit-identical result: cycles, IPC, every stall and
-replay counter, and the final architectural registers and memory.
+simulated with the pre-fast-path kernel and stored under
+``golden_store/`` next to this file, one JSON envelope (``{"key",
+"model_version", "meta", "result"}``, sorted keys) per cell, named by
+:func:`~repro.harness.store.cell_filename`.  The session fixture
+``golden_results`` (``tests/conftest.py``) reads them.  Every test
+re-simulates one cell with the current kernel and asserts a
+bit-identical result: cycles, IPC, every stall and replay counter, and
+the final architectural registers and memory.
 
 The fixture keys use a frozen ``model_version`` stamp
 (:data:`GOLDEN_VERSION`) instead of the live package version, so
@@ -19,13 +22,14 @@ Regenerate (only when an *intentional* model change invalidates it)::
     PYTHONPATH=src python tests/pipeline/test_kernel_equivalence.py --regenerate
 """
 
+import json
 import pathlib
 import sys
 
 import pytest
 
 from repro.core.factory import make_scheme
-from repro.harness.store import ResultStore, simulation_key
+from repro.harness.store import MODEL_VERSION, cell_filename, simulation_key
 from repro.isa.trace import record_trace
 from repro.pipeline.config import MEGA, SMALL
 from repro.pipeline.core import OoOCore
@@ -144,21 +148,11 @@ def _cell_id(cell):
 _CELLS = grid_cells()
 
 
-@pytest.fixture(scope="module")
-def golden_store():
-    if not GOLDEN_DIR.is_dir():
-        pytest.fail(
-            "golden fixture missing at %s — regenerate with "
-            "'PYTHONPATH=src python %s --regenerate'" % (GOLDEN_DIR, __file__)
-        )
-    return ResultStore(GOLDEN_DIR)
-
-
 @pytest.mark.parametrize("cell", _CELLS, ids=[_cell_id(c) for c in _CELLS])
-def test_kernel_matches_golden(cell, golden_store):
+def test_kernel_matches_golden(cell, golden_results):
     program, config, scheme_name, scheme_kwargs = cell
     key = cell_key(program.name, config, scheme_name, scheme_kwargs)
-    golden = golden_store.load(key)
+    golden = golden_results.get(key)
     assert golden is not None, (
         "no golden result for %s — regenerate the fixture" % _cell_id(cell)
     )
@@ -244,9 +238,9 @@ def test_fast_forward_matches_pure_stepping(scheme_variant):
 
 
 def regenerate():
-    store = ResultStore(GOLDEN_DIR)
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    store.clear()
+    for path in GOLDEN_DIR.glob("*.json"):
+        path.unlink()
     for cell in _CELLS:
         program, config, scheme_name, scheme_kwargs = cell
         key = cell_key(program.name, config, scheme_name, scheme_kwargs)
@@ -254,13 +248,22 @@ def regenerate():
         # the trace replayer against a replay-free fixture.
         result = simulate(program, config, scheme_name, scheme_kwargs,
                           replay=False)
-        store.save(key, result, meta={
-            "golden_version": GOLDEN_VERSION,
-            "benchmark": program.name,
-            "config": config.name,
-            "scheme": scheme_name,
-            "scheme_kwargs": dict(scheme_kwargs),
-        })
+        envelope = {
+            "key": key,
+            "model_version": MODEL_VERSION,
+            "meta": {
+                "golden_version": GOLDEN_VERSION,
+                "benchmark": program.name,
+                "config": config.name,
+                "scheme": scheme_name,
+                "scheme_kwargs": dict(scheme_kwargs),
+            },
+            "result": result.to_dict(),
+        }
+        name = cell_filename(result.program_name, result.config_name,
+                             result.scheme_name, key)
+        with open(GOLDEN_DIR / name, "w") as handle:
+            json.dump(envelope, handle, sort_keys=True)
         print("recorded %-40s cycles=%-7d ipc=%.3f"
               % (_cell_id(cell), result.cycles, result.ipc))
     print("golden fixture: %d cells under %s" % (len(_CELLS), GOLDEN_DIR))
