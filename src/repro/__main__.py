@@ -390,12 +390,15 @@ def _summary_line(label, summary):
 
 
 def _needed_cells(experiment_ids_, runner):
-    """Union of grid cells the requested experiments will read.
+    """Every grid cell the requested experiments will read.
 
     Only these are pre-populated in parallel — asking for one small
-    experiment never pays for the full standard grid.
+    experiment never pays for the full standard grid.  A cell several
+    experiments share is listed once per experiment;
+    :meth:`~repro.harness.runner.CampaignRunner.run_cell_batch` dedups
+    by cell key, the one definition of cell identity.
     """
-    cells, seen = [], set()
+    cells = []
     for experiment_id in experiment_ids_:
         needs = experiment_grid_needs(experiment_id)
         if needs is None:
@@ -403,14 +406,10 @@ def _needed_cells(experiment_ids_, runner):
         configs, schemes, benchmarks = needs
         selected = [b for b in (benchmarks or runner.benchmarks)
                     if b in runner.benchmarks]
-        for config in configs:
-            for scheme in schemes:
-                for benchmark in selected:
-                    key = (benchmark, config.fingerprint(), scheme)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    cells.append((benchmark, config, scheme))
+        cells.extend((benchmark, config, scheme)
+                     for config in configs
+                     for scheme in schemes
+                     for benchmark in selected)
     return cells
 
 

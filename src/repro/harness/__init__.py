@@ -9,9 +9,11 @@ table/figure of the paper, rendered as text and returned as data.
 :func:`~repro.harness.store.simulation_key`, a SHA-256 over the
 canonical JSON of the complete simulation identity: the full
 ``CoreConfig`` parameter record (every field, nested ``MemConfig``
-included), the scheme name plus constructor kwargs, the workload
-scale/seed, and a model version stamp.  Display names carry no
-identity, so same-named-but-different configurations can never alias.
+included), the canonical scheme name (aliases such as ``stt_rename``
+key the same cell as ``stt-rename``) plus constructor kwargs, the
+workload scale/seed, and a model version stamp.  Display names carry
+no identity, so same-named-but-different configurations can never
+alias.
 
 **Store layout** (format ``segments-v1``).  With a
 :class:`~repro.harness.store.ResultStore` attached, cells append into

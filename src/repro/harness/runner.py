@@ -1,15 +1,18 @@
 """Simulation campaign engine: content-addressed cache + executor.
 
 Regenerating every table and figure needs the full
-(22 benchmarks x 4 configs x 4 schemes) grid; many experiments share
-slices of it, so one shared runner caches every simulation result.
+(22 benchmarks x 4 configs x 6 grid schemes) grid; many experiments
+share slices of it, so one shared runner caches every simulation
+result.
 
 Cache identity is the *full* simulation content, not display names:
 :func:`repro.harness.store.simulation_key` hashes the complete
-``CoreConfig`` (every field, nested ``MemConfig`` included), the scheme
-name and constructor kwargs, the workload scale/seed, and a model
-version stamp.  Two configurations that merely share a ``name`` can
-therefore never alias each other's cached results.
+``CoreConfig`` (every field, nested ``MemConfig`` included), the
+canonical scheme name and constructor kwargs, the workload scale/seed,
+and a model version stamp.  Two configurations that merely share a
+``name`` can therefore never alias each other's cached results.
+:meth:`CampaignRunner.cell_key` memoises that hash per runner, so the
+experiments' repeated reads of the grid key each cell once.
 
 Three layers cooperate:
 
@@ -46,6 +49,7 @@ class CampaignRunner:
         self.jobs = jobs
         self._programs = None
         self._cache = {}
+        self._keys = {}
 
     # -- program generation (lazy, shared across runs) -------------------
 
@@ -60,11 +64,24 @@ class CampaignRunner:
     # -- cache identity ----------------------------------------------------
 
     def cell_key(self, benchmark, config, scheme_name, scheme_kwargs=None):
-        """Content-addressed key for one grid cell."""
-        return simulation_key(
-            benchmark, config, scheme_name, scheme_kwargs=scheme_kwargs,
-            scale=self.scale, seed=self.seed,
-        )
+        """Content-addressed key for one grid cell, memoised per runner.
+
+        :func:`~repro.harness.store.simulation_key` stays the one
+        definition of cell identity; it runs once per distinct cell.
+        The memo is keyed on the config's fingerprint, not the config
+        object, so it excludes the display name exactly as the key
+        does.  Scale and seed are fixed per runner, so they need no
+        place in the memo key.
+        """
+        kwargs = tuple(sorted((scheme_kwargs or {}).items()))
+        memo = (benchmark, config.fingerprint(), scheme_name, kwargs)
+        key = self._keys.get(memo)
+        if key is None:
+            key = self._keys[memo] = simulation_key(
+                benchmark, config, scheme_name, scheme_kwargs=scheme_kwargs,
+                scale=self.scale, seed=self.seed,
+            )
+        return key
 
     def _cell_spec(self, benchmark, config, scheme_name, scheme_kwargs=None):
         return (benchmark, config, scheme_name,

@@ -7,7 +7,8 @@ Every cell of the campaign grid is identified by
 - the full :class:`~repro.pipeline.config.CoreConfig` parameter record
   (every field, including the nested ``MemConfig``), not just its
   display name;
-- the scheme name plus any scheme constructor kwargs;
+- the canonical scheme name (so an alias such as ``stt_rename`` keys
+  the same cell as ``stt-rename``) plus any scheme constructor kwargs;
 - the workload ``scale`` and ``seed``;
 - a model version stamp (:data:`MODEL_VERSION`).
 
@@ -61,6 +62,7 @@ import tempfile
 import threading
 
 from repro import __version__
+from repro.core.registry import canonical_name
 from repro.harness.segments import (
     CorruptRecord,
     DEFAULT_SEGMENT_BYTES,
@@ -163,7 +165,7 @@ def simulation_key(benchmark, config, scheme_name, scheme_kwargs=None,
         # here keeps cache keys and any other fingerprint consumer in
         # lock-step.
         "config": config.fingerprint(),
-        "scheme": scheme_name.lower(),
+        "scheme": canonical_name(scheme_name),
         "scheme_kwargs": dict(sorted((scheme_kwargs or {}).items())),
         "scale": scale,
         "seed": seed,

@@ -92,11 +92,25 @@ class CoreConfig:
         while renaming a parameter-identical config hashes the same —
         caches keyed on the fingerprint neither alias the former nor
         needlessly resimulate the latter.
+
+        The digest is computed once per instance and kept in the
+        instance dict.  That is safe because ``CoreConfig`` and its
+        nested ``MemConfig`` are frozen, so no field changes after
+        construction; :meth:`scaled` (``dataclasses.replace``) builds a
+        fresh instance through ``__init__``, so a derived config never
+        inherits the digest; and ``to_dict``, equality, ``hash`` and
+        ``repr`` read dataclass fields only, so the digest never reaches
+        the wire format or any comparison.  A pickled or deep-copied
+        config carries it along, and it is the same digest.
         """
-        data = self.to_dict()
-        data.pop("name")
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            data = self.to_dict()
+            data.pop("name")
+            blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
 
 def config_from_dict(data):

@@ -1,11 +1,21 @@
 """Campaign-engine tests: cache keys, store round-trips, parallelism."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.harness.parallel import run_cells
 from repro.harness.runner import CampaignRunner, shared_runner
 from repro.harness.store import ResultStore, simulation_key
-from repro.pipeline.config import CoreConfig, MEDIUM, MEGA, SMALL
+from repro.pipeline.config import (
+    CoreConfig,
+    MEDIUM,
+    MEGA,
+    SMALL,
+    config_from_dict,
+)
 from repro.pipeline.stats import SimStats
 
 BENCH = "503.bwaves"
@@ -40,6 +50,62 @@ def test_run_simulates_through_simulate_cell(monkeypatch):
     assert len(calls) == 1
 
 
+def test_scheme_aliases_share_one_cell(monkeypatch):
+    # The registry accepts underscored spellings everywhere; a runner
+    # asked for both spellings must simulate (and cache) one cell.
+    from repro.harness import parallel
+    from repro.harness import runner as runner_module
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return parallel.simulate_cell(spec)
+
+    monkeypatch.setattr(runner_module, "simulate_cell", counting)
+    runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
+    result = runner.run(BENCH, SMALL, "stt-rename")
+    assert runner.run(BENCH, SMALL, "stt_rename") is result
+    assert len(calls) == 1
+    assert len(runner._cache) == 1
+
+
+def test_runner_keys_each_cell_once(monkeypatch, tmp_path):
+    # Every runner entry point reads the grid through cell_key; after
+    # the first ask, each cell's key is a memo lookup.
+    from repro.harness import runner as runner_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[:3])
+        return simulation_key(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "simulation_key", counting)
+    runner = CampaignRunner(scale=0.05, benchmarks=SUBSET,
+                            store=ResultStore(tmp_path))
+    cells = [(bench, SMALL, "stt-rename") for bench in SUBSET]
+    first = runner.suite_results(SMALL, "stt-rename")
+    assert runner.suite_results(SMALL, "stt-rename") == first
+    assert runner.run(BENCH, SMALL, "stt-rename") is first[0]
+    # The memo is keyed on the fingerprint: a renamed, parameter-
+    # identical config is the same cell.
+    assert runner.run(BENCH, SMALL.scaled(name="renamed"),
+                      "stt-rename") is first[0]
+    assert runner.preload_from_store(cells) == 0
+    assert runner.run_cell_batch(cells)["cached"] == len(SUBSET)
+    assert len(calls) == len(SUBSET)
+
+    # Scheme kwargs are part of the identity: a cell of its own.
+    split = runner.run(BENCH, SMALL, "stt-rename", split_store_taints=True)
+    assert split is not first[0]
+    assert len(calls) == len(SUBSET) + 1
+    assert runner.cell_key(BENCH, SMALL, "stt-rename",
+                           {"split_store_taints": True}) == simulation_key(
+        BENCH, SMALL, "stt-rename", {"split_store_taints": True},
+        scale=0.05, seed=runner.seed)
+
+
 def test_same_name_different_params_distinct_cells():
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     narrow = MEGA.scaled(name="custom", width=1, issue_width=1, mem_width=1)
@@ -71,6 +137,10 @@ def test_simulation_key_sensitivity():
     assert base != simulation_key(
         BENCH, MEGA, "baseline", scheme_kwargs={"split_store_taints": True}
     )
+    # Scheme aliases name one cell: the key hashes the canonical name.
+    rename = simulation_key(BENCH, MEGA, "stt-rename")
+    assert rename == simulation_key(BENCH, MEGA, "stt_rename")
+    assert rename == simulation_key(BENCH, MEGA, "STT_Rename")
     # Display names carry no identity: renaming a parameter-identical
     # config must hit the same cell.
     assert base == simulation_key(BENCH, MEGA.scaled(name="renamed"),
@@ -78,12 +148,40 @@ def test_simulation_key_sensitivity():
 
 
 def test_config_fingerprint_tracks_params_not_name():
-    a = CoreConfig(name="custom", width=2, num_phys_regs=80)
-    b = CoreConfig(name="custom", width=3, num_phys_regs=80)
+    def fresh(width=2):
+        return CoreConfig(name="custom", width=width, num_phys_regs=80)
+
+    a = fresh()
+    b = fresh(width=3)
     assert a.fingerprint() != b.fingerprint()
-    assert a.fingerprint() == CoreConfig(name="custom", width=2,
-                                         num_phys_regs=80).fingerprint()
+    assert a.fingerprint() == fresh().fingerprint()
     assert a.fingerprint() == a.scaled(name="renamed").fingerprint()
+    # The digest memoised on ``a`` never leaks: a derived config hashes
+    # its own fields, and the wire form, equality, hash, repr and copies
+    # see dataclass fields only.
+    assert a.scaled(width=3).fingerprint() == fresh(width=3).fingerprint()
+    assert set(a.to_dict()) == {f.name for f in dataclasses.fields(a)}
+    assert config_from_dict(a.to_dict()) == a
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert copied == a
+        assert copied.fingerprint() == a.fingerprint()
+    assert hash(a) == hash(fresh())
+    assert repr(a) == repr(fresh())
+
+
+def test_config_fingerprint_hashes_once_per_instance(monkeypatch):
+    calls = []
+    to_dict = CoreConfig.to_dict
+
+    def counting(self):
+        calls.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(CoreConfig, "to_dict", counting)
+    config = CoreConfig(name="custom", width=2, num_phys_regs=80)
+    digest = config.fingerprint()
+    assert config.fingerprint() == digest
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

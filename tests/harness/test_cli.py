@@ -28,6 +28,26 @@ def test_cli_grid_serial_and_store(tmp_path, capsys):
     assert len(ResultStore(tmp_path)) == 1
 
 
+def test_cli_run_prepopulates_needed_cells(tmp_path, capsys, monkeypatch):
+    from repro.workloads import program_cache
+
+    # The run points the program disk cache into its store; undo that.
+    monkeypatch.setattr(program_cache, "_DISK_DIR",
+                        program_cache.disk_cache_dir())
+    argv = ["run", "table1", "figure6", "--executor", "serial",
+            "--scale", "0.05", "--benchmarks", "503.bwaves", "548.exchange2",
+            "--store-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert first[0].startswith(
+        "grid pre-populated: 18 cells — 18 simulated, 0 from store")
+    assert main(argv) == 0
+    second = capsys.readouterr().out.splitlines()
+    assert second[0].startswith(
+        "grid pre-populated: 18 cells — 0 simulated, 18 from store")
+    assert second[1:] == first[1:]
+
+
 def test_cli_grid_cluster_executor(tmp_path, capsys):
     code = main(["grid", "--scale", "0.05", "--benchmarks", BENCH,
                  "--configs", "small", "--schemes", "baseline", "nda",
