@@ -45,16 +45,10 @@ Subcommands:
     List every registered speculation scheme straight from the scheme
     registry: canonical name, grid membership, kwargs schema, and the
     one-line description each scheme declares about itself.
-``bench``
-    Measure simulator throughput (simulated cycles/sec, committed KIPS)
-    over the canonical workload suite; prints JSON so the BENCH
-    trajectory can track kernel regressions (``--record PATH`` also
-    writes the JSON to a file, e.g. ``BENCH_PR3.json`` at the repo
-    root).
 ``profile``
-    cProfile one grid cell (default: the ``chase-cold`` throughput
-    workload on mega/baseline) and print the top cumulative entries —
-    the starting point for any simulator performance work.  ``--sort
+    cProfile one throughput-suite cell (default: ``chase-cold`` on
+    mega/baseline) and print the top cumulative entries — the per-cell
+    view beneath ``perfbench/run.py``'s campaign numbers.  ``--sort
     tottime`` reorders, ``--json`` emits the rows structurally.
 ``pipeview``
     Trace one throughput workload per-uop and dump it in gem5
@@ -66,7 +60,8 @@ Subcommands:
     leaf cause, scheme-delay sub-causes, conservation check).
 
 Shared flags: ``--scale`` and ``--seed`` select the workload build,
-``--benchmarks`` restricts the suite, ``--jobs`` sets worker count,
+``--benchmarks`` restricts the suite to the named SPEC proxies,
+``--jobs`` sets worker count,
 ``--executor {serial,pool,cluster}`` picks the backend explicitly,
 ``--progress [human|json]`` streams done/total + cells/sec + ETA +
 per-worker attribution to stderr (``json`` emits JSONL snapshots for
@@ -84,6 +79,7 @@ from repro.core.registry import (
     iter_specs,
     scheme_names,
 )
+from repro.harness.bench import PROFILE_SORTS, THROUGHPUT_LABELS, profile_cell
 from repro.harness.experiments import (
     experiment_grid_needs,
     experiment_ids,
@@ -93,6 +89,7 @@ from repro.harness.progress import make_progress
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import DEFAULT_STORE_DIR, ResultStore
 from repro.pipeline.config import boom_config
+from repro.workloads.characteristics import SPEC_BENCHMARKS
 
 #: Default coordinator port (the SPEC vintage; above the privileged range).
 DEFAULT_PORT = 2017
@@ -115,6 +112,7 @@ def build_parser():
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel simulation workers (default 1)")
         p.add_argument("--benchmarks", nargs="+", metavar="NAME",
+                       choices=SPEC_BENCHMARKS,
                        help="restrict to these benchmarks")
         p.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help="persistent store root (default %(default)s)")
@@ -236,43 +234,15 @@ def build_parser():
     store.add_argument("--seed", type=int, default=2017,
                        help="gc: grid seed to keep (default 2017)")
     store.add_argument("--benchmarks", nargs="+", metavar="NAME",
+                       choices=SPEC_BENCHMARKS,
                        help="gc: restrict the kept grid to these"
                             " benchmarks")
 
-    bench = sub.add_parser(
-        "bench", help="measure simulator throughput (JSON report)")
-    bench.add_argument("--config", default="mega",
-                       help="BOOM config name (default mega)")
-    bench.add_argument("--scheme", default="baseline",
-                       type=canonical_name, choices=scheme_names(),
-                       help="scheme name (default baseline)")
-    bench.add_argument("--schemes", nargs="+", metavar="NAME",
-                       type=canonical_name, choices=scheme_names(),
-                       help="bench several schemes over the same"
-                            " programs (report gains a per-scheme"
-                            " section); overrides --scheme")
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="workload iteration multiplier (default 1.0)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="best-of-N runs per workload (default 3)")
-    bench.add_argument("--record", metavar="PATH", default=None,
-                       help="also write the JSON report to PATH"
-                            " (e.g. BENCH_PR3.json at the repo root)")
-    bench.add_argument("--quick", action="store_true",
-                       help="smoke mode: scale 0.1, single repeat —"
-                            " exercises every throughput workload end"
-                            " to end in seconds (CI's crash canary),"
-                            " numbers not comparable to full runs")
-    bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                       default=None,
-                       help="skip measuring: diff two recorded bench"
-                            " reports (per-scheme/per-workload cycles/s"
-                            " delta table, warning on host-metadata"
-                            " mismatch)")
-
     profile = sub.add_parser(
-        "profile", help="cProfile one grid cell (top cumulative entries)")
+        "profile",
+        help="cProfile one throughput-suite cell (top cumulative entries)")
     profile.add_argument("--benchmark", default="chase-cold",
+                         choices=THROUGHPUT_LABELS,
                          help="throughput workload (default chase-cold)")
     profile.add_argument("--config", default="mega",
                          help="BOOM config name (default mega)")
@@ -284,7 +254,7 @@ def build_parser():
     profile.add_argument("--top", type=int, default=25,
                          help="profile entries to print (default 25)")
     profile.add_argument("--sort", default="cumulative",
-                         choices=("cumulative", "cumtime", "tottime"),
+                         choices=PROFILE_SORTS,
                          help="pstats sort key (default cumulative)")
     profile.add_argument("--json", action="store_true",
                          help="emit the top entries as JSON instead of"
@@ -294,9 +264,8 @@ def build_parser():
     pipeview = sub.add_parser(
         "pipeview",
         help="dump a Konata-compatible O3PipeView trace of one workload")
-    pipeview.add_argument("benchmark",
-                          help="throughput workload to trace (one of the"
-                               " bench suite labels, e.g. chase-cold)")
+    pipeview.add_argument("benchmark", choices=THROUGHPUT_LABELS,
+                          help="throughput workload to trace")
     pipeview.add_argument("--config", default="mega",
                           help="BOOM config name (default mega)")
     pipeview.add_argument("--scheme", default="baseline",
@@ -602,49 +571,8 @@ def cmd_schemes(args):
     return 0
 
 
-def cmd_bench(args):
-    from repro.harness.bench import format_bench_report, run_throughput_bench
-
-    if args.compare:
-        import json
-
-        from repro.harness.bench import (compare_bench_reports,
-                                         format_bench_comparison)
-
-        old_path, new_path = args.compare
-        with open(old_path) as handle:
-            old = json.load(handle)
-        with open(new_path) as handle:
-            new = json.load(handle)
-        comparison = compare_bench_reports(old, new)
-        print(format_bench_comparison(comparison))
-        return 0
-
-    scale, repeats = args.scale, args.repeats
-    if args.quick:
-        # Smoke mode: the whole suite in seconds, so CI catches
-        # throughput-path crashes; timings are not comparable.
-        scale = min(scale, 0.1)
-        repeats = 1
-    report = run_throughput_bench(
-        config=boom_config(args.config), scheme_name=args.scheme,
-        scale=scale, repeats=repeats,
-        schemes=tuple(args.schemes) if args.schemes else None,
-    )
-    text = format_bench_report(report)
-    print(text)
-    if args.record:
-        with open(args.record, "w") as handle:
-            handle.write(text)
-            handle.write("\n")
-        print("recorded to %s" % args.record, file=sys.stderr)
-    return 0
-
-
 def cmd_profile(args):
     import json
-
-    from repro.harness.bench import profile_cell
 
     report, result = profile_cell(
         benchmark=args.benchmark, config_name=args.config,
@@ -708,7 +636,6 @@ _COMMANDS = {
     "work": cmd_work,
     "store": cmd_store,
     "schemes": cmd_schemes,
-    "bench": cmd_bench,
     "profile": cmd_profile,
     "pipeview": cmd_pipeview,
     "metrics": cmd_metrics,

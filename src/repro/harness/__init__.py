@@ -179,7 +179,6 @@ cells of one benchmark generate its program once per process.
     python -m repro store stats                  # cells/segments/bytes
     python -m repro store compact                # fold + reclaim segments
     python -m repro store migrate                # legacy JSON -> segments
-    python -m repro bench --record BENCH_PR3.json
 
 ``--jobs N`` fans simulation out over N workers, ``--executor``
 selects the backend explicitly, ``--progress`` streams live ETA lines,

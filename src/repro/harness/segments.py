@@ -21,7 +21,7 @@ file per cell with two cooperating structures under the store root:
     bytes.  Each :class:`~repro.harness.store.ResultStore` instance
     appends to its own segment (allocated through the manifest, so
     concurrent writers never interleave) and seals it when it grows
-    past :data:`DEFAULT_SEGMENT_BYTES`.
+    past :data:`SEGMENT_BYTES`.
 
 ``manifest.db``
     A stdlib :mod:`sqlite3` **manifest + key index**.  The ``cells``
@@ -45,7 +45,6 @@ compaction can never alter a stored result.
 """
 
 import json
-import os
 import pathlib
 import sqlite3
 import struct
@@ -70,8 +69,7 @@ RECORD_HEADER_BYTES = _HEADER.size
 FORMAT_VERSION = "segments-v1"
 
 #: Seal threshold: a writer rolls to a fresh segment past this size.
-DEFAULT_SEGMENT_BYTES = int(
-    os.environ.get("REPRO_STORE_SEGMENT_BYTES", 8 * 1024 * 1024))
+SEGMENT_BYTES = 8 * 1024 * 1024
 
 #: zlib level for record payloads: decompression speed over ratio —
 #: bulk reads decompress every record they touch.

@@ -65,10 +65,10 @@ from repro import __version__
 from repro.core.registry import canonical_name
 from repro.harness.segments import (
     CorruptRecord,
-    DEFAULT_SEGMENT_BYTES,
     FORMAT_VERSION,
     MANIFEST_NAME,
     Manifest,
+    SEGMENT_BYTES,
     SEGMENT_DIR,
     SEGMENT_SUFFIX,
     decode_envelope,
@@ -320,9 +320,8 @@ class ResultStore:
     concurrent writers.
     """
 
-    def __init__(self, root=None, segment_bytes=None):
+    def __init__(self, root=None):
         self.root = pathlib.Path(root or DEFAULT_STORE_DIR)
-        self.segment_bytes = segment_bytes or DEFAULT_SEGMENT_BYTES
         self._manifest = None
         self._active = None  # this instance's open segment, grown lazily
         self._lock = threading.RLock()
@@ -358,7 +357,7 @@ class ResultStore:
         bytes would push it past the seal threshold."""
         active = self._active
         if (active is not None and active["offset"] > 0
-                and active["offset"] + need > self.segment_bytes):
+                and active["offset"] + need > SEGMENT_BYTES):
             self._seal_active()
             active = None
         if active is None:
@@ -848,7 +847,7 @@ class ResultStore:
                         dropped.append(row["key"])
                         continue
                     if writer is not None and writer["offset"] > 0 and \
-                            writer["offset"] + len(record) > self.segment_bytes:
+                            writer["offset"] + len(record) > SEGMENT_BYTES:
                         writer["handle"].close()
                         manifest.seal_segment(writer["id"])
                         writer = None

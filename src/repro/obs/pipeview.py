@@ -92,21 +92,16 @@ def trace_pipeline(benchmark, config=None, scheme_name="baseline",
                    scheme_kwargs=None, scale=1.0, limit=5000):
     """Trace one throughput-suite workload; returns (tracer, result).
 
-    ``benchmark`` names a workload from the canonical bench suite
-    (:data:`repro.harness.bench.THROUGHPUT_LABELS`) so pipeview output
-    is directly comparable with bench/profile numbers.
+    ``benchmark`` names a workload from the throughput suite
+    (:data:`repro.harness.bench.THROUGHPUT_LABELS`), the same workloads
+    ``profile`` runs, so a trace and a profile can describe one cell.
     """
     from repro.core.factory import make_scheme
-    from repro.harness.bench import THROUGHPUT_LABELS, throughput_suite
+    from repro.harness.bench import throughput_workload
     from repro.pipeline.config import MEGA
     from repro.pipeline.core import OoOCore
 
-    if benchmark not in THROUGHPUT_LABELS:
-        raise ValueError("unknown bench workload %r (choose from %s)"
-                         % (benchmark, ", ".join(THROUGHPUT_LABELS)))
-    for label, program, warm in throughput_suite(scale=scale):
-        if label == benchmark:
-            break
+    program, warm = throughput_workload(benchmark, scale=scale)
     tracer = PipeTracer(limit=limit)
     core = OoOCore(
         program,

@@ -131,7 +131,7 @@ def test_cli_choices_derive_from_registry():
             if option.dest in ("scheme", "schemes") and option.choices:
                 assert tuple(option.choices) == scheme_names(), option.dest
                 checked += 1
-    assert checked >= 4  # grid/serve --schemes, bench/profile --scheme
+    assert checked >= 4  # grid/serve --schemes, profile/pipeview --scheme
 
 
 def test_wire_versions_cover_every_scheme():

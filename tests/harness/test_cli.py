@@ -96,6 +96,45 @@ def test_cli_store_verify_and_gc(tmp_path, capsys):
     assert len(ResultStore(tmp_path)) == 0
 
 
+def test_cli_store_gc_rejects_misspelled_benchmark(tmp_path, capsys):
+    """A misspelled ``--benchmarks`` name is a usage error, not a kept
+    grid that matches nothing: gc must not evict the store."""
+    assert main(["grid", "--scale", "0.05", "--benchmarks", BENCH,
+                 "--configs", "small", "--schemes", "baseline",
+                 "--store-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["store", "gc", "--store-dir", str(tmp_path),
+              "--scale", "0.05", "--benchmarks", "503.bwavez"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "503.bwavez" in err
+    assert BENCH in err  # names the valid benchmarks
+    assert len(ResultStore(tmp_path)) == 1
+
+    # Spelled right, the same gc keeps the cell.
+    assert main(["store", "gc", "--store-dir", str(tmp_path),
+                 "--scale", "0.05", "--benchmarks", BENCH]) == 0
+    assert "1 kept, 0 dropped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--benchmarks", "nope"],
+    ["run", "table1", "--benchmarks", "nope"],
+    ["profile", "--benchmark", "nope"],
+    ["pipeview", "nope"],
+], ids=lambda argv: argv[0])
+def test_cli_unknown_benchmark_is_a_usage_error(tmp_path, monkeypatch,
+                                                capsys, argv):
+    monkeypatch.chdir(tmp_path)  # where a default store would appear
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "nope" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_store_failures(tmp_path, capsys):
     from repro.harness.store import CellFailure
 
@@ -143,18 +182,6 @@ def test_cli_serve_writes_journal_and_resumes(tmp_path, capsys):
     assert resumed.sessions == 2 and len(resumed.done) == 1
 
 
-def test_cli_bench_record(tmp_path, capsys):
-    record = tmp_path / "BENCH_TEST.json"
-    code = main(["bench", "--scale", "0.02", "--repeats", "1",
-                 "--record", str(record)])
-    assert code == 0
-    report = json.loads(record.read_text())
-    assert report["benchmark"] == "simulator_throughput"
-    assert report["aggregate"]["cycles"] > 0
-    printed = json.loads(capsys.readouterr().out)
-    assert printed["aggregate"] == report["aggregate"]
-
-
 def test_cli_accepts_underscore_scheme_aliases(tmp_path, capsys):
     """Registry aliases (stt_rename) must survive argparse choices."""
     code = main(["grid", "--scale", "0.05", "--benchmarks", BENCH,
@@ -183,85 +210,6 @@ def test_cli_schemes_lists_registry(capsys):
     for spec in iter_specs():
         assert spec.name in out
     assert "split_store_taints" in out  # kwargs schema printed
-
-
-def test_cli_bench_multi_scheme(tmp_path, capsys):
-    record = tmp_path / "BENCH_MULTI.json"
-    code = main(["bench", "--scale", "0.02", "--repeats", "1",
-                 "--schemes", "baseline", "nda",
-                 "--record", str(record)])
-    assert code == 0
-    report = json.loads(record.read_text())
-    assert set(report["schemes"]) == {"baseline", "nda"}
-    for section in report["schemes"].values():
-        assert section["aggregate"]["cycles"] > 0
-    assert report["aggregate"]["cycles"] == sum(
-        s["aggregate"]["cycles"] for s in report["schemes"].values())
-
-
-def test_cli_bench_compare(tmp_path, capsys):
-    old = tmp_path / "OLD.json"
-    new = tmp_path / "NEW.json"
-    assert main(["bench", "--scale", "0.02", "--repeats", "1",
-                 "--schemes", "baseline", "--record", str(old)]) == 0
-    capsys.readouterr()
-    # Doctor the "new" report: +10% cycles/s everywhere, foreign host.
-    report = json.loads(old.read_text())
-    for section in report["schemes"].values():
-        for row in section["workloads"] + [section["aggregate"]]:
-            row["cycles_per_second"] = round(
-                row["cycles_per_second"] * 1.1, 1)
-    report["aggregate"]["cycles_per_second"] = round(
-        report["aggregate"]["cycles_per_second"] * 1.1, 1)
-    report["host"] = dict(report["host"], platform="other-box")
-    new.write_text(json.dumps(report))
-
-    assert main(["bench", "--compare", str(old), str(new)]) == 0
-    out = capsys.readouterr().out
-    assert "scheme: baseline" in out
-    assert "+10.0%" in out
-    assert "1.100x" in out
-    assert "different hosts" in out
-    assert "platform" in out
-
-    # Same report on both sides: clean table, no warning.
-    assert main(["bench", "--compare", str(old), str(old)]) == 0
-    out = capsys.readouterr().out
-    assert "different hosts" not in out
-    assert "1.000x" in out
-
-
-def test_compare_bench_reports_shapes():
-    """Single-scheme and multi-scheme report shapes are comparable,
-    and one-sided schemes/workloads surface instead of vanishing."""
-    from repro.harness.bench import compare_bench_reports
-
-    host = {"python": "3", "implementation": "C", "platform": "p",
-            "cpu_count": 1}
-    single = {
-        "scheme": "baseline", "config": "mega", "scale": 1.0,
-        "host": host,
-        "workloads": [{"workload": "mixed", "cycles_per_second": 100.0}],
-        "aggregate": {"cycles_per_second": 100.0},
-    }
-    multi = {
-        "config": "mega", "scale": 1.0, "host": host,
-        "schemes": {
-            "baseline": {
-                "workloads": [{"workload": "mixed",
-                               "cycles_per_second": 150.0}],
-                "aggregate": {"cycles_per_second": 150.0},
-            },
-            "nda": {"workloads": [], "aggregate": {}},
-        },
-        "aggregate": {"cycles_per_second": 150.0},
-    }
-    comparison = compare_bench_reports(single, multi)
-    assert comparison["host_mismatches"] == []
-    assert comparison["only_new"] == ["nda"]
-    row = comparison["schemes"]["baseline"]["workloads"][0]
-    assert row["speedup"] == 1.5 and row["delta_pct"] == 50.0
-    assert comparison["aggregate"]["speedup"] == 1.5
 
 
 def test_cli_grid_populates_program_disk_cache(tmp_path, capsys):
@@ -356,12 +304,3 @@ def test_cli_grid_progress_json(tmp_path, capsys):
     assert err_lines, "no JSONL progress emitted"
     snap = json.loads(err_lines[-1])
     assert snap["done"] == snap["total"] == 1
-
-
-def test_cli_bench_reports_host_metadata(tmp_path):
-    record = tmp_path / "BENCH_HOST.json"
-    assert main(["bench", "--scale", "0.02", "--repeats", "1",
-                 "--record", str(record)]) == 0
-    host = json.loads(record.read_text())["host"]
-    assert host["python"] and host["platform"]
-    assert host["cpu_count"] >= 1

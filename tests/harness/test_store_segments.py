@@ -15,7 +15,13 @@ import threading
 
 import pytest
 
-from repro.harness.segments import MANIFEST_NAME, SEGMENT_DIR, SEGMENT_SUFFIX
+from repro.harness import store as store_module
+from repro.harness.segments import (
+    MANIFEST_NAME,
+    SEGMENT_DIR,
+    SEGMENT_SUFFIX,
+    Manifest,
+)
 from repro.harness.store import (
     MODEL_VERSION,
     ResultStore,
@@ -263,6 +269,37 @@ def test_compact_folds_single_cell_segments(tmp_path):
     reloaded = ResultStore(tmp_path)
     for index in range(8):
         assert (reloaded.load(synthetic_key(index)).to_dict()
+                == synthetic_result(index).to_dict())
+
+
+def test_segments_roll_at_the_seal_threshold(tmp_path, monkeypatch):
+    # A synthetic record is about 2.7 kB compressed: a threshold of a
+    # few records makes saving, then compacting, cross it many times.
+    monkeypatch.setattr(store_module, "SEGMENT_BYTES", 8 * 1024)
+    keys = populate(tmp_path, 20)
+    saved = segment_files(tmp_path)
+    assert len(saved) >= 3
+    assert all(path.stat().st_size <= 8 * 1024 for path in saved)
+    store = ResultStore(tmp_path)
+    for index, key in enumerate(keys):
+        assert store.load(key).to_dict() == synthetic_result(index).to_dict()
+    assert store.verify() == {"scanned": 20, "kept": 20, "corrupt": 0,
+                              "stale": 0}
+
+    # Compaction packs fuller segments but still rolls at the threshold.
+    monkeypatch.setattr(store_module, "SEGMENT_BYTES", 20 * 1024)
+    summary = store.compact()
+    assert summary["cells"] == 20
+    assert 1 < summary["segments_after"] < len(saved)
+    compacted = segment_files(tmp_path)
+    assert len(compacted) == summary["segments_after"]
+    assert all(path.stat().st_size <= 20 * 1024 for path in compacted)
+    manifest = Manifest(tmp_path / MANIFEST_NAME)
+    assert [row[2] for row in manifest.segments()] == [1] * len(compacted)
+    manifest.close()
+    reloaded = ResultStore(tmp_path)
+    for index, key in enumerate(keys):
+        assert (reloaded.load(key).to_dict()
                 == synthetic_result(index).to_dict())
 
 
