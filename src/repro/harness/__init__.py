@@ -29,15 +29,20 @@ zlib(canonical JSON)`` where the JSON payload is the envelope
 ``{"key", "model_version", "meta", "result"}``.  Inside ``result``
 the final memory image is packed as contiguous runs in ascending
 address order, ``[[base, [v0, v1, ...]], ...]`` (see
-:meth:`~repro.pipeline.core.SimulationResult.to_dict`); records
-written by 1.1.0 before the packed form hold a ``{"address": value}``
-object instead, and every read path — ``load``, ``load_many``, the
-lazy results' ``memory`` — decodes both through
-:func:`~repro.pipeline.core.unpack_memory`, so such stores stay valid
-under the same model version.  The manifest's ``cells`` table maps
-every *full* 64-hex key to its segment/offset/length and carries the
-benchmark/config/scheme columns, hot counters, and a per-cell
-statistics blob: ``keys()`` and ``len()`` are pure index reads, and
+:meth:`~repro.pipeline.core.SimulationResult.to_dict`).  A campaign
+cell packs only the words that differ from its program's initial
+image, and ``memory_base`` names that image by its digest; the
+envelope's ``meta`` (benchmark, scale, seed) names the program, and
+every read path — ``load``, ``load_many``, the lazy results'
+``memory`` — rebuilds the whole image against it through
+:func:`~repro.pipeline.core.decode_memory`.  Records without
+``memory_base`` hold the whole image: packed, or, if written by 1.1.0
+before the packed form, a ``{"address": value}`` object; both still
+load, so such stores stay valid under the same model version.  The
+manifest's ``cells`` table maps every *full* 64-hex key to its
+segment/offset/length and carries the benchmark/config/scheme
+columns, hot counters, and a per-cell statistics blob: ``keys()`` and
+``len()`` are pure index reads, and
 ``load_many`` and ``iter_results`` return lazily-decoded results —
 statistics come from the manifest, snapshot payloads decompress only
 when touched — so analysis passes that read statistics do zero segment

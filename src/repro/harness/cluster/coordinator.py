@@ -58,6 +58,7 @@ from repro.harness.cluster.protocol import (
 from repro.harness.store import CellFailure, simulation_key
 from repro.obs import TelemetryAggregate
 from repro.pipeline.core import SimulationResult
+from repro.workloads.program_cache import cached_spec_program
 
 #: Seconds a worker may stay silent before it is declared dead.
 DEFAULT_HEARTBEAT_TIMEOUT = 10.0
@@ -471,7 +472,19 @@ class ClusterCoordinator:
                 "spec": spec_to_wire(spec)}
 
     def _complete(self, name, cell_id, result_data, telemetry=None):
-        result = SimulationResult.from_dict(result_data)
+        # The worker coded the cell's memory against its program's
+        # initial image; rebuild the whole image, which is what results
+        # handed to on_result and results() carry.  A frame that does
+        # not decode is the worker's fault: drop it, requeue the cell.
+        try:
+            benchmark, _config, _scheme, _kwargs, scale, seed = \
+                self._specs[cell_id]
+            result = SimulationResult.from_dict(
+                result_data,
+                cached_spec_program(benchmark, scale=scale, seed=seed))
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ProtocolError("undecodable result for cell %r: %s: %s"
+                                % (cell_id, type(exc).__name__, exc))
         with self._lock:
             state = self._workers.get(name)
             if state is not None:

@@ -50,6 +50,18 @@ whose ``memory`` is a list of contiguous runs,
 ``.items()`` on the list, so the bump makes a mixed pair refuse at
 ``hello`` rather than fail on the first result.
 
+**Memory deltas** (protocol generation 4).  A ``result`` frame's
+``memory`` holds only the words that differ from the cell's program's
+initial image, and ``memory_base`` names that image by its digest
+(``SimulationResult.to_dict(program)``): a campaign cell changes a
+handful of its thousands of words, so the frame shrinks from tens of
+kilobytes to under 2 KiB.  The coordinator rebuilds the whole image
+against its own copy of the program, and treats a frame that does not
+decode — a malformed image, or a delta against another image — as a
+protocol error: the worker is dropped and its cell requeued.  A
+generation-3 coordinator would read the delta as the whole image,
+hence the bump.
+
 **Cell specs on the wire.**  :func:`spec_to_wire` expands a spec tuple
 into plain JSON — the *complete* ``CoreConfig`` parameter record
 travels with every cell (via ``CoreConfig.to_dict`` /
@@ -93,10 +105,11 @@ from repro.pipeline.config import config_from_dict
 #: Protocol generation, exchanged in hello/welcome; mismatches refuse.
 #: 2: structured error frames (``failure_kind``/``traceback``).
 #: 3: result frames carry the packed-run memory image.
-PROTOCOL_VERSION = 3
+#: 4: result frames carry the memory words a cell changed.
+PROTOCOL_VERSION = 4
 
-#: Upper bound on one frame's payload (a full SimulationResult for a
-#: large cell is ~100 KiB; 64 MiB is comfortably above any real frame).
+#: Upper bound on one frame's payload (a campaign cell's result frame
+#: is under 2 KiB; 64 MiB is comfortably above any real frame).
 MAX_FRAME_BYTES = 64 << 20
 
 _LENGTH = struct.Struct(">I")

@@ -59,6 +59,7 @@ from repro.harness.cluster.protocol import (
 )
 from repro.harness.parallel import last_cell_diagnostics, simulate_cell
 from repro.obs import cell_telemetry
+from repro.workloads.program_cache import cached_spec_program
 
 #: Fraction of the coordinator's timeout at which workers heartbeat.
 DEFAULT_HEARTBEAT_INTERVAL = 2.0
@@ -357,8 +358,11 @@ class ClusterWorker:
             return
         # Telemetry rides beside the result, never inside it: stored
         # results must stay byte-identical across backends and runs.
+        # The memory image travels as the words the cell changed.
+        benchmark, _config, _scheme, _kwargs, scale, seed = spec
+        program = cached_spec_program(benchmark, scale=scale, seed=seed)
         frame = {"kind": "result", "cell_id": cell_id,
-                 "result": result.to_dict(),
+                 "result": result.to_dict(program),
                  "telemetry": cell_telemetry(
                      result, wall, peak_rss_kb=self._peak_rss_kb(),
                      diagnostics=diagnostics)}

@@ -34,6 +34,16 @@ benchmark/config/scheme columns plus per-cell statistics, so
 statistics come from the manifest — a pass that reads only statistics
 never decompresses a snapshot.
 
+A campaign cell's record stores its final memory image as the few
+words that differ from its program's initial image (see
+:meth:`~repro.pipeline.core.SimulationResult.to_dict`), about 2 KiB
+instead of up to 116 kB.  The ``benchmark``/``scale``/``seed`` meta the
+runner writes beside each result names that program, so every read
+path rebuilds the whole image against
+:func:`~repro.workloads.program_cache.cached_spec_program` — lazily,
+when ``memory`` is read.  Records whose meta names no SPEC proxy, and
+those written before deltas, hold the whole image and load unchanged.
+
 Segment files are the only format the store reads.  The JSON-file-per-
 cell layout of earlier releases (one ``<prefix>__<digest12>.json`` per
 cell in the store root) is invisible to every read path until
@@ -76,8 +86,9 @@ from repro.harness.segments import (
     pack_record,
     unpack_record,
 )
-from repro.pipeline.core import SimulationResult, unpack_memory
+from repro.pipeline.core import SimulationResult, decode_memory
 from repro.pipeline.stats import SimStats
+from repro.workloads.program_cache import cached_spec_program
 
 #: Stamp hashed into every key; results computed by a different model
 #: version are invisible (their keys differ), never silently reused.
@@ -216,15 +227,29 @@ def _unpickle_stats(blob):
     return obj if isinstance(obj, SimStats) else None
 
 
+def _cell_program(meta):
+    """The program a campaign cell simulated, named by the
+    ``benchmark``/``scale``/``seed`` meta the runner writes beside its
+    result; ``None`` when ``meta`` names no SPEC proxy."""
+    try:
+        return cached_spec_program(meta["benchmark"], scale=meta["scale"],
+                                   seed=meta["seed"])
+    except (KeyError, TypeError):
+        return None
+
+
 class _StoredResult(SimulationResult):
     """A stored result whose heavy fields decode on first access.
 
     Identity (names, halted, cycles) and statistics come straight from
     the manifest row; the architectural snapshot (``regs``/``memory``/
-    ``extra``) — the bulk of every payload — is only read and
-    decompressed from its segment when actually touched.  This is what
-    makes ``load_many`` and ``iter_results`` over 10^4 cells an index
-    scan instead of 10^4 decompress+parse round trips.
+    ``extra``) is only read and decompressed from its segment when
+    actually touched.  This is what makes ``load_many`` and
+    ``iter_results`` over 10^4 cells an index scan instead of 10^4
+    decompress+parse round trips.  ``memory`` decodes later still: a
+    campaign cell's record holds only the words it changed, and
+    rebuilding the image needs the cell's program, which reading
+    ``regs``, ``extra`` or the statistics never generates.
     """
 
     @classmethod
@@ -252,8 +277,8 @@ class _StoredResult(SimulationResult):
         d = self.__dict__
         d.setdefault("_stats", SimStats.from_dict(data["stats"]))
         d["_regs"] = list(data["regs"])
-        d["_memory"] = unpack_memory(data["memory"])
         d["_extra"] = dict(data.get("extra", {}))
+        d["_envelope"] = env
 
     @property
     def stats(self):
@@ -282,9 +307,14 @@ class _StoredResult(SimulationResult):
 
     @property
     def memory(self):
-        if "_memory" not in self.__dict__:
-            self._materialise()
-        return self.__dict__["_memory"]
+        d = self.__dict__
+        if "_memory" not in d:
+            if "_envelope" not in d:
+                self._materialise()
+            env = d.pop("_envelope")
+            d["_memory"] = decode_memory(env["result"],
+                                         _cell_program(env.get("meta")))
+        return d["_memory"]
 
     @memory.setter
     def memory(self, value):
@@ -527,7 +557,8 @@ class ResultStore:
         if env is None:
             return None
         try:
-            return SimulationResult.from_dict(env["result"])
+            return SimulationResult.from_dict(
+                env["result"], _cell_program(env.get("meta")))
         except (ValueError, KeyError, TypeError):
             return None
 
@@ -550,13 +581,16 @@ class ResultStore:
         """Persist one result; returns the segment path it landed in.
 
         Appends a record to this instance's segment and indexes it in
-        the manifest.
+        the manifest.  When ``meta`` names the cell's benchmark, scale
+        and seed, as the runner's does, the memory image is stored as
+        the words that differ from the program's initial image.
         """
+        meta = dict(meta or {})
         envelope = {
             "key": key,
             "model_version": MODEL_VERSION,
-            "meta": dict(meta or {}),
-            "result": result.to_dict(),
+            "meta": meta,
+            "result": result.to_dict(_cell_program(meta)),
         }
         return self._append_envelope(envelope, stats=result.stats)
 
@@ -664,7 +698,8 @@ class ResultStore:
         """Integrity sweep: quarantine corrupt cells, drop stale ones.
 
         Every record is re-read and validated (frame + CRC + JSON + key
-        match + :meth:`SimulationResult.from_dict` round-trip).  A
+        match + :meth:`SimulationResult.from_dict` round-trip, a delta
+        record against its cell's program).  A
         segment holding any corrupt record has its healthy records
         salvaged into a fresh segment, then the whole file is set aside
         with a ``.corrupt`` suffix — out of the index, preserved for
@@ -708,7 +743,9 @@ class ResultStore:
                         key = env["key"]
                         if (isinstance(key, str) and len(key) == 64
                                 and key == row["key"]):
-                            SimulationResult.from_dict(env["result"])
+                            SimulationResult.from_dict(
+                                env["result"],
+                                _cell_program(env.get("meta")))
                             verdict = (
                                 "kept" if env.get("model_version")
                                 == MODEL_VERSION else "stale")

@@ -1,6 +1,9 @@
 """Program container: instructions plus initial machine state."""
 
+import hashlib
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass
@@ -26,6 +29,21 @@ class Program:
 
     def __getitem__(self, pc):
         return self.instructions[pc]
+
+    @cached_property
+    def image_digest(self):
+        """SHA-256 (hex) naming :attr:`initial_memory` by its content.
+
+        A result coded as a delta against this image records it (see
+        :meth:`~repro.pipeline.core.SimulationResult.to_dict`).  Computed
+        once per program: programs are read-only once built, and the
+        program cache shares one per workload.
+        """
+        addresses = sorted(self.initial_memory)
+        blob = json.dumps(
+            [addresses, list(map(self.initial_memory.__getitem__, addresses))],
+            separators=(",", ":"))
+        return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
     def validate(self):
         """Check structural sanity; raises ValueError on problems.

@@ -247,6 +247,30 @@ def unpack_memory(data):
     return memory
 
 
+def decode_memory(data, program=None):
+    """The final memory image held by the :meth:`SimulationResult.to_dict`
+    record ``data``.
+
+    A delta record (one naming a ``memory_base``) is rebuilt on
+    ``program``'s initial image, and raises ``ValueError`` unless that
+    image is the one it names.  Any other record holds the whole image,
+    whatever ``program`` is.
+    """
+    memory = unpack_memory(data["memory"])
+    digest = data.get("memory_base")
+    if digest is None:
+        return memory
+    if program is None or program.image_digest != digest:
+        raise ValueError(
+            "memory is a delta against image %s; %s" % (
+                digest, "no program given" if program is None
+                else "%s's image is %s" % (program.name,
+                                           program.image_digest)))
+    image = dict(program.initial_memory)
+    image.update(memory)
+    return image
+
+
 @dataclass
 class SimulationResult:
     """Outcome of one simulation run."""
@@ -265,38 +289,62 @@ class SimulationResult:
     def ipc(self):
         return self.stats.ipc
 
-    def to_dict(self):
+    def to_dict(self, program=None):
         """JSON-serialisable form (see :meth:`from_dict` for the inverse).
 
         ``memory`` is packed by :func:`pack_memory` into contiguous runs
-        in ascending address order, ``[[base, [v0, v1, ...]], ...]``:
-        a SPEC proxy's image is a handful of runs, not one string key
-        per word.  :meth:`from_dict` also reads the legacy
-        ``{"address": value}`` object (see :func:`unpack_memory`), so
-        results stored before the packed form load unchanged.
+        in ascending address order, ``[[base, [v0, v1, ...]], ...]``.
+        Given the ``program`` the result was simulated from, only the
+        words that differ from its initial image are packed, and
+        ``memory_base`` names that image by its
+        :attr:`~repro.isa.program.Program.image_digest`: a campaign cell
+        changes a handful of its thousands of words.  Without a program,
+        or when the final image lacks one of the initial image's
+        addresses (the core normalises out-of-range initial addresses),
+        the runs hold the whole image and ``memory_base`` is absent.
+        :meth:`from_dict` also reads the legacy ``{"address": value}``
+        object (see :func:`unpack_memory`), so results stored before the
+        packed form load unchanged.
         """
-        return {
+        memory = self.memory
+        base = program.initial_memory if program is not None else {}
+        delta = {addr: value for addr, value in memory.items()
+                 if base.get(addr) != value}
+        # Every final address but the delta's new ones is a base
+        # address.  Fewer of them than the base holds means the core
+        # normalised an initial address away: code the whole image.
+        if len(memory) - sum(addr not in base for addr in delta) != len(base):
+            delta, base = memory, {}
+        data = {
             "program_name": self.program_name,
             "scheme_name": self.scheme_name,
             "config_name": self.config_name,
             "stats": self.stats.to_dict(),
             "regs": list(self.regs),
-            "memory": pack_memory(self.memory),
+            "memory": pack_memory(delta),
             "halted": self.halted,
             "cycles": self.cycles,
             "extra": dict(self.extra),
         }
+        if base:
+            data["memory_base"] = program.image_digest
+        return data
 
     @classmethod
-    def from_dict(cls, data):
-        """Rebuild a result from :meth:`to_dict` output (e.g. JSON)."""
+    def from_dict(cls, data, program=None):
+        """Rebuild a result from :meth:`to_dict` output (e.g. JSON).
+
+        A record coded against a program needs that ``program`` back:
+        another program, or none, raises ``ValueError`` (see
+        :func:`decode_memory`).
+        """
         return cls(
             program_name=data["program_name"],
             scheme_name=data["scheme_name"],
             config_name=data["config_name"],
             stats=SimStats.from_dict(data["stats"]),
             regs=list(data["regs"]),
-            memory=unpack_memory(data["memory"]),
+            memory=decode_memory(data, program),
             halted=data["halted"],
             cycles=data.get("cycles", 0),
             extra=dict(data.get("extra", {})),

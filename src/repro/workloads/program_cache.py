@@ -71,6 +71,7 @@ from repro.workloads.generator import GENERATOR_VERSION, generate_program
 
 _CACHE = {}
 _TRACE_CACHE = {}
+_SPEC_KEYS = {}
 _LOCK = threading.Lock()
 _STATS = {"hits": 0, "misses": 0, "disk_hits": 0,
           "trace_hits": 0, "trace_misses": 0, "trace_disk_hits": 0}
@@ -96,12 +97,30 @@ def trace_key(profile, seed):
     and seed all participate) plus the trace format version: bumping
     either invalidates persisted traces without touching programs.
     """
+    return _trace_key(program_key(profile, seed))
+
+
+def _trace_key(source_key):
     payload = {
         "trace_format_version": TRACE_FORMAT_VERSION,
-        "program_key": program_key(profile, seed),
+        "program_key": source_key,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _spec_keys(benchmark, scale, seed):
+    """``(scaled profile, program key, trace key)`` of one SPEC proxy,
+    memoised per (benchmark, scale, seed): every cell asks for its
+    program and trace several times, and a key costs a JSON encoding
+    and two SHA-256 digests."""
+    memo = (benchmark, scale, seed)
+    keys = _SPEC_KEYS.get(memo)
+    if keys is None:
+        profile = scaled_profile(SPEC_PROFILES[benchmark], scale)
+        key = program_key(profile, seed)
+        keys = _SPEC_KEYS[memo] = (profile, key, _trace_key(key))
+    return keys
 
 
 def scaled_profile(profile, scale):
@@ -234,7 +253,10 @@ def _trace_disk_store(key, trace):
 
 def cached_program(profile, seed=2017):
     """Generate ``profile``'s program, memoised by content."""
-    key = program_key(profile, seed)
+    return _cached_program(program_key(profile, seed), profile, seed)
+
+
+def _cached_program(key, profile, seed):
     with _LOCK:
         program = _CACHE.get(key)
         if program is not None:
@@ -261,8 +283,8 @@ def cached_spec_program(benchmark, scale=1.0, seed=2017):
     Raises ``KeyError`` for unknown benchmark names, exactly like the
     uncached suite path, so callers' error handling is unchanged.
     """
-    return cached_program(scaled_profile(SPEC_PROFILES[benchmark], scale),
-                          seed=seed)
+    profile, key, _trace = _spec_keys(benchmark, scale, seed)
+    return _cached_program(key, profile, seed)
 
 
 def cached_trace(profile, seed=2017):
@@ -274,7 +296,11 @@ def cached_trace(profile, seed=2017):
     cache.  Traces are safe to share — the replayer only ever reads
     the columns.
     """
-    key = trace_key(profile, seed)
+    key = program_key(profile, seed)
+    return _cached_trace(_trace_key(key), key, profile, seed)
+
+
+def _cached_trace(key, source_key, profile, seed):
     with _LOCK:
         trace = _TRACE_CACHE.get(key)
         if trace is not None:
@@ -284,7 +310,7 @@ def cached_trace(profile, seed=2017):
     # Disk lookup and recording happen outside the lock; a racing
     # thread may record the same (deterministic, identical) trace
     # twice — harmless.
-    program = cached_program(profile, seed=seed)
+    program = _cached_program(source_key, profile, seed)
     trace = _trace_disk_load(key)
     if trace is not None:
         try:
@@ -307,8 +333,8 @@ def cached_spec_trace(benchmark, scale=1.0, seed=2017):
     Raises ``KeyError`` for unknown benchmark names, matching
     :func:`cached_spec_program`.
     """
-    return cached_trace(scaled_profile(SPEC_PROFILES[benchmark], scale),
-                        seed=seed)
+    profile, key, trace = _spec_keys(benchmark, scale, seed)
+    return _cached_trace(trace, key, profile, seed)
 
 
 def cache_stats():
@@ -324,5 +350,6 @@ def clear_cache():
     with _LOCK:
         _CACHE.clear()
         _TRACE_CACHE.clear()
+        _SPEC_KEYS.clear()
         for counter in _STATS:
             _STATS[counter] = 0

@@ -362,6 +362,58 @@ def test_late_result_clears_quarantine_first_result_wins():
         coordinator.close()
 
 
+def test_undecodable_result_drops_its_worker_and_requeues_the_cell(
+        monkeypatch):
+    # A result frame the coordinator cannot decode (a malformed memory
+    # image, or a delta against another program's image) is the
+    # worker's fault: the worker is dropped and its cell requeued, as
+    # for a corrupt frame.  No serve thread dies, and the cell still
+    # completes with the serial result.
+    from repro.workloads.program_cache import cached_spec_program
+
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    spec = ("503.bwaves", SMALL, "baseline", (), 0.05, 2017)
+    serial = run_cells([spec], jobs=1)[0]
+    malformed = serial.to_dict()
+    malformed["memory"] = 5
+    foreign = serial.to_dict(
+        cached_spec_program("503.bwaves", scale=0.05, seed=2017))
+    foreign["memory_base"] = cached_spec_program(
+        "548.exchange2", scale=0.05, seed=2017).image_digest
+
+    coordinator = ClusterCoordinator([spec], heartbeat_timeout=30.0)
+    coordinator.start()
+    try:
+        host, port = coordinator.address
+        for bad in (malformed, foreign):
+            conn = socket.create_connection((host, port), timeout=5)
+            try:
+                send_frame(conn, {"kind": "hello", "worker": "garbled",
+                                  "protocol": PROTOCOL_VERSION,
+                                  "schemes": scheme_wire_versions()})
+                assert recv_frame(conn)["kind"] == "welcome"
+                send_frame(conn, {"kind": "steal"})
+                assert recv_frame(conn)["cell_id"] == 0
+                send_frame(conn, {"kind": "result", "cell_id": 0,
+                                  "result": bad})
+                assert recv_frame(conn) is None  # dropped, never ack'd
+            finally:
+                conn.close()
+        assert coordinator.stats()["requeues"] == 2
+
+        _worker, thread = start_worker(host, port, name="honest")
+        assert coordinator.wait(timeout=60)
+        thread.join(timeout=30)
+        (result,) = coordinator.results()
+        assert result.to_dict() == serial.to_dict()
+    finally:
+        coordinator.close()
+        for thread in coordinator._threads:
+            thread.join(timeout=30)
+    assert raised == []
+
+
 def test_worker_reconnects_after_injected_frame_drop():
     from repro.harness.cluster import Fault, FaultPlan
 

@@ -4,8 +4,9 @@ Complements the API-contract tests in ``test_campaign.py`` with the
 format-level guarantees the segment store introduces: full-key
 indexing (no digest-prefix ambiguity), O(index) key listing,
 writer/reader interleaving, torn-record crash recovery, corrupt
-segment quarantine, and migrating JSON-per-cell stores from earlier
-releases, which no read path serves until then.
+segment quarantine, migrating JSON-per-cell stores from earlier
+releases, which no read path serves until then, and campaign cells
+whose memory is stored as the words they changed.
 """
 
 import json
@@ -446,3 +447,88 @@ def test_lazy_results_survive_compaction(tmp_path):
     # through the manifest instead of failing.
     for index, key in enumerate(keys):
         assert loaded[key].to_dict() == synthetic_result(index).to_dict()
+
+
+# ----------------------------------------------------------------------
+# Campaign cells: memory stored as the words the cell changed.
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def campaign_cell(tmp_path_factory):
+    """One real campaign cell saved by the runner: ``(store root, key,
+    simulated result)``."""
+    from repro.harness.runner import CampaignRunner
+    from repro.pipeline.config import MEGA
+
+    root = tmp_path_factory.mktemp("campaign")
+    store = ResultStore(root)
+    runner = CampaignRunner(scale=0.05, benchmarks=("503.bwaves",),
+                            store=store)
+    result = runner.run("503.bwaves", MEGA, "stt-rename")
+    store.close()
+    return root, runner.cell_key("503.bwaves", MEGA, "stt-rename"), result
+
+
+def test_campaign_cell_stores_only_the_words_it_changed(campaign_cell):
+    root, key, result = campaign_cell
+    store = ResultStore(root)
+    # The cell's whole image alone is 116 kB of JSON.
+    stats = store.stats()
+    assert stats["cells"] == 1 and stats["raw_bytes"] <= 4096
+    assert "memory_base" in store.load_envelope(key)["result"]
+    assert store.load(key).memory == result.memory
+    lazy = store.load_many([key])[key]
+    assert isinstance(lazy, _StoredResult)
+    assert lazy.memory == result.memory
+    assert lazy.to_dict() == result.to_dict()
+    assert store.verify() == {"scanned": 1, "kept": 1, "corrupt": 0,
+                              "stale": 0}
+
+
+def test_whole_image_envelope_of_a_campaign_cell_still_loads(
+        campaign_cell, tmp_path):
+    # Written before deltas: the same meta, the whole image, no base.
+    root, key, result = campaign_cell
+    envelope = ResultStore(root).load_envelope(key)
+    envelope["result"] = result.to_dict()
+    assert "memory_base" not in envelope["result"]
+    store = ResultStore(tmp_path)
+    store._append_envelope(envelope)
+    assert store.load(key).memory == result.memory
+    assert store.load_many([key])[key].memory == result.memory
+    assert store.verify()["kept"] == 1
+
+
+def test_delta_named_against_another_program_does_not_load(
+        campaign_cell, tmp_path):
+    root, key, _result = campaign_cell
+    envelope = ResultStore(root).load_envelope(key)
+    envelope["meta"]["benchmark"] = "505.mcf"
+    store = ResultStore(tmp_path)
+    store._append_envelope(envelope)
+    assert store.load(key) is None  # a miss: the runner re-simulates
+    with pytest.raises(ValueError, match="delta against image"):
+        store.load_many([key])[key].memory
+
+
+def test_reading_regs_or_stats_of_a_delta_cell_generates_no_program(
+        campaign_cell, monkeypatch):
+    root, key, result = campaign_cell
+    calls = []
+    resolve = store_module.cached_spec_program
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(store_module, "cached_spec_program", counting)
+    for cell in (ResultStore(root).load_many([key])[key],
+                 next(ResultStore(root).iter_results())):
+        del calls[:]
+        assert cell.stats.to_dict() == result.stats.to_dict()
+        assert cell.regs == result.regs
+        assert cell.extra == result.extra
+        assert calls == []
+        # Only the memory image needs the cell's program.
+        assert cell.memory == result.memory
+        assert calls == [("503.bwaves",)]

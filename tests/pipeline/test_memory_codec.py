@@ -1,8 +1,11 @@
 """The memory-image codec and the core's initial architectural state.
 
 ``SimulationResult.to_dict`` packs the final memory image into
-contiguous runs; ``from_dict`` (and the store's lazy decoder, through
-the same :func:`unpack_memory`) still reads the legacy
+contiguous runs; given the program the result was simulated from, it
+packs only the words that differ from the program's initial image.
+``from_dict`` (and the store's lazy decoder, through the same
+:func:`decode_memory`) rebuilds the image against that program only,
+and still reads whole images: packed, or the legacy
 ``{"address": value}`` object every 1.1.0 store and the golden fixture
 hold.  The core loads ``.reg``/``.word`` values exactly as the
 reference interpreter does, so both start — and end — in the same
@@ -16,11 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MEGA, OoOCore, assemble, make_scheme
+from repro.harness.parallel import simulate_cell
 from repro.isa.interp import run_reference
+from repro.isa.program import Program
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.isa.trace import record_trace
 from repro.pipeline.core import SimulationResult, pack_memory, unpack_memory
 from repro.pipeline.stats import SimStats
+from repro.workloads.characteristics import SPEC_BENCHMARKS
+from repro.workloads.program_cache import cached_spec_program
 
 _ADDRESS = st.integers(min_value=0, max_value=2**64 - 1)
 _WORD = st.integers(min_value=-(2**63), max_value=2**63 - 1)
@@ -82,6 +89,55 @@ def test_legacy_object_decodes_to_the_same_image():
     data = _result(memory).to_dict()
     data["memory"] = legacy
     assert SimulationResult.from_dict(data).memory == memory
+    # A whole image reads the same whatever program is passed.
+    other = Program([], initial_memory={4096: 1}, name="other")
+    assert SimulationResult.from_dict(data, other).memory == memory
+
+
+# ----------------------------------------------------------------------
+# Deltas against the program's initial image.
+# ----------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(_IMAGES, _IMAGES, st.booleans())
+def test_delta_round_trip(base, writes, drop):
+    # A final image is the initial one with some words written, and
+    # (where the core normalised an address away) one word missing.
+    memory = {**base, **writes}
+    if drop and base:
+        del memory[min(base)]
+    program = Program([], initial_memory=base, name="base")
+    data = json.loads(json.dumps(_result(memory).to_dict(program)))
+    assert SimulationResult.from_dict(data, program).memory == memory
+    if base and base.keys() <= memory.keys():
+        assert data["memory_base"] == program.image_digest
+        assert unpack_memory(data["memory"]) == {
+            addr: value for addr, value in memory.items()
+            if base.get(addr) != value}
+    else:
+        # An empty base, or one the final image lacks an address of,
+        # codes the whole image.
+        assert "memory_base" not in data
+        assert unpack_memory(data["memory"]) == memory
+
+
+def test_every_spec_proxy_codes_to_a_small_delta():
+    # A whole image reaches 130 kB of JSON; a campaign cell changes a
+    # handful of its words.  The delta decodes against its own
+    # program's image only.
+    for name, other in zip(SPEC_BENCHMARKS,
+                           SPEC_BENCHMARKS[1:] + SPEC_BENCHMARKS[:1]):
+        result = simulate_cell((name, MEGA, "baseline", (), 0.05, 2017))
+        program = cached_spec_program(name, scale=0.05, seed=2017)
+        data = result.to_dict(program)
+        assert data["memory_base"] == program.image_digest
+        assert len(json.dumps(data)) <= 4096, name
+        decoded = SimulationResult.from_dict(data, program)
+        assert decoded.to_dict() == result.to_dict()
+        for wrong in (cached_spec_program(other, scale=0.05, seed=2017),
+                      None):
+            with pytest.raises(ValueError, match="delta against image"):
+                SimulationResult.from_dict(data, wrong)
 
 
 # ----------------------------------------------------------------------
@@ -121,3 +177,9 @@ def test_initial_state_matches_reference(source, traced):
                      trace=trace).run()
     assert result.regs == [ref.read_reg(reg) for reg in range(NUM_ARCH_REGS)]
     assert result.memory == ref.memory
+    # Normalised words are coded losslessly against the program: a
+    # normalised value as a changed word, a normalised address as the
+    # whole image.
+    data = result.to_dict(program)
+    assert ("memory_base" in data) == (source == "word")
+    assert SimulationResult.from_dict(data, program).memory == ref.memory

@@ -79,6 +79,33 @@ def test_unknown_benchmark_still_raises_keyerror():
         cached_spec_program("no.such.benchmark", scale=0.05)
 
 
+def test_spec_lookups_key_each_triple_once(monkeypatch):
+    # A cell asks for its program and trace from several places; after
+    # the first ask, a (benchmark, scale, seed) triple's keys are a
+    # memo lookup.
+    import repro.workloads.program_cache as module
+
+    calls = []
+
+    def counting(profile, seed):
+        calls.append(seed)
+        return program_key(profile, seed)
+
+    monkeypatch.setattr(module, "program_key", counting)
+    program = cached_spec_program("548.exchange2", scale=0.05)
+    trace = module.cached_spec_trace("548.exchange2", scale=0.05)
+    for _ in range(3):
+        assert cached_spec_program("548.exchange2", scale=0.05) is program
+        assert module.cached_spec_trace("548.exchange2", scale=0.05) is trace
+    assert len(calls) == 1
+    # Another triple is keyed once more; clear_cache forgets the memo.
+    cached_spec_program("548.exchange2", scale=0.05, seed=7)
+    assert len(calls) == 2
+    clear_cache()
+    assert cached_spec_program("548.exchange2", scale=0.05) is not program
+    assert len(calls) == 3
+
+
 # -- disk layer -------------------------------------------------------------
 
 
