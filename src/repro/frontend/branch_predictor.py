@@ -117,14 +117,18 @@ class GSharePredictor:
 
 
 class _TageTable:
-    __slots__ = ("entries", "size", "history_bits", "tag_bits")
+    __slots__ = ("tags", "counters", "useful", "size", "history_bits",
+                 "tag_bits")
 
     def __init__(self, size, history_bits, tag_bits=8):
         self.size = size
         self.history_bits = history_bits
         self.tag_bits = tag_bits
-        # entry: [tag, counter(0..7), useful(0..3)]
-        self.entries = [[0, 4, 0] for _ in range(size)]
+        # Entry i is (tags[i], counters[i] in 0..7, useful[i] in 0..3):
+        # three flat lists rather than one list per entry.
+        self.tags = [0] * size
+        self.counters = [4] * size
+        self.useful = [0] * size
 
 
 class TagePredictor:
@@ -169,14 +173,13 @@ class TagePredictor:
         for table_index in range(len(self.tables) - 1, -1, -1):
             table = self.tables[table_index]
             index = self._index(table, pc)
-            entry = table.entries[index]
-            if entry[0] == self._tag(table, pc):
+            if table.tags[index] == self._tag(table, pc):
                 provider = table_index
                 provider_index = index
                 break
         if provider is None:
             return None, 0, self.base.predict(pc)
-        prediction = self.tables[provider].entries[provider_index][1] >= 4
+        prediction = self.tables[provider].counters[provider_index] >= 4
         return provider, provider_index, prediction
 
     def predict(self, pc):
@@ -189,23 +192,24 @@ class TagePredictor:
         if provider is None:
             self.base.update(pc, taken)
         else:
-            entry = self.tables[provider].entries[entry_index]
-            entry[1] = min(entry[1] + 1, 7) if taken else max(entry[1] - 1, 0)
+            table = self.tables[provider]
+            counter = table.counters[entry_index]
+            table.counters[entry_index] = (
+                min(counter + 1, 7) if taken else max(counter - 1, 0))
             if prediction == taken:
-                entry[2] = min(entry[2] + 1, 3)
+                table.useful[entry_index] = min(
+                    table.useful[entry_index] + 1, 3)
         # Allocate a longer-history entry on a misprediction.
         if prediction != taken:
             start = 0 if provider is None else provider + 1
             for table_index in range(start, len(self.tables)):
                 table = self.tables[table_index]
                 index = self._index(table, pc)
-                entry = table.entries[index]
-                if entry[2] == 0:
-                    entry[0] = self._tag(table, pc)
-                    entry[1] = 4 if taken else 3
-                    entry[2] = 0
+                if table.useful[index] == 0:
+                    table.tags[index] = self._tag(table, pc)
+                    table.counters[index] = 4 if taken else 3
                     break
-                entry[2] -= 1
+                table.useful[index] -= 1
 
     def snapshot(self):
         return self.ghr

@@ -45,6 +45,29 @@ class Program:
             separators=(",", ":"))
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
+    @cached_property
+    def start_state(self):
+        """Facts about the start state every core of this program
+        shares, recorded by its first core and read by the rest.
+
+        :class:`~repro.pipeline.core.OoOCore` keeps two, each keyed by
+        what it depends on plus ``len(initial_memory)``:
+
+        - ``("image-in-range", length)``: whether the image already
+          holds unsigned addresses and signed 64-bit values, so a core
+          copies it without normalising;
+        - ``("warm-l2", sets, ways, line_words, length)``: the L2 that
+          :meth:`~repro.memsys.hierarchy.MemoryHierarchy.warm` leaves
+          after installing the image, as a
+          :meth:`~repro.memsys.cache.CacheModel.snapshot`.
+
+        They rest on the contract :attr:`image_digest` rests on:
+        programs are read-only once built.  A word added between builds
+        changes the length and so the key.  The facts live and die with
+        the program, so the program cache's ``clear_cache()`` drops them.
+        """
+        return {}
+
     def validate(self):
         """Check structural sanity; raises ValueError on problems.
 

@@ -11,6 +11,13 @@ class CacheModel:
     come from architectural memory plus store-queue forwarding.  What
     matters here is presence (hit/miss latency) — the microarchitectural
     state a cache side channel leaks.
+
+    Each set is a sequence of tags, most-recent last.  Sets start as
+    shared tuples: the empty tuple in a new cache, a :meth:`snapshot`'s
+    tuples after :meth:`restore`.  A set becomes a list of its own on
+    its first write (a :meth:`lookup` hit, :meth:`insert`,
+    :meth:`invalidate`), so building a cache allocates nothing per set
+    and sets a run never writes are never copied.
     """
 
     def __init__(self, num_sets, ways, line_words=8, name="cache"):
@@ -24,8 +31,7 @@ class CacheModel:
         self.ways = ways
         self.line_words = line_words
         self.name = name
-        # Each set is an ordered list of tags, most-recent last.
-        self._sets = [[] for _ in range(num_sets)]
+        self._sets = [()] * num_sets
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -43,6 +49,8 @@ class CacheModel:
         index, tag = self._index_tag(address)
         cache_set = self._sets[index]
         if tag in cache_set:
+            if cache_set.__class__ is tuple:
+                cache_set = self._sets[index] = list(cache_set)
             cache_set.remove(tag)
             cache_set.append(tag)
             self.hits += 1
@@ -54,6 +62,8 @@ class CacheModel:
         """Fill the line containing ``address``; returns evicted or None."""
         index, tag = self._index_tag(address)
         cache_set = self._sets[index]
+        if cache_set.__class__ is tuple:
+            cache_set = self._sets[index] = list(cache_set)
         if tag in cache_set:
             cache_set.remove(tag)
             cache_set.append(tag)
@@ -76,13 +86,35 @@ class CacheModel:
         index, tag = self._index_tag(address)
         cache_set = self._sets[index]
         if tag in cache_set:
+            if cache_set.__class__ is tuple:
+                cache_set = self._sets[index] = list(cache_set)
             cache_set.remove(tag)
             return True
         return False
 
     def invalidate_all(self):
         """Empty the cache (used by attack setups to reach a known state)."""
-        self._sets = [[] for _ in range(self.num_sets)]
+        self._sets = [()] * self.num_sets
+
+    def snapshot(self):
+        """The resident lines and the eviction count, as an immutable
+        value: ``(sets, evictions)``, where ``sets`` holds one tuple of
+        tags per set, most-recent last.  Hit and miss counts are not
+        part of it.  :meth:`restore` puts it back."""
+        return tuple(map(tuple, self._sets)), self.evictions
+
+    def restore(self, snapshot):
+        """Reinstate a :meth:`snapshot` of a cache of this geometry.
+
+        The snapshot's set tuples are shared, not copied: each set is
+        copied on its first write, and the snapshot never changes.
+        """
+        sets, evictions = snapshot
+        if len(sets) != self.num_sets:
+            raise ValueError("snapshot has %d sets, %s has %d"
+                             % (len(sets), self.name, self.num_sets))
+        self._sets = list(sets)
+        self.evictions = evictions
 
     def resident_lines(self):
         """Return the set of word addresses of all resident line starts."""

@@ -108,6 +108,15 @@ class MemoryHierarchy:
         SimPoint; the model equivalent installs a program's initialised
         data into the L2 (or both levels) so short measurement runs are
         not dominated by cold compulsory misses.
+
+        Each distinct line is installed once, by one
+        :meth:`CacheModel.insert`, in first-touch order: what a warm-up
+        leaves depends on the caches' prior state and the order of the
+        lines, never on memory values.  So a program's warm cores need
+        only one warm-up between them: the first records the L2 it
+        leaves as a :meth:`CacheModel.snapshot` on the program (see
+        :attr:`~repro.isa.program.Program.start_state`), and the rest
+        :meth:`~CacheModel.restore` that.
         """
         if level not in ("l1", "l2"):
             raise ValueError("level must be l1 or l2")

@@ -401,16 +401,22 @@ class OoOCore:
         # Initial state is loaded as the reference interpreter loads it
         # (ArchState.write_reg / write_mem): unsigned addresses, signed
         # 64-bit values.  An image already in range (every generated
-        # workload's) is copied whole, checked by C-level min/max
-        # instead of a per-word loop.
+        # workload's) is copied whole.  The range check (C-level
+        # min/max) and the warmed L2 are per-program facts: the first
+        # core of a program records them (see Program.start_state).
         for reg, value in program.initial_regs.items():
             if reg != 0:
                 self.prf.values[reg] = to_signed64(value)
         image = program.initial_memory
-        if not image or (
+        facts = program.start_state
+        in_range_key = ("image-in-range", len(image))
+        in_range = facts.get(in_range_key)
+        if in_range is None:
+            in_range = facts[in_range_key] = not image or (
                 0 <= min(image) and max(image) <= _MAX_ADDRESS
                 and _MIN_WORD <= min(image.values())
-                and max(image.values()) <= _MAX_WORD):
+                and max(image.values()) <= _MAX_WORD)
+        if in_range:
             self.memory = dict(image)
         else:
             self.memory = {
@@ -419,7 +425,15 @@ class OoOCore:
             }
         self.hierarchy = MemoryHierarchy(cfg.mem)
         if warm_caches and self.memory:
-            self.hierarchy.warm(self.memory.keys(), level="l2")
+            l2 = self.hierarchy.l2
+            warm_key = ("warm-l2", l2.num_sets, l2.ways, l2.line_words,
+                        len(image))
+            warmed = facts.get(warm_key)
+            if warmed is None:
+                self.hierarchy.warm(self.memory.keys(), level="l2")
+                facts[warm_key] = l2.snapshot()
+            else:
+                l2.restore(warmed)
         self.rename = RenameUnit(cfg.num_phys_regs, cfg.max_branches)
         self.rob = deque()
         self.iq = IssueQueue(self)

@@ -25,6 +25,9 @@ Two layers:
   cache, and a worker looping over many cells of one benchmark
   generates it once.  Programs are safe to share — simulation copies
   the initial memory image and never mutates the instruction list.
+  Cores record per-program facts on a shared program
+  (:attr:`~repro.isa.program.Program.start_state`, such as its warmed
+  L2), so :func:`clear_cache` drops those with the programs.
 * **Disk (optional)** — :func:`configure_disk_cache` points the cache
   at a directory (the CLI uses ``<store-dir>/programs``; the
   ``REPRO_PROGRAM_CACHE_DIR`` environment variable seeds the default),
@@ -34,6 +37,17 @@ Two layers:
   file + rename) and corrupt or unreadable files fall back to
   regeneration; content addressing makes sharing one directory between
   concurrent writers safe (same key => byte-identical program).
+
+  A program file is ``<key>.<PROGRAM_FORMAT_VERSION>.json``, one JSON
+  object holding ``name``, ``entry``, ``instructions`` (one
+  ``[op, rd, rs1, rs2, imm, label]`` row each), ``initial_regs``
+  (``{"reg": value}``) and ``initial_memory`` as two columns,
+  ``[addresses, values]``, in the image's own order (a cache warm-up
+  installs lines in first-touch order).  The columns load through one
+  ``dict(zip(...))`` instead of an ``int()`` per word.  The version in
+  the name means a file in another layout — the ``{"address": value}``
+  image of ``<key>.json`` files — is never opened: it misses, and the
+  program is regenerated.
 
 **Dynamic traces** live here too, through the same two layers and the
 same directory: :func:`cached_trace` / :func:`cached_spec_trace` resolve
@@ -68,6 +82,10 @@ from repro.isa.program import Program
 from repro.isa.trace import TRACE_FORMAT_VERSION, DynamicTrace, record_trace
 from repro.workloads.characteristics import SPEC_PROFILES
 from repro.workloads.generator import GENERATOR_VERSION, generate_program
+
+#: Layout of a program file on disk, part of its name: bump it when
+#: the layout changes, so files in the old one miss.
+PROGRAM_FORMAT_VERSION = "program-v2"
 
 _CACHE = {}
 _TRACE_CACHE = {}
@@ -126,9 +144,11 @@ def _spec_keys(benchmark, scale, seed):
 def scaled_profile(profile, scale):
     """``profile`` with its iteration count multiplied by ``scale``.
 
-    The one canonical scaling rule (minimum two iterations, rounded),
-    shared by :func:`~repro.workloads.spec2017.spec_suite` and the
-    cache so both resolve a (profile, scale) pair to the same content.
+    The one canonical scaling rule (minimum two iterations, rounded).
+    Every SPEC lookup — :func:`cached_spec_program`,
+    :func:`cached_spec_trace`, and through them
+    :func:`~repro.workloads.spec2017.spec_suite` — scales through it,
+    so all resolve a (profile, scale) pair to the same content.
     """
     iterations = max(2, int(round(profile.iterations * scale)))
     if iterations == profile.iterations:
@@ -160,7 +180,12 @@ if os.environ.get("REPRO_PROGRAM_CACHE_DIR"):
     configure_disk_cache(os.environ["REPRO_PROGRAM_CACHE_DIR"])
 
 
+def _program_path(key):
+    return _DISK_DIR / ("%s.%s.json" % (key, PROGRAM_FORMAT_VERSION))
+
+
 def _program_to_payload(program):
+    memory = program.initial_memory
     return {
         "name": program.name,
         "entry": program.entry,
@@ -168,20 +193,20 @@ def _program_to_payload(program):
             [i.op.value, i.rd, i.rs1, i.rs2, i.imm, i.label]
             for i in program.instructions
         ],
-        "initial_memory": {str(a): v for a, v in program.initial_memory.items()},
+        "initial_memory": [list(memory), list(memory.values())],
         "initial_regs": {str(r): v for r, v in program.initial_regs.items()},
     }
 
 
 def _program_from_payload(payload):
+    addresses, values = payload["initial_memory"]
     return Program(
         instructions=[
             Instruction(op=Opcode(op), rd=rd, rs1=rs1, rs2=rs2, imm=imm,
                         label=label)
             for op, rd, rs1, rs2, imm, label in payload["instructions"]
         ],
-        initial_memory={int(a): v
-                        for a, v in payload["initial_memory"].items()},
+        initial_memory=dict(zip(addresses, values, strict=True)),
         initial_regs={int(r): v for r, v in payload["initial_regs"].items()},
         name=payload["name"],
         entry=payload["entry"],
@@ -191,7 +216,7 @@ def _program_from_payload(payload):
 def _disk_load(key):
     if _DISK_DIR is None:
         return None
-    path = _DISK_DIR / ("%s.json" % key)
+    path = _program_path(key)
     try:
         with open(path) as handle:
             program = _program_from_payload(json.load(handle))
@@ -211,7 +236,7 @@ def _disk_store(key, program):
             with os.fdopen(fd, "w") as handle:
                 json.dump(_program_to_payload(program), handle,
                           separators=(",", ":"))
-            os.replace(tmp, str(_DISK_DIR / ("%s.json" % key)))
+            os.replace(tmp, str(_program_path(key)))
         except BaseException:
             os.unlink(tmp)
             raise

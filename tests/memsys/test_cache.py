@@ -85,3 +85,41 @@ def test_line_address():
     cache = CacheModel(num_sets=4, ways=2, line_words=8)
     assert cache.line_address(13) == 8
     assert cache.line_address(8) == 8
+
+
+def test_new_cache_shares_one_empty_set():
+    cache = CacheModel(num_sets=64, ways=8)
+    assert len({id(cache_set) for cache_set in cache._sets}) == 1
+    assert not cache.lookup(0)  # a miss writes nothing
+    assert len({id(cache_set) for cache_set in cache._sets}) == 1
+    cache.insert(0)
+    assert cache._sets[0] == [0]
+    assert len({id(cache_set) for cache_set in cache._sets[1:]}) == 1
+
+
+def test_restore_shares_sets_until_each_first_write():
+    warmed = CacheModel(num_sets=2, ways=2, line_words=8)
+    for address in (0, 8, 16, 32):  # set 0 evicts line 0
+        warmed.insert(address)
+    snapshot = warmed.snapshot()
+    assert snapshot == (((1, 2), (0,)), 1)  # tags, most-recent last
+
+    a = CacheModel(num_sets=2, ways=2, line_words=8)
+    b = CacheModel(num_sets=2, ways=2, line_words=8)
+    a.restore(snapshot)
+    b.restore(snapshot)
+    assert a._sets[0] is snapshot[0][0] and a.evictions == 1
+    assert a.lookup(16)        # a hit reorders set 0: a copies it
+    a.insert(48)               # fills set 0, evicting address 32
+    assert a.invalidate(8)     # empties set 1: a copies it too
+    assert a._sets == [[1, 3], []] and a.evictions == 2
+    # The snapshot and the other cache restored from it are untouched.
+    assert snapshot == (((1, 2), (0,)), 1)
+    assert b.snapshot() == snapshot
+    assert b.resident_lines() == {16, 32, 8}
+
+
+def test_restore_rejects_another_geometry():
+    snapshot = CacheModel(num_sets=2, ways=2).snapshot()
+    with pytest.raises(ValueError):
+        CacheModel(num_sets=4, ways=2).restore(snapshot)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.workloads.characteristics import SPEC_PROFILES
 from repro.workloads.program_cache import (
+    PROGRAM_FORMAT_VERSION,
     cache_stats,
     cached_program,
     cached_spec_program,
@@ -97,6 +98,8 @@ def test_spec_lookups_key_each_triple_once(monkeypatch):
     for _ in range(3):
         assert cached_spec_program("548.exchange2", scale=0.05) is program
         assert module.cached_spec_trace("548.exchange2", scale=0.05) is trace
+        assert spec_suite(scale=0.05, benchmarks=["548.exchange2"]) == [
+            ("548.exchange2", program)]
     assert len(calls) == 1
     # Another triple is keyed once more; clear_cache forgets the memo.
     cached_spec_program("548.exchange2", scale=0.05, seed=7)
@@ -141,6 +144,64 @@ def test_disk_cached_program_simulates_identically(tmp_path):
     a = OoOCore(generated, config=SMALL, warm_caches=True).run()
     b = OoOCore(reloaded, config=SMALL, warm_caches=True).run()
     assert a.to_dict() == b.to_dict()
+
+
+def test_old_format_file_is_ignored(tmp_path):
+    """A program file in the layout before PROGRAM_FORMAT_VERSION (the
+    image as a ``{"address": value}`` object, at ``<key>.json``) is
+    never opened: the program is regenerated, identically, beside it."""
+    from repro.workloads.generator import generate_program
+
+    profile = scaled_profile(SPEC_PROFILES["503.bwaves"], 0.05)
+    key = program_key(profile, 2017)
+    direct = generate_program(profile, seed=2017)
+    # The old layout, with one word changed so a misread would show.
+    old = {
+        "name": direct.name,
+        "entry": direct.entry,
+        "instructions": [[i.op.value, i.rd, i.rs1, i.rs2, i.imm, i.label]
+                         for i in direct.instructions],
+        "initial_memory": {str(a): v + 1
+                           for a, v in direct.initial_memory.items()},
+        "initial_regs": {str(r): v for r, v in direct.initial_regs.items()},
+    }
+    old_path = tmp_path / ("%s.json" % key)
+    old_path.write_text(json.dumps(old))
+    configure_disk_cache(tmp_path)
+    program = cached_spec_program("503.bwaves", scale=0.05)
+    stats = cache_stats()
+    assert stats["disk_hits"] == 0 and stats["misses"] == 1
+    assert [str(i) for i in program.instructions] == [
+        str(i) for i in direct.instructions]
+    assert list(program.initial_memory.items()) == list(
+        direct.initial_memory.items())
+    assert program.image_digest == direct.image_digest
+    assert json.loads(old_path.read_text()) == old
+    # The regeneration wrote the current layout, which loads back in
+    # the image's own order.
+    (new_path,) = set(tmp_path.glob("*.json")) - {old_path}
+    assert new_path.name == "%s.%s.json" % (key, PROGRAM_FORMAT_VERSION)
+    addresses, values = json.loads(new_path.read_text())["initial_memory"]
+    assert addresses == list(direct.initial_memory)
+    clear_cache()
+    reloaded = cached_spec_program("503.bwaves", scale=0.05)
+    assert cache_stats()["disk_hits"] == 1
+    assert list(reloaded.initial_memory.items()) == list(
+        direct.initial_memory.items())
+
+
+def test_program_file_with_ragged_columns_is_a_miss(tmp_path):
+    configure_disk_cache(tmp_path)
+    cached_spec_program("503.bwaves", scale=0.05)
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text())
+    payload["initial_memory"][1].pop()
+    path.write_text(json.dumps(payload))
+    clear_cache()
+    cached_spec_program("503.bwaves", scale=0.05)
+    assert cache_stats()["disk_hits"] == 0
+    addresses, values = json.loads(path.read_text())["initial_memory"]
+    assert len(addresses) == len(values)  # rewritten whole
 
 
 def test_corrupt_disk_entry_falls_back_to_regeneration(tmp_path):
