@@ -8,7 +8,6 @@ from benchmarks.conftest import record_report
 def test_table5_boom_vs_gem5(benchmark, runner, results_dir):
     report = benchmark.pedantic(
         experiment_table5, args=(runner,), rounds=1, iterations=1,
-        kwargs={"gem5_scale": min(runner.scale, 0.5)},
     )
     record_report(report, results_dir)
     data = report.data

@@ -19,6 +19,7 @@ The same engine drives the command line::
 
 import tempfile
 
+from repro.harness.executor import PoolExecutor
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore
 from repro.pipeline.config import MEDIUM, MEGA
@@ -34,7 +35,7 @@ def main():
         print("== cold parallel run ==")
         runner = CampaignRunner(scale=0.1, benchmarks=BENCHMARKS, store=store)
         summary = runner.run_grid(configs=(MEDIUM, MEGA), schemes=SCHEMES,
-                                  jobs=4)
+                                  executor=PoolExecutor(jobs=4))
         print("  %(total)d cells: %(simulated)d simulated, "
               "%(from_store)d from store, %(cached)d cached" % summary)
 
@@ -42,7 +43,7 @@ def main():
         rerun = CampaignRunner(scale=0.1, benchmarks=BENCHMARKS,
                                store=ResultStore(tmp))
         summary = rerun.run_grid(configs=(MEDIUM, MEGA), schemes=SCHEMES,
-                                 jobs=4)
+                                 executor=PoolExecutor(jobs=4))
         print("  %(total)d cells: %(simulated)d simulated, "
               "%(from_store)d from store, %(cached)d cached" % summary)
 

@@ -5,15 +5,14 @@ Subcommands:
 ``list``
     Print every experiment id.
 ``grid``
-    Populate the (benchmark x config x scheme) grid — in parallel with
-    ``--jobs N`` or on any backend with ``--executor`` — and print a
-    cache/store/simulated summary.
+    Populate the (benchmark x config x scheme) grid on the chosen
+    backend and print a cache/store/simulated summary.
 ``run EXPERIMENT [EXPERIMENT ...]``
-    Run named experiments (or ``all``) and print their reports.  With
-    ``--jobs > 1`` (or a non-serial ``--executor``) only the grid
-    slices those experiments actually read — declared in the
-    experiment registry itself — are pre-populated in parallel first,
-    so the experiments themselves are served from cache.
+    Run named experiments (or ``all``) and print their reports.  The
+    grid slices those experiments read — declared in the experiment
+    registry itself — are first populated on the chosen backend (one
+    ``grid pre-populated`` summary line), so the experiments
+    themselves are served from cache.
 ``serve``
     Host a campaign as a cluster coordinator: bind a TCP port, serve
     grid cells to any number of ``work`` clients (work-stealing), and
@@ -61,12 +60,15 @@ Subcommands:
 
 Shared flags: ``--scale`` and ``--seed`` select the workload build,
 ``--benchmarks`` restricts the suite to the named SPEC proxies,
-``--jobs`` sets worker count,
-``--executor {serial,pool,cluster}`` picks the backend explicitly,
 ``--progress [human|json]`` streams done/total + cells/sec + ETA +
 per-worker attribution to stderr (``json`` emits JSONL snapshots for
 scripts), ``--store-dir`` relocates the persistent store, and
 ``--no-store`` disables it entirely (purely in-memory run).
+``grid`` and ``run`` pick their backend with ``--executor
+{pool,cluster}``: ``pool`` (the default) simulates on ``--jobs N``
+processes, in-process at the default of 1; ``cluster`` serves a
+loopback coordinator (``--bind``) to ``--local-workers`` threads and
+to any ``work --connect`` client.
 """
 
 import argparse
@@ -80,6 +82,7 @@ from repro.core.registry import (
     scheme_names,
 )
 from repro.harness.bench import PROFILE_SORTS, THROUGHPUT_LABELS, profile_cell
+from repro.harness.executor import PoolExecutor
 from repro.harness.experiments import (
     experiment_grid_needs,
     experiment_ids,
@@ -109,8 +112,6 @@ def build_parser():
                        help="workload iteration multiplier (default 1.0)")
         p.add_argument("--seed", type=int, default=2017,
                        help="workload generation seed (default 2017)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel simulation workers (default 1)")
         p.add_argument("--benchmarks", nargs="+", metavar="NAME",
                        choices=SPEC_BENCHMARKS,
                        help="restrict to these benchmarks")
@@ -125,11 +126,12 @@ def build_parser():
                             " machine-readable JSONL snapshots")
 
     def add_executor(p):
-        p.add_argument("--executor",
-                       choices=("auto", "serial", "pool", "cluster"),
-                       default="auto",
-                       help="execution backend (default: serial when"
-                            " --jobs 1, else pool)")
+        p.add_argument("--executor", choices=("pool", "cluster"),
+                       default="pool",
+                       help="execution backend (default %(default)s)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="pool executor: worker processes (default 1:"
+                            " in-process)")
         p.add_argument("--bind", metavar="HOST:PORT", default="127.0.0.1:0",
                        help="cluster executor bind address"
                             " (default %(default)s; port 0 = ephemeral)")
@@ -299,8 +301,7 @@ def make_runner(args):
 
         configure_disk_cache(os.path.join(args.store_dir, "programs"))
     return CampaignRunner(scale=args.scale, seed=args.seed,
-                          benchmarks=args.benchmarks, store=store,
-                          jobs=args.jobs)
+                          benchmarks=args.benchmarks, store=store)
 
 
 def parse_hostport(text, default_port=DEFAULT_PORT):
@@ -320,17 +321,15 @@ def _announce(address):
 
 
 def make_cli_executor(args):
-    """Build the Executor the flags ask for, or None for jobs-based."""
-    from repro.harness.executor import make_executor
-
-    if args.executor == "auto":
-        return None
+    """The Executor ``--executor`` names, built from its flags."""
     if args.executor == "cluster":
+        from repro.harness.cluster import ClusterExecutor
+
         host, port = parse_hostport(args.bind, default_port=0)
-        return make_executor("cluster", host=host, port=port,
-                             local_workers=args.local_workers,
-                             on_serving=_announce)
-    return make_executor(args.executor, jobs=args.jobs)
+        return ClusterExecutor(host=host, port=port,
+                               local_workers=args.local_workers,
+                               on_serving=_announce)
+    return PoolExecutor(jobs=args.jobs)
 
 
 def _selected_configs(args):
@@ -342,7 +341,7 @@ def cmd_grid(args):
     runner = make_runner(args)
     schemes = tuple(args.schemes) if args.schemes else grid_scheme_names()
     summary = runner.run_grid(configs=_selected_configs(args),
-                              schemes=schemes, jobs=args.jobs,
+                              schemes=schemes,
                               executor=make_cli_executor(args),
                               progress=make_progress(args.progress))
     print(_summary_line("grid", summary))
@@ -361,7 +360,7 @@ def _summary_line(label, summary):
 def _needed_cells(experiment_ids_, runner):
     """Every grid cell the requested experiments will read.
 
-    Only these are pre-populated in parallel — asking for one small
+    Only these are pre-populated — asking for one small
     experiment never pays for the full standard grid.  A cell several
     experiments share is listed once per experiment;
     :meth:`~repro.harness.runner.CampaignRunner.run_cell_batch` dedups
@@ -393,14 +392,12 @@ def cmd_run(args):
               file=sys.stderr)
         return 2
     runner = make_runner(args)
-    executor = make_cli_executor(args)
-    if args.jobs > 1 or executor is not None:
-        cells = _needed_cells(ids, runner)
-        if cells:
-            summary = runner.run_cell_batch(
-                cells, jobs=args.jobs, executor=executor,
-                progress=make_progress(args.progress))
-            print(_summary_line("grid pre-populated", summary))
+    cells = _needed_cells(ids, runner)
+    if cells:
+        summary = runner.run_cell_batch(
+            cells, executor=make_cli_executor(args),
+            progress=make_progress(args.progress))
+        print(_summary_line("grid pre-populated", summary))
     for experiment_id in ids:
         report = run_experiment(experiment_id, runner=runner)
         print(report)

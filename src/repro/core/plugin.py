@@ -26,19 +26,13 @@ Hook call sites (in per-cycle order):
 * ``on_load_complete`` — when load data arrives; returning False defers
   the ready broadcast (NDA's split data-write / broadcast).
 * ``on_rename_group`` — once per renamed fetch group, after the RAT
-  pass and downstream admission.  This is the hook the core actually
-  dispatches; its default derives the group behaviour from the two
-  per-uop hooks below, calling them strictly in program order — for
-  each micro-op, ``on_checkpoint_create`` (if it allocated a
-  checkpoint this group) then ``on_rename_uop`` — so older members'
-  effects (taint-RAT writes, say) are visible to younger members and
-  to their checkpoints, exactly as the one-uop-at-a-time dispatch
-  behaved.  Schemes with group-wide state (STT-Rename's taint RAT)
-  override it to compute the whole group in one pass.
-* ``on_rename_uop`` — per micro-op, in program order, during rename
-  (dispatched via ``on_rename_group``).
-* ``on_checkpoint_create`` / ``on_checkpoint_restore`` / ``on_flush_all``
-  — recovery lifecycle (creation dispatched via ``on_rename_group``).
+  pass and downstream admission; the scheme's only rename-time hook.
+  An override walks the group in program order, so older members'
+  effects (taint-RAT writes, say) are visible to younger members, and
+  sees each branch's freshly allocated checkpoint through
+  ``uop.checkpoint_id`` (STT-Rename copies its taint RAT into it
+  there).
+* ``on_checkpoint_restore`` / ``on_flush_all`` — recovery lifecycle.
 """
 
 from repro.core.registry import SchemeSpec, register
@@ -56,24 +50,6 @@ def overridden_hook(scheme, name):
     if getattr(type(scheme), name) is getattr(SchemeBase, name):
         return None
     return getattr(scheme, name)
-
-
-def rename_group_hook(scheme):
-    """The group-rename hook the core should dispatch, or ``None``.
-
-    Resolution order: a scheme overriding ``on_rename_group`` gets its
-    override; a scheme overriding only the per-uop hooks
-    (``on_rename_uop`` / ``on_checkpoint_create``) gets the base
-    class's derived group loop, which replays them in program order;
-    a scheme overriding neither costs zero calls per group.
-    """
-    hook = overridden_hook(scheme, "on_rename_group")
-    if hook is not None:
-        return hook
-    if (overridden_hook(scheme, "on_rename_uop") is None
-            and overridden_hook(scheme, "on_checkpoint_create") is None):
-        return None
-    return scheme.on_rename_group
 
 
 class SchemeBase:
@@ -100,30 +76,14 @@ class SchemeBase:
     # -- rename ---------------------------------------------------------
 
     def on_rename_group(self, uops):
-        """One renamed fetch group, in program order.
+        """One renamed fetch group, in program order.  Default: no-op.
 
-        Default: derive the group behaviour from the per-uop hooks —
-        for each micro-op, the checkpoint hook (when a checkpoint was
-        allocated for it this group) and then the rename hook, exactly
-        the interleaving the per-uop dispatch used.  Schemes that can
-        process the group in one pass (STT-Rename's taint RAT)
-        override this wholesale; their override must preserve the same
-        in-order semantics.
+        A branch/jalr member that allocated a rename checkpoint this
+        group carries its id in ``uop.checkpoint_id``
+        (``self.core.rename.get_checkpoint(id)`` returns it), so an
+        override can attach scheme state to it mid-group.  A scheme
+        that keeps this default costs no call per group.
         """
-        rename = self.core.rename
-        on_checkpoint = self.on_checkpoint_create
-        on_uop = self.on_rename_uop
-        for uop in uops:
-            checkpoint_id = uop.checkpoint_id
-            if checkpoint_id is not None:
-                on_checkpoint(uop, rename.get_checkpoint(checkpoint_id))
-            on_uop(uop)
-
-    def on_rename_uop(self, uop):
-        """Called for each micro-op, in program order, at rename."""
-
-    def on_checkpoint_create(self, uop, checkpoint):
-        """A branch/jalr allocated ``checkpoint`` at rename."""
 
     def on_checkpoint_restore(self, uop, checkpoint):
         """Misprediction recovery restored ``checkpoint``."""

@@ -98,13 +98,6 @@ class SchemeSpec:
     grid: bool = True
     #: Timing-model parameters.
     timing: SchemeTiming = field(default_factory=SchemeTiming)
-    #: Behavioural generation of the scheme's model, exchanged in the
-    #: cluster handshake: a coordinator refuses workers whose version
-    #: for any shared scheme differs, so one host running stale scheme
-    #: code can never poison a distributed campaign with results the
-    #: content-addressed keys would wrongly trust.  Bump on any change
-    #: that alters simulated behaviour (not on pure refactors).
-    wire_version: int = 1
     #: Paper anchor: the scheme's suite-mean IPC normalized to baseline
     #: on the Mega configuration (Figure 6's arithmetic mean; ``None``
     #: for schemes the paper does not plot).  Approximate by nature —
@@ -187,19 +180,6 @@ def scheme_names(grid_only=False):
 def grid_scheme_names():
     """Schemes belonging to the standard campaign grid."""
     return scheme_names(grid_only=True)
-
-
-def scheme_wire_versions():
-    """``{name: wire_version}`` for every registered scheme.
-
-    The cluster handshake payload: a worker sends its map in ``hello``
-    and the coordinator refuses the connection unless the worker's
-    version matches for every scheme the coordinator itself knows
-    (extra schemes on the worker side are harmless — the coordinator
-    never asks for them).
-    """
-    _ensure_loaded()
-    return {spec.name: spec.wire_version for spec in _SPECS.values()}
 
 
 def secure_scheme_names():

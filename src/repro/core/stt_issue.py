@@ -62,23 +62,16 @@ class STTIssueScheme(SchemeBase):
     def on_rename_group(self, uops):
         """Group rename: clear the group's freshly-allocated entries.
 
-        One pass over the physical-register taint table — order within
-        the group is irrelevant here because destination registers are
-        unique (the free list hands each out once), so the batched form
-        is trivially identical to the per-uop hook.
+        Allocation overwrites any stale taint before the register can
+        be read again — the property that makes checkpoints
+        unnecessary (Section 4.3).  Order within the group is
+        irrelevant: the free list hands each destination out once.
         """
         taint_unit = self._taint_unit
         for uop in uops:
             prd = uop.prd
             if prd is not None:
                 taint_unit[prd] = None
-
-    def on_rename_uop(self, uop):
-        # Allocation overwrites any stale taint before the register can
-        # be read again — the property that makes checkpoints
-        # unnecessary (Section 4.3).
-        if uop.prd is not None:
-            self._taint_unit[uop.prd] = None
 
     # -- issue -------------------------------------------------------------
 

@@ -96,10 +96,8 @@ class STTRenameScheme(SchemeBase):
         younger members observe older members' taint writes through the
         shared taint RAT (Figure 3's serial chain), and each branch's
         checkpoint copies the taint RAT exactly mid-sweep, after older
-        members' writes and before younger ones.  Behaviourally
-        identical to the per-uop hooks in program order; the win is one
-        dispatch and one set of hoisted lookups per *group* instead of
-        per micro-op.
+        members' writes and before younger ones.  One dispatch and one
+        set of hoisted lookups serve the whole group.
         """
         core = self.core
         taint_rat = self._taint_rat
@@ -121,6 +119,8 @@ class STTRenameScheme(SchemeBase):
                 uop.yrot_data = self._youngest(
                     self._live_root(r) for r in instr.data_source_regs
                 )
+                # Unified micro-op taint covering both operands
+                # (Section 9.2).
                 uop.yrot = youngest((uop.yrot_addr, uop.yrot_data))
                 continue
 
@@ -153,38 +153,7 @@ class STTRenameScheme(SchemeBase):
                 if dest_root is not None:
                     self.taints_applied += 1
 
-    def on_rename_uop(self, uop):
-        instr = uop.instr
-        if instr.is_store:
-            uop.yrot_addr = self._youngest(
-                self._live_root(r) for r in instr.address_source_regs
-            )
-            uop.yrot_data = self._youngest(
-                self._live_root(r) for r in instr.data_source_regs
-            )
-            # Unified micro-op taint covering both operands (Section 9.2).
-            uop.yrot = self._youngest((uop.yrot_addr, uop.yrot_data))
-            return
-
-        yrot = self._youngest(self._live_root(r) for r in instr.source_regs)
-        uop.yrot = yrot
-
-        if uop.writes_reg:
-            if instr.is_load:
-                speculative = not self.core.shadows.is_safe(uop.seq)
-                dest_root = uop.seq if speculative else None
-                if speculative:
-                    self.loads_tainted += 1
-            else:
-                dest_root = yrot
-            self._taint_rat[instr.rd] = dest_root
-            if dest_root is not None:
-                self.taints_applied += 1
-
     # -- checkpoints --------------------------------------------------------
-
-    def on_checkpoint_create(self, uop, checkpoint):
-        checkpoint.scheme_state = list(self._taint_rat)
 
     def on_checkpoint_restore(self, uop, checkpoint):
         self._taint_rat = list(checkpoint.scheme_state)

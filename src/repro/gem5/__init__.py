@@ -8,20 +8,21 @@ from the original STT and NDA papers: idealised memory latencies, a
 large window, and a generous front end.  That reproduces both Table 5
 placements (STT's config lands near Mega's baseline IPC; NDA's config
 between Medium and Large) and the Section 9.5 moral: the configuration,
-not the scheme, drives much of the reported loss.
+not the scheme, drives much of the reported loss.  This package holds
+the configurations; :func:`repro.harness.experiments.experiment_table5`
+simulates the suite under them.
 """
 
 from repro.gem5.configs import (
+    GEM5_EXCLUDED,
     GEM5_NDA_CONFIG,
     GEM5_STT_CONFIG,
     gem5_config,
 )
-from repro.gem5.model import Gem5Model, gem5_ipc_loss
 
 __all__ = [
     "GEM5_STT_CONFIG",
     "GEM5_NDA_CONFIG",
+    "GEM5_EXCLUDED",
     "gem5_config",
-    "Gem5Model",
-    "gem5_ipc_loss",
 ]

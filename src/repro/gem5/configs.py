@@ -12,6 +12,10 @@ the latest Intel processors".
 from repro.memsys.hierarchy import MemConfig
 from repro.pipeline.config import CoreConfig
 
+#: Benchmarks the paper could not run on gem5 (Section 7).  Table 5's
+#: comparisons exclude them on both the gem5 and the BOOM side.
+GEM5_EXCLUDED = ("508.namd", "510.parest", "511.povray")
+
 #: The STT paper's gem5 core: wide, deep, and with a 1-cycle L1 —
 #: lands near the BOOM Mega's baseline IPC (Table 5: 1.12 vs 1.09).
 GEM5_STT_CONFIG = CoreConfig(

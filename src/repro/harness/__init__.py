@@ -78,17 +78,18 @@ writers.
 
 **Executor protocol.**  Execution is backend-agnostic behind
 :class:`~repro.harness.executor.Executor` — ``run(specs, progress,
-on_result)`` returning results in spec order.  Three backends share
-the seam: the in-process :class:`~repro.harness.executor.SerialExecutor`,
-the ``multiprocessing`` :class:`~repro.harness.executor.PoolExecutor`,
-and the socket-based
-:class:`~repro.harness.cluster.ClusterExecutor`.
-``CampaignRunner.run_grid(executor=...)`` / ``run_cell_batch`` pass
-any of them straight through; ``on_result`` streams each cell into the
-store the moment it completes, so interrupted campaigns keep their
-work.  All backends feed one
-:class:`~repro.harness.progress.ProgressReporter` (cells done/total,
-cells/sec, ETA, per-worker attribution).
+on_result, on_failure)`` returning results in spec order.  Three
+backends share the seam: the in-process
+:class:`~repro.harness.executor.SerialExecutor`, the
+``multiprocessing`` :class:`~repro.harness.executor.PoolExecutor`
+(in-process at one job), and the socket-based
+:class:`~repro.harness.cluster.ClusterExecutor`.  The caller picks
+one; ``CampaignRunner.run_grid(executor=...)`` / ``run_cell_batch``
+hand the uncached cells straight to it (``None`` is the serial
+backend).  ``on_result`` streams each cell into the store the moment
+it completes, so interrupted campaigns keep their work.  All backends
+feed one :class:`~repro.harness.progress.ProgressReporter` (cells
+done/total, cells/sec, ETA, per-worker attribution).
 
 **Cluster protocol** (:mod:`repro.harness.cluster`, stdlib-only).  A
 TCP coordinator owns the campaign's pending cells; workers *pull*
@@ -100,7 +101,8 @@ report back.  The contract:
   UTF-8 JSON encoding one ``{"kind": ...}`` object; frames above 64
   MiB are rejected.  Strict request/response per connection.
 - *Message kinds*: worker sends ``hello`` (names itself, states
-  protocol version) and receives ``welcome`` (or ``reject``); then
+  protocol and model versions) and receives ``welcome`` (or
+  ``reject``); then
   loops ``steal`` -> ``cell`` (cell id + full wire spec) / ``wait``
   (queue empty, grid live) / ``done`` (drained or failed);
   ``result``/``error`` report a cell and are ``ack``'d; ``heartbeat``
@@ -135,7 +137,7 @@ report back.  The contract:
   costs one cell's work, never the campaign.  Workers themselves retry
   lost coordinators with capped exponential backoff + jitter
   (``work --max-reconnects``); an explicit coordinator *rejection*
-  (bad protocol version, incompatible schemes) is not retried.
+  (another protocol or model version) is not retried.
 - *Quarantined*: a cell that kills its worker ``max_cell_attempts``
   times (default 3) is poisoned — it is settled as a
   :class:`~repro.harness.store.CellFailure` (kind ``poisoned``) and
@@ -185,14 +187,16 @@ cells of one benchmark generate its program once per process.
     python -m repro store compact                # fold + reclaim segments
     python -m repro store migrate                # legacy JSON -> segments
 
-``--jobs N`` fans simulation out over N workers, ``--executor``
-selects the backend explicitly, ``--progress`` streams live ETA lines,
-``--scale`` / ``--seed`` select the workload build, ``--store-dir``
-relocates the persistent store, and ``--no-store`` keeps a run purely
-in-memory.
+``grid`` and ``run`` choose the backend with ``--executor
+{pool,cluster}``: the default ``pool`` runs ``--jobs N`` processes
+(in-process at the default of 1), ``cluster`` serves a loopback
+coordinator to ``--local-workers`` threads.  ``--progress`` streams
+live ETA lines, ``--scale`` / ``--seed`` select the workload build,
+``--store-dir`` relocates the persistent store, and ``--no-store``
+keeps a run purely in-memory.
 """
 
-from repro.harness.runner import CampaignRunner, shared_runner
+from repro.harness.runner import CampaignRunner
 from repro.harness.store import (
     MODEL_VERSION,
     CellFailure,
@@ -200,13 +204,8 @@ from repro.harness.store import (
     simulation_key,
 )
 from repro.harness.journal import CampaignJournal, journal_path
-from repro.harness.executor import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from repro.harness.parallel import run_cells, simulate_cell
+from repro.harness.executor import Executor, PoolExecutor, SerialExecutor
+from repro.harness.parallel import simulate_cell
 from repro.harness.progress import ProgressReporter, make_progress
 from repro.harness.experiments import (
     EXPERIMENTS,
@@ -218,7 +217,6 @@ from repro.harness.experiments import (
 
 __all__ = [
     "CampaignRunner",
-    "shared_runner",
     "ResultStore",
     "CellFailure",
     "CampaignJournal",
@@ -228,8 +226,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "make_executor",
-    "run_cells",
     "simulate_cell",
     "ProgressReporter",
     "make_progress",

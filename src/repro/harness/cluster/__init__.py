@@ -1,8 +1,8 @@
 """Distributed campaign execution over sockets (stdlib-only).
 
 The cluster subsystem turns the campaign engine into a multi-host
-service behind the same ``run_cells()`` seam the serial loop and the
-multiprocessing pool already share:
+service behind the same :class:`~repro.harness.executor.Executor`
+seam the serial loop and the multiprocessing pool share:
 
 - :mod:`~repro.harness.cluster.protocol` — length-prefixed JSON
   frames, the steal/result/heartbeat message kinds, and the wire form

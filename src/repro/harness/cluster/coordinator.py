@@ -55,7 +55,7 @@ from repro.harness.cluster.protocol import (
     send_frame,
     spec_to_wire,
 )
-from repro.harness.store import CellFailure, simulation_key
+from repro.harness.store import MODEL_VERSION, CellFailure, simulation_key
 from repro.obs import TelemetryAggregate
 from repro.pipeline.core import SimulationResult
 from repro.workloads.program_cache import cached_spec_program
@@ -395,9 +395,10 @@ class ClusterCoordinator:
         """Validate a ``hello`` and record the worker.
 
         Returns ``(name, None)`` on success, ``(None, reason)`` on a
-        refused handshake: protocol generation mismatch, or a scheme
-        wire-version mismatch (see the protocol module docstring — a
-        worker with stale scheme code must not feed the shared store).
+        refused handshake: another protocol generation, or another
+        model version (see the protocol module docstring — results
+        simulated by another model must not be stored under this
+        model's keys).
         """
         import time
 
@@ -405,20 +406,10 @@ class ClusterCoordinator:
             return None, ("protocol version mismatch: coordinator v%s,"
                           " worker v%s" % (PROTOCOL_VERSION,
                                            message.get("protocol")))
-        from repro.core.registry import scheme_wire_versions
-
-        theirs = message.get("schemes")
-        if not isinstance(theirs, dict):
-            return None, "scheme versions missing from hello"
-        mismatched = [
-            "%s: ours v%s, worker %s" % (scheme, version,
-                                         "v%s" % theirs[scheme]
-                                         if scheme in theirs else "absent")
-            for scheme, version in sorted(scheme_wire_versions().items())
-            if theirs.get(scheme) != version
-        ]
-        if mismatched:
-            return None, "scheme version mismatch (%s)" % "; ".join(mismatched)
+        if message.get("model_version") != MODEL_VERSION:
+            return None, ("model version mismatch: coordinator %s,"
+                          " worker %s" % (MODEL_VERSION,
+                                          message.get("model_version")))
         base = str(message.get("worker") or "worker")
         with self._lock:
             name = base

@@ -1,9 +1,8 @@
 """Seeded chaos: deterministic fault schedules for the cluster.
 
-:class:`FaultPlan` generalises the worker's original
-``crash_after_steals`` hook into a full schedule of injected failures,
-consulted at the protocol seam (the worker's send path, its cell loop,
-and the coordinator's result path).  A plan is *data*: an explicit list
+:class:`FaultPlan` is a schedule of injected failures, consulted at
+the protocol seam (the worker's send path, its cell loop, and the
+coordinator's result path).  A plan is *data*: an explicit list
 of :class:`Fault` entries, or a random-but-seeded schedule from
 :meth:`FaultPlan.random` — the same seed always produces the same
 schedule, so a chaos run that exposes a bug is replayable verbatim.

@@ -14,7 +14,8 @@ replies.
 worker sends        coordinator replies                    when
 ==================  =====================================  ==========
 ``hello``           ``welcome`` (cells total, protocol)    on connect
-                    / ``reject`` (version mismatch)
+                    / ``reject`` (protocol or model
+                    version mismatch)
 ``steal``           ``cell`` (cell_id + spec) /            worker idle
                     ``wait`` (queue empty, grid live) /
                     ``done`` (grid complete or failed)
@@ -69,17 +70,14 @@ travels with every cell (via ``CoreConfig.to_dict`` /
 simulates exactly the configuration the coordinator hashed, never a
 same-named approximation.
 
-**Scheme wire versions.**  ``hello`` carries the worker's
-``{scheme name: wire_version}`` map (from
-:func:`repro.core.registry.scheme_wire_versions`, each
-``SchemeSpec.wire_version``).  The coordinator rejects the worker
-unless the worker's version matches its own for *every scheme the
-coordinator knows* — a worker running stale scheme code would
-otherwise simulate cells whose content-addressed keys promise
-behaviour the code no longer implements, silently poisoning the
-shared store.  Workers missing the map entirely (older builds)
-are rejected for the same reason.  Extra schemes known only to the
-worker are harmless: the coordinator never dispatches them.
+**Model version** (protocol generation 5).  ``hello`` carries the
+worker's :data:`~repro.harness.store.MODEL_VERSION`, the stamp hashed
+into every cell key.  The coordinator rejects a worker whose stamp
+differs from its own: the coordinator stores each result under a key
+it computed with *its* version, so a worker running another model
+would otherwise have its results trusted as this model's.  A worker
+without the field (an older build) is rejected by the protocol
+generation first.
 
 **Requeue semantics.**  The coordinator owns the queue.  A cell
 leaves the queue when stolen and is marked in-flight against that
@@ -106,7 +104,8 @@ from repro.pipeline.config import config_from_dict
 #: 2: structured error frames (``failure_kind``/``traceback``).
 #: 3: result frames carry the packed-run memory image.
 #: 4: result frames carry the memory words a cell changed.
-PROTOCOL_VERSION = 4
+#: 5: ``hello`` carries the model version instead of a per-scheme map.
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one frame's payload (a campaign cell's result frame
 #: is under 2 KiB; 64 MiB is comfortably above any real frame).

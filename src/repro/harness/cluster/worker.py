@@ -16,7 +16,7 @@ frame the network ate — no longer ends the worker: it reconnects with
 capped exponential backoff plus deterministic jitter, up to
 ``max_reconnects`` attempts (0 keeps the historical die-on-first-blip
 behaviour; ``python -m repro work`` defaults higher).  An explicit
-*rejection* (``reject`` frame: protocol or scheme-version mismatch) is
+*rejection* (``reject`` frame: protocol or model version mismatch) is
 different — reconnecting cannot fix a version mismatch, so the worker
 exits immediately with ``rejected`` set.
 
@@ -26,15 +26,14 @@ wall-clock deadline on a helper thread; a hung cell becomes a
 keeps heartbeating while hung, so without the watchdog the coordinator
 would wait forever).
 
-**Fault injection.**  ``crash_after_steals`` is the original built-in
-hook: after stealing that many cells the worker abandons the
-connection without reporting — exactly what a SIGKILL'd or partitioned
-host looks like to the coordinator.  The generalisation is
-:class:`~repro.harness.cluster.faults.FaultPlan` (``fault_plan=``): a
-seeded schedule of crashes, poison cells, frame drops/delays/
+**Fault injection.**  A
+:class:`~repro.harness.cluster.faults.FaultPlan` (``fault_plan=``) is
+a seeded schedule of crashes, poison cells, frame drops/delays/
 corruption, slow/hung cells, and late duplicate results, consulted at
-the protocol seam.  Chaos tests use it to prove the final store is
-byte-identical to a fault-free serial run.
+the protocol seam.  A ``crash`` fault makes the worker abandon the
+connection after a steal without reporting — exactly what a SIGKILL'd
+or partitioned host looks like to the coordinator.  Chaos tests use it
+to prove the final store is byte-identical to a fault-free serial run.
 """
 
 import os
@@ -49,7 +48,6 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX hosts
     resource = None
 
-from repro.core.registry import scheme_wire_versions
 from repro.harness.cluster.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -58,6 +56,7 @@ from repro.harness.cluster.protocol import (
     spec_from_wire,
 )
 from repro.harness.parallel import last_cell_diagnostics, simulate_cell
+from repro.harness.store import MODEL_VERSION
 from repro.obs import cell_telemetry
 from repro.workloads.program_cache import cached_spec_program
 
@@ -82,7 +81,7 @@ class WorkerCrash(Exception):
 
 
 class CoordinatorRejected(ConnectionError):
-    """The coordinator explicitly refused us (version/scheme mismatch).
+    """The coordinator explicitly refused us (version mismatch).
 
     Distinct from the coordinator *crashing*: a rejection is
     deterministic — the same hello gets the same refusal — so the
@@ -95,7 +94,7 @@ class ClusterWorker:
 
     def __init__(self, host, port, name=None,
                  heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
-                 crash_after_steals=None, max_cells=None,
+                 max_cells=None,
                  connect_timeout=10.0, max_reconnects=0,
                  reconnect_backoff=DEFAULT_RECONNECT_BACKOFF,
                  cell_timeout=None, fault_plan=None):
@@ -103,7 +102,6 @@ class ClusterWorker:
         self.port = int(port)
         self.name = name or default_worker_name()
         self.heartbeat_interval = heartbeat_interval
-        self.crash_after_steals = crash_after_steals
         self.max_cells = max_cells
         self.connect_timeout = connect_timeout
         self.max_reconnects = int(max_reconnects)
@@ -118,13 +116,12 @@ class ClusterWorker:
         #: ``last_error`` then holds the reason.
         self.disconnected = False
         #: True when the coordinator explicitly refused our hello
-        #: (protocol or scheme-version mismatch) — never retried.
+        #: (protocol or model version mismatch) — never retried.
         self.rejected = False
         self.last_error = None
         self._sock = None
         self._io_lock = threading.Lock()
         self._stop = threading.Event()
-        self._steals = 0  # across reconnects, for crash_after_steals
         self._reported = []  # (cell_id, result_dict) for duplicate faults
         # Deterministic jitter: the same worker name always draws the
         # same delays, so a seeded chaos run is replayable.
@@ -193,10 +190,10 @@ class ClusterWorker:
                 # vanished connection for the coordinator to detect.
                 return self.cells_completed
             except CoordinatorRejected as exc:
-                # Deterministic refusal (version/scheme mismatch):
-                # retrying the same hello cannot succeed — exit now so
-                # the operator sees the reason instead of a stuck
-                # backoff loop.
+                # Deterministic refusal (another protocol or model
+                # version): retrying the same hello cannot succeed —
+                # exit now so the operator sees the reason instead of
+                # a stuck backoff loop.
                 self.rejected = True
                 self.disconnected = True
                 self.last_error = str(exc)
@@ -227,10 +224,10 @@ class ClusterWorker:
                 "kind": "hello",
                 "worker": self.name,
                 "protocol": PROTOCOL_VERSION,
-                # Scheme model generations: the coordinator refuses us
-                # if any shared scheme's version differs from its own
-                # (stale scheme code must not feed the shared store).
-                "schemes": scheme_wire_versions(),
+                # The coordinator refuses us unless this matches its
+                # own: it stores our results under keys hashed with
+                # its model version.
+                "model_version": MODEL_VERSION,
             })
             heartbeat.start()
             while True:
@@ -246,7 +243,6 @@ class ClusterWorker:
                     time.sleep(float(reply.get("seconds", 0.05)))
                     continue
                 # kind == "cell"
-                self._steals += 1
                 self._maybe_crash(reply)
                 self._run_cell(reply)
                 if (self.max_cells is not None
@@ -264,14 +260,11 @@ class ClusterWorker:
                 pass
 
     def _maybe_crash(self, reply):
-        if (self.crash_after_steals is not None
-                and self._steals >= self.crash_after_steals):
-            raise WorkerCrash(
-                "injected crash after %d steal(s)" % self._steals)
         if self.fault_plan is not None:
-            if self.fault_plan.on_steal(self.name) is not None:
+            fault = self.fault_plan.on_steal(self.name)
+            if fault is not None:
                 raise WorkerCrash(
-                    "injected crash after %d steal(s)" % self._steals)
+                    "injected crash after %d steal(s)" % fault.at)
             benchmark = reply["spec"].get("benchmark")
             if self.fault_plan.poisoned(benchmark):
                 raise WorkerCrash(

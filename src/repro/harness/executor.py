@@ -30,15 +30,18 @@ in spec order::
 Three implementations exist:
 
 - :class:`SerialExecutor` — in-process loop;
-- :class:`PoolExecutor` — ``multiprocessing`` fan-out (falls back to
-  serial when a pool cannot be created);
+- :class:`PoolExecutor` — ``multiprocessing`` fan-out over ``jobs``
+  processes (in-process at one job, or when a pool cannot be created);
 - :class:`~repro.harness.cluster.ClusterExecutor` — the socket-based
   work-stealing cluster backend (multi-host).
 
-:meth:`CampaignRunner.run_grid(executor=...)
-<repro.harness.runner.CampaignRunner.run_grid>` is therefore
-backend-agnostic: the grid logic (dedup, cache, store) never knows
-which backend simulates.
+The caller picks one and hands it to :meth:`CampaignRunner.run_grid
+<repro.harness.runner.CampaignRunner.run_grid>` or
+:meth:`~repro.harness.runner.CampaignRunner.run_cell_batch`
+(``executor=None`` is a :class:`SerialExecutor`); the grid logic
+(dedup, cache, store) never knows which backend simulates.  On the
+command line ``--executor {pool,cluster}`` with ``--jobs N`` makes the
+same choice.
 """
 
 import multiprocessing
@@ -124,23 +127,3 @@ class PoolExecutor(Executor):
                     progress.cell_done(worker="pid-%d" % pid)
         return results
 
-
-def make_executor(kind, jobs=None, **kwargs):
-    """Build an executor by name: ``serial``, ``pool``, or ``cluster``.
-
-    ``jobs`` parameterises the pool; ``kwargs`` pass through to the
-    cluster backend (``host``, ``port``, ``local_workers``, ...).  The
-    cluster module is imported lazily so purely local runs never touch
-    the socket machinery.
-    """
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "pool":
-        return PoolExecutor(jobs=jobs)
-    if kind == "cluster":
-        from repro.harness.cluster import ClusterExecutor
-
-        return ClusterExecutor(**kwargs)
-    raise ValueError(
-        "unknown executor %r (choose from serial, pool, cluster)" % (kind,)
-    )

@@ -1,8 +1,9 @@
 """One experiment per paper table/figure.
 
-Each ``experiment_*`` function consumes a shared
-:class:`~repro.harness.runner.CampaignRunner`, produces the paper
-artefact as structured data, and renders a text report.  The
+Each ``experiment_*`` function takes the
+:class:`~repro.harness.runner.CampaignRunner` it is handed and nothing
+else, produces the paper artefact as structured data, and renders a
+text report.  The
 ``benchmarks/`` harness calls these and prints/records the reports, so
 ``pytest benchmarks/ --benchmark-only`` regenerates the whole
 evaluation section.
@@ -20,10 +21,15 @@ from repro.analysis.trends import (
     fit_trend,
     halved_slope_estimate,
 )
-from repro.pipeline.config import named_configs
+from repro.core.factory import make_scheme
+from repro.gem5.configs import GEM5_EXCLUDED, gem5_config
+from repro.memsys.hierarchy import MemConfig
+from repro.pipeline.config import LARGE, MEDIUM, MEGA, named_configs
+from repro.pipeline.core import OoOCore
 from repro.timing.area import estimate_area
 from repro.timing.power import estimate_power
 from repro.timing.synthesis import relative_timing, synthesize
+from repro.workloads import program_cache
 
 #: Secure schemes evaluated in every table/figure, derived from the
 #: scheme registry (the paper's three designs plus later variants).
@@ -41,6 +47,21 @@ class ExperimentReport:
 
     def __str__(self):
         return "%s\n%s\n%s" % (self.title, "=" * len(self.title), self.text)
+
+
+def _simulate_direct(runner, benchmark, config, scheme_name,
+                     **scheme_kwargs):
+    """One warm-cache core built outside the runner's cell path.
+
+    Table 5's gem5-proxy rows and both ablations simulate here: on the
+    runner's program for ``benchmark`` (its scale and seed), without
+    its cache, store or cycle accounting.
+    """
+    program = program_cache.cached_spec_program(
+        benchmark, scale=runner.scale, seed=runner.seed)
+    return OoOCore(program, config=config,
+                   scheme=make_scheme(scheme_name, **scheme_kwargs),
+                   warm_caches=True).run()
 
 
 # ----------------------------------------------------------------------
@@ -74,10 +95,8 @@ def experiment_table1(runner):
 # Figure 6: per-benchmark normalized IPC at Mega.
 # ----------------------------------------------------------------------
 
-def experiment_figure6(runner, config=None):
-    from repro.pipeline.config import MEGA
-
-    config = config or MEGA
+def experiment_figure6(runner):
+    config = MEGA
     baseline = {
         name: runner.run(name, config, "baseline") for name in runner.benchmarks
     }
@@ -114,8 +133,8 @@ def experiment_figure6(runner, config=None):
 # Figure 7: normalized IPC per scheme across all four configurations.
 # ----------------------------------------------------------------------
 
-def experiment_figure7(runner, configs=None):
-    configs = list(configs or named_configs())
+def experiment_figure7(runner):
+    configs = named_configs()
     data = {}
     sections = []
     for scheme in SCHEMES:
@@ -141,8 +160,6 @@ def experiment_figure7(runner, configs=None):
         data[scheme] = per_config
         sections.append(
             format_table(
-                # Headers come from the configs actually iterated, so a
-                # custom config list never mislabels columns.
                 ["Benchmark"] + [config.name for config in configs],
                 rows,
                 title="Figure 7 (%s): normalized IPC per configuration" % scheme,
@@ -301,10 +318,8 @@ def experiment_table3(runner):
 # Table 4: area and power at the fixed synthesis frequency.
 # ----------------------------------------------------------------------
 
-def experiment_table4(runner, config=None):
-    from repro.pipeline.config import MEGA
-
-    config = config or MEGA
+def experiment_table4(runner):
+    config = MEGA
     baseline_area = estimate_area(config, "baseline")
     baseline_results = runner.suite_results(config, "baseline")
     baseline_power = _suite_power(config, "baseline", baseline_results)
@@ -341,10 +356,7 @@ def _suite_power(config, scheme, results):
 # Table 5: BOOM vs gem5 IPC losses.
 # ----------------------------------------------------------------------
 
-def experiment_table5(runner, gem5_scale=None):
-    from repro.gem5.model import GEM5_EXCLUDED, Gem5Model
-    from repro.pipeline.config import LARGE, MEDIUM, MEGA
-
+def experiment_table5(runner):
     comparable = [b for b in runner.benchmarks if b not in GEM5_EXCLUDED]
     rows = []
     data = {}
@@ -361,12 +373,13 @@ def experiment_table5(runner, gem5_scale=None):
         data["boom-" + config.name] = {"baseline_ipc": base_ipc, **losses}
         rows.append(row)
 
-    scale = gem5_scale if gem5_scale is not None else runner.scale
     for which, scheme in (("stt", "stt-rename"), ("nda", "nda")):
-        model = Gem5Model(which, scale=scale, seed=runner.seed)
+        config = gem5_config(which)
         # The gem5 rows average the same suite as the BOOM rows above.
-        baseline = list(model.run_suite("baseline", comparable).values())
-        scheme_res = list(model.run_suite(scheme, comparable).values())
+        baseline = [_simulate_direct(runner, name, config, "baseline")
+                    for name in comparable]
+        scheme_res = [_simulate_direct(runner, name, config, scheme)
+                      for name in comparable]
         base_ipc = suite_mean_ipc(baseline)
         loss = 1.0 - suite_normalized_ipc(scheme_res, baseline)
         data["gem5-" + which] = {"baseline_ipc": base_ipc, scheme: loss}
@@ -391,10 +404,8 @@ def experiment_table5(runner, gem5_scale=None):
 # Section 8.1 / 9.2: the exchange2 forwarding anomaly.
 # ----------------------------------------------------------------------
 
-def experiment_exchange2(runner, config=None):
-    from repro.pipeline.config import MEGA
-
-    config = config or MEGA
+def experiment_exchange2(runner):
+    config = MEGA
     benchmark = "548.exchange2"
     rows = []
     data = {}
@@ -433,22 +444,13 @@ def experiment_exchange2(runner, config=None):
 # Ablation: split store taints for STT-Rename (Section 9.2 proposal).
 # ----------------------------------------------------------------------
 
-def experiment_ablation_store_taints(runner, config=None):
-    from repro.core.stt_rename import STTRenameScheme
-    from repro.pipeline.config import MEGA
-    from repro.pipeline.core import OoOCore
-
-    config = config or MEGA
-    benchmark = "548.exchange2"
-    program = runner.programs()[benchmark]
-
+def experiment_ablation_store_taints(runner):
     rows = []
     data = {}
     for label, split in (("unified (paper design)", False),
                          ("split taints (Section 9.2 fix)", True)):
-        core = OoOCore(program, config=config, warm_caches=True,
-                       scheme=STTRenameScheme(split_store_taints=split))
-        result = core.run()
+        result = _simulate_direct(runner, "548.exchange2", MEGA,
+                                  "stt-rename", split_store_taints=split)
         data[label] = {
             "ipc": result.stats.ipc,
             "stl_forward_errors": result.stats.stl_forward_errors,
@@ -468,31 +470,20 @@ def experiment_ablation_store_taints(runner, config=None):
 # Ablation: the 1-cycle L1 optimism (Section 9.5).
 # ----------------------------------------------------------------------
 
-def experiment_ablation_l1_latency(runner, latencies=(1, 2, 4), scheme="nda"):
-    from dataclasses import replace
-
-    from repro.core.factory import make_scheme
-    from repro.memsys.hierarchy import MemConfig
-    from repro.pipeline.config import MEGA
-    from repro.pipeline.core import OoOCore
-
+def experiment_ablation_l1_latency(runner):
+    scheme = "nda"
     rows = []
     data = {}
-    sample = [b for b in runner.benchmarks[::4]]
-    for latency in latencies:
+    sample = runner.benchmarks[::4]
+    for latency in (1, 2, 4):
         mem = MemConfig(l1_latency=latency)
         config = MEGA.scaled(name="mega-l1-%d" % latency, mem=mem)
         base_results, scheme_results = [], []
         for name in sample:
-            program = runner.programs()[name]
             base_results.append(
-                OoOCore(program, config=config, scheme=make_scheme("baseline"),
-                        warm_caches=True).run()
-            )
+                _simulate_direct(runner, name, config, "baseline"))
             scheme_results.append(
-                OoOCore(program, config=config, scheme=make_scheme(scheme),
-                        warm_caches=True).run()
-            )
+                _simulate_direct(runner, name, config, scheme))
         base_ipc = suite_mean_ipc(base_results)
         loss = 1.0 - suite_normalized_ipc(scheme_results, base_results)
         data[latency] = {"baseline_ipc": base_ipc, "loss": loss}
@@ -522,7 +513,8 @@ def experiment_ablation_l1_latency(runner, latencies=(1, 2, 4), scheme="nda"):
 # callable returning ``(configs, schemes, benchmarks)`` —
 # ``benchmarks=None`` meaning the runner's full selection — or ``None``
 # for experiments that bypass the cache entirely (the ablations build
-# cores directly; figure9 is analytic).
+# cores through ``_simulate_direct``; figure9 is analytic).  Table 5
+# declares only its BOOM rows; its gem5-proxy rows are direct builds.
 
 
 @dataclass(frozen=True)
@@ -546,14 +538,10 @@ def _needs_baseline_only():
 
 
 def _needs_mega_all():
-    from repro.pipeline.config import MEGA
-
     return [MEGA], _all_schemes(), None
 
 
 def _needs_table5():
-    from repro.gem5.model import GEM5_EXCLUDED
-    from repro.pipeline.config import LARGE, MEDIUM, MEGA
     from repro.workloads.characteristics import SPEC_BENCHMARKS
 
     comparable = tuple(b for b in SPEC_BENCHMARKS if b not in GEM5_EXCLUDED)
@@ -561,8 +549,6 @@ def _needs_table5():
 
 
 def _needs_exchange2():
-    from repro.pipeline.config import MEGA
-
     return [MEGA], _all_schemes(), ("548.exchange2",)
 
 
@@ -605,15 +591,12 @@ def experiment_grid_needs(experiment_id):
     return entry.needs()
 
 
-def run_experiment(experiment_id, runner=None, **kwargs):
-    """Run one experiment by id; returns an :class:`ExperimentReport`."""
-    from repro.harness.runner import shared_runner
-
+def run_experiment(experiment_id, runner):
+    """Run one experiment by id on ``runner``; returns an
+    :class:`ExperimentReport`."""
     if experiment_id not in EXPERIMENTS:
         raise KeyError(
             "unknown experiment %r (choose from %s)"
             % (experiment_id, ", ".join(experiment_ids()))
         )
-    if runner is None:
-        runner = shared_runner()
-    return EXPERIMENTS[experiment_id].func(runner, **kwargs)
+    return EXPERIMENTS[experiment_id].func(runner)

@@ -1,4 +1,4 @@
-"""Cell simulation and the classic ``run_cells()`` seam.
+"""Cell simulation: the one function every backend runs a cell through.
 
 A *cell spec* is the picklable tuple
 ``(benchmark, config, scheme_name, scheme_kwargs, scale, seed)`` — the
@@ -8,17 +8,15 @@ of work the cluster coordinator hands to remote workers.
 
 :func:`simulate_cell` executes one spec; every backend — the serial
 loop, the multiprocessing pool, and cluster workers — funnels through
-it, so a cell simulates identically wherever it lands.  Benchmark
+it, so a cell simulates identically wherever it lands.  Which backend
+runs a batch of specs is the caller's choice of
+:class:`~repro.harness.executor.Executor`, made in one place:
+:meth:`~repro.harness.runner.CampaignRunner.run_cell_batch`.  Benchmark
 programs come from the content-addressed
 :mod:`~repro.workloads.program_cache`: generation is seeded and
 per-benchmark independent (a subset build is bit-identical to a
 full-suite build), and a worker looping over many cells of one
 benchmark generates its program once.
-
-:func:`run_cells` is the stable seam callers see.  Since the
-:class:`~repro.harness.executor.Executor` protocol landed it is a thin
-dispatcher: pass ``executor=`` for any backend (including the cluster),
-or just ``jobs=`` for the classic serial/pool behaviour.
 """
 
 import os
@@ -91,26 +89,3 @@ def _simulate_indexed(indexed_spec):
     index, spec = indexed_spec
     return index, os.getpid(), simulate_cell(spec)
 
-
-def run_cells(specs, jobs=None, progress=None, executor=None, on_result=None,
-              on_failure=None):
-    """Simulate every spec; returns results in spec order.
-
-    The backend-agnostic seam: with ``executor=`` any
-    :class:`~repro.harness.executor.Executor` (serial, pool, cluster)
-    does the work; otherwise ``jobs`` selects the classic local
-    behaviour — ``jobs=None`` fans out over :func:`default_jobs`
-    processes, ``jobs<=1`` (or a single spec, or any failure to stand
-    up a pool) runs serially in-process.
-    """
-    from repro.harness.executor import PoolExecutor, SerialExecutor
-
-    specs = list(specs)
-    if not specs:
-        return []
-    if executor is None:
-        jobs = default_jobs() if jobs is None else int(jobs)
-        jobs = min(jobs, len(specs))
-        executor = SerialExecutor() if jobs <= 1 else PoolExecutor(jobs=jobs)
-    return executor.run(specs, progress=progress, on_result=on_result,
-                        on_failure=on_failure)

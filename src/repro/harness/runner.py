@@ -2,8 +2,8 @@
 
 Regenerating every table and figure needs the full
 (22 benchmarks x 4 configs x 6 grid schemes) grid; many experiments
-share slices of it, so one shared runner caches every simulation
-result.
+share slices of it, so the runner they are handed caches every
+simulation result.
 
 Cache identity is the *full* simulation content, not display names:
 :func:`repro.harness.store.simulation_key` hashes the complete
@@ -21,45 +21,35 @@ Three layers cooperate:
   (segment files + manifest index on disk — see
   :mod:`repro.harness.segments`) consulted before simulating and updated
   after, so repeated processes skip already-simulated cells;
-- :func:`~repro.harness.parallel.run_cells`, which
-  :meth:`CampaignRunner.run_grid` uses to shard the *uncached* cells
-  of a grid across a multiprocessing pool (serial fallback included).
+- an :class:`~repro.harness.executor.Executor`, to which
+  :meth:`CampaignRunner.run_cell_batch` hands the *uncached* cells of
+  a batch: in-process by default, or a pool or cluster the caller
+  chose.  :meth:`CampaignRunner.run` simulates one cell through the
+  same :func:`~repro.harness.parallel.simulate_cell` every backend
+  calls.
 
 ``python -m repro`` exposes all of this on the command line.
 """
 
 from repro.core.registry import grid_scheme_names
-from repro.harness.parallel import run_cells, simulate_cell
+from repro.harness.executor import SerialExecutor
+from repro.harness.parallel import simulate_cell
 from repro.harness.store import simulation_key
 from repro.pipeline.config import named_configs
-from repro.workloads.spec2017 import spec_suite
 
 
 class CampaignRunner:
     """Runs and caches the benchmark/config/scheme grid."""
 
-    def __init__(self, scale=1.0, seed=2017, benchmarks=None, store=None,
-                 jobs=1):
+    def __init__(self, scale=1.0, seed=2017, benchmarks=None, store=None):
         self.scale = scale
         self.seed = seed
         from repro.workloads.characteristics import SPEC_BENCHMARKS
 
         self.benchmarks = tuple(benchmarks or SPEC_BENCHMARKS)
         self.store = store
-        self.jobs = jobs
-        self._programs = None
         self._cache = {}
         self._keys = {}
-
-    # -- program generation (lazy, shared across runs) -------------------
-
-    def programs(self):
-        if self._programs is None:
-            self._programs = dict(
-                spec_suite(scale=self.scale, seed=self.seed,
-                           benchmarks=self.benchmarks)
-            )
-        return self._programs
 
     # -- cache identity ----------------------------------------------------
 
@@ -159,17 +149,15 @@ class CampaignRunner:
     # -- grid execution ----------------------------------------------------
 
     def run_grid(self, configs=None, schemes=None, benchmarks=None,
-                 jobs=None, executor=None, progress=None):
-        """Populate a (benchmark x config x scheme) grid, in parallel.
+                 executor=None, progress=None):
+        """Populate a (benchmark x config x scheme) grid.
 
         Cells already in the in-process cache or the persistent store
         are skipped; the remainder goes to ``executor`` (any
         :class:`~repro.harness.executor.Executor` — serial, pool, or
-        cluster) or, when none is given, is sharded across ``jobs``
-        local workers (defaulting to the runner's ``jobs``) and merged
-        back into both cache layers.  Returns a summary dict with
-        ``total``, ``cached``, ``from_store``, and ``simulated``
-        counts.
+        cluster; ``None`` runs them in-process) and is merged back into
+        both cache layers.  Returns a summary dict with ``total``,
+        ``cached``, ``from_store``, and ``simulated`` counts.
         """
         configs = list(configs or named_configs())
         schemes = tuple(schemes or grid_scheme_names())
@@ -180,16 +168,16 @@ class CampaignRunner:
             for scheme in schemes
             for benchmark in benchmarks
         ]
-        return self.run_cell_batch(cells, jobs=jobs, executor=executor,
+        return self.run_cell_batch(cells, executor=executor,
                                    progress=progress)
 
-    def run_cell_batch(self, cells, jobs=None, executor=None, progress=None):
+    def run_cell_batch(self, cells, executor=None, progress=None):
         """Populate arbitrary ``(benchmark, config, scheme)`` cells.
 
         The sparse counterpart of :meth:`run_grid`, for callers that
         know exactly which cells they need (e.g. the CLI pre-populating
         only the slices the requested experiments read).  Same caching,
-        store, and summary semantics; backend selection as in
+        store, and summary semantics; ``executor`` as in
         :meth:`run_grid`.  ``progress`` (a
         :class:`~repro.harness.progress.ProgressReporter`) is armed
         with the count of cells actually executing and fed by the
@@ -202,9 +190,8 @@ class CampaignRunner:
         store, counted in the summary's ``failed``, and its ``None``
         result is simply not cached, so a later campaign retries it.
         """
-        jobs = self.jobs if jobs is None else jobs
         # Dedup within the batch (identical cells hash identically), so
-        # repeated entries never reach the pool twice.
+        # repeated entries never reach the backend twice.
         unique, seen = [], set()
         for benchmark, config, scheme in cells:
             key = self.cell_key(benchmark, config, scheme)
@@ -255,12 +242,13 @@ class CampaignRunner:
             # resumed campaign) can see what went wrong.
             self.store.save_failure(failure)
 
-        results = run_cells(specs, jobs=jobs, executor=executor,
-                            progress=progress,
-                            on_result=persist_streaming
-                            if self.store is not None else None,
-                            on_failure=persist_failure
-                            if self.store is not None else None)
+        if executor is None:
+            executor = SerialExecutor()
+        results = executor.run(specs, progress=progress,
+                               on_result=persist_streaming
+                               if self.store is not None else None,
+                               on_failure=persist_failure
+                               if self.store is not None else None)
         for (key, _benchmark, _config, _scheme), result in zip(pending,
                                                                results):
             if result is None:
@@ -272,21 +260,3 @@ class CampaignRunner:
             progress.finish()
         return summary
 
-
-_SHARED = {}
-
-
-def shared_runner(scale=1.0, seed=2017, benchmarks=None):
-    """Process-wide memoised runner for a given scale/seed/benchmarks.
-
-    The benchmark tuple participates in the key: a caller requesting a
-    subset gets a runner built for that subset, never one recycled from
-    a different selection.
-    """
-    from repro.workloads.characteristics import SPEC_BENCHMARKS
-
-    key = (scale, seed, tuple(benchmarks or SPEC_BENCHMARKS))
-    if key not in _SHARED:
-        _SHARED[key] = CampaignRunner(scale=scale, seed=seed,
-                                      benchmarks=key[2])
-    return _SHARED[key]

@@ -141,33 +141,14 @@ class CellFailure:
                    self.kind, self.attempts, self.error))
 
 
-def _scheme_wire_version(scheme_name):
-    """The scheme's ``wire_version``, or ``None`` when unresolvable.
-
-    Tolerant by design: keys must stay computable for scheme names the
-    local registry does not know (e.g. browsing a store written by a
-    newer build), in which case the stamp simply does not participate —
-    exactly the pre-versioned behaviour.
-    """
-    try:
-        from repro.core.registry import get_spec
-
-        return get_spec(scheme_name).wire_version
-    except Exception:
-        return None
-
-
 def simulation_key(benchmark, config, scheme_name, scheme_kwargs=None,
                    scale=1.0, seed=2017, model_version=MODEL_VERSION):
     """Content hash identifying one grid cell; returns a hex digest.
 
-    A scheme's :attr:`~repro.core.registry.SchemeSpec.wire_version`
-    participates in the hash once it leaves its initial value, so
-    results simulated under an older behavioural revision of a scheme
-    self-evict (their keys no longer match) instead of being silently
-    reused.  Version 1 — every scheme today — is deliberately *not*
-    hashed, keeping all existing store contents and golden-fixture keys
-    byte-identical.
+    ``model_version`` is the one behavioural stamp: any change that
+    alters simulated results bumps the package version, so results of
+    an older model self-evict (their keys no longer match) instead of
+    being silently reused.
     """
     payload = {
         "model_version": model_version,
@@ -181,9 +162,6 @@ def simulation_key(benchmark, config, scheme_name, scheme_kwargs=None,
         "scale": scale,
         "seed": seed,
     }
-    wire = _scheme_wire_version(scheme_name)
-    if wire is not None and wire != 1:
-        payload["scheme_wire"] = wire
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

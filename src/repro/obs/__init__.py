@@ -30,8 +30,7 @@ cycle to a single leaf:
     An ordering-violation flush fired this cycle; the machine spends
     the slot refilling from the flush point.
 ``drained``
-    The halting cycle's leftover slots (HALT or an instruction-limit
-    stop committed this cycle).
+    The halting cycle's leftover slots (HALT committed this cycle).
 ``rename_blocked_rob / _iq / _ldq / _stq / _preg / _ckpt``
     The ROB has work in flight, the front end presents a visible
     instruction, but rename cannot accept it: the named back-end

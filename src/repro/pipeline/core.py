@@ -80,9 +80,8 @@ whole-group steps:
 2. Batched admission — one ``rob.extend`` and one
    ``IssueQueue.add_group``; C-shadow casts and LDQ/STQ appends ride
    the group-build loop itself.
-3. The scheme's ``on_rename_group`` hook — one call per group; the
-   default derives per-uop hook order (checkpoint hook then rename
-   hook, program order), STT-Rename overrides it with a single
+3. The scheme's ``on_rename_group`` hook — one call per group, skipped
+   for schemes that keep the no-op default; STT-Rename's is a single
    taint-RAT pass (the paper's Section 4.2 rename-time computation).
 
 Casting all of the group's C-shadows before the scheme hook (instead
@@ -156,7 +155,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 
 from repro.core.factory import make_scheme
-from repro.core.plugin import SchemeBase, overridden_hook, rename_group_hook
+from repro.core.plugin import SchemeBase, overridden_hook
 from repro.core.shadows import C_SHADOW, D_SHADOW, ShadowTracker
 from repro.frontend.branch_predictor import BranchTargetBuffer, make_predictor
 from repro.isa.instructions import Opcode
@@ -380,10 +379,9 @@ class OoOCore:
         self.max_cycles = max_cycles
         self.watchdog_cycles = watchdog_cycles
         # Devirtualised scheme hooks (None = default no-op, skipped).
-        # Rename-side hooks dispatch as one group call per cycle; the
-        # resolver falls back to the derived per-uop loop when only the
-        # per-uop hooks are overridden.
-        self._scheme_on_rename_group = rename_group_hook(scheme)
+        # The rename-side hook dispatches as one group call per cycle.
+        self._scheme_on_rename_group = overridden_hook(
+            scheme, "on_rename_group")
         self._scheme_on_visibility_update = overridden_hook(
             scheme, "on_visibility_update")
         self._scheme_on_load_complete = overridden_hook(
@@ -520,7 +518,6 @@ class OoOCore:
         self._pending_squash = None
         self._div_busy_until = 0
         self._last_commit_cycle = 0
-        self._instruction_limit = None
         #: Cycles elided by idle-cycle fast-forward (diagnostic only;
         #: deliberately not a SimStats counter so results stay
         #: bit-identical to pure stepping).
@@ -536,13 +533,8 @@ class OoOCore:
     # Public driving interface.
     # ------------------------------------------------------------------
 
-    def run(self, max_instructions=None):
-        """Simulate until the program halts; returns a SimulationResult.
-
-        ``max_instructions`` optionally stops the run once that many
-        instructions have committed (for fixed-work measurement runs).
-        """
-        self._instruction_limit = max_instructions
+    def run(self):
+        """Simulate until the program halts; returns a SimulationResult."""
         while not self.halted:
             if self.cycle >= self.max_cycles:
                 raise RuntimeError(
@@ -799,13 +791,6 @@ class OoOCore:
             ):
                 head.in_pool = True
                 pool_free.append(head)
-
-            if (
-                self._instruction_limit is not None
-                and stats.committed_instructions >= self._instruction_limit
-            ):
-                self.halted = True
-                return
 
     def _train_predictor(self, uop):
         update_with_history = self._predictor_update_with_history

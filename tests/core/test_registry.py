@@ -134,19 +134,6 @@ def test_cli_choices_derive_from_registry():
     assert checked >= 4  # grid/serve --schemes, profile/pipeview --scheme
 
 
-def test_wire_versions_cover_every_scheme():
-    """Every spec carries a positive int wire_version, and the
-    handshake map derives from the registry."""
-    from repro.core.registry import iter_specs, scheme_wire_versions
-
-    versions = scheme_wire_versions()
-    for spec in iter_specs():
-        assert isinstance(spec.wire_version, int)
-        assert spec.wire_version >= 1
-        assert versions[spec.name] == spec.wire_version
-    assert set(versions) == set(scheme_names())
-
-
 def test_ipc_anchors_on_grid_specs():
     """Grid schemes carry a Figure 6 anchor in (0, 1]; the dedicated
     ordering assertions live in tests/harness/test_ipc_validation.py."""

@@ -6,8 +6,9 @@ import pickle
 
 import pytest
 
-from repro.harness.parallel import run_cells
-from repro.harness.runner import CampaignRunner, shared_runner
+from repro.harness.executor import PoolExecutor, SerialExecutor
+from repro.harness.progress import ProgressReporter
+from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore, simulation_key
 from repro.pipeline.config import (
     CoreConfig,
@@ -384,11 +385,12 @@ def test_parallel_grid_matches_serial(tmp_path):
     schemes = ("baseline", "nda")
 
     serial = CampaignRunner(scale=0.05, benchmarks=SUBSET)
-    serial.run_grid(configs=configs, schemes=schemes, jobs=1)
+    serial.run_grid(configs=configs, schemes=schemes)
 
     store = ResultStore(tmp_path)
     parallel = CampaignRunner(scale=0.05, benchmarks=SUBSET, store=store)
-    summary = parallel.run_grid(configs=configs, schemes=schemes, jobs=4)
+    summary = parallel.run_grid(configs=configs, schemes=schemes,
+                                executor=PoolExecutor(jobs=4))
     assert summary["total"] == 8
     assert summary["simulated"] == 8
 
@@ -407,14 +409,14 @@ def test_second_grid_run_served_from_store(tmp_path):
     store = ResultStore(tmp_path)
     first = CampaignRunner(scale=0.05, benchmarks=SUBSET, store=store)
     cold = first.run_grid(configs=(MEDIUM,), schemes=("baseline", "nda"),
-                          jobs=2)
+                          executor=PoolExecutor(jobs=2))
     assert cold["simulated"] == 4
 
     # Fresh process-equivalent: new runner, same store directory.
     second = CampaignRunner(scale=0.05, benchmarks=SUBSET,
                             store=ResultStore(tmp_path))
     warm = second.run_grid(configs=(MEDIUM,), schemes=("baseline", "nda"),
-                           jobs=2)
+                           executor=PoolExecutor(jobs=2))
     assert warm["simulated"] == 0
     assert warm["from_store"] == 4
 
@@ -429,7 +431,7 @@ def test_second_grid_run_served_from_store(tmp_path):
 def test_cell_batch_dedups_duplicates():
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     cell = (BENCH, SMALL, "baseline")
-    summary = runner.run_cell_batch([cell, cell, cell], jobs=1)
+    summary = runner.run_cell_batch([cell, cell, cell])
     assert summary["total"] == 1
     assert summary["simulated"] == 1
 
@@ -443,24 +445,27 @@ def test_store_sees_external_writer(tmp_path):
     assert reader.load(key) is not None  # mtime gate triggers a refresh
 
 
-def test_run_cells_serial_fallback():
+def test_pool_executor_serial_fallback():
     spec = (BENCH, SMALL, "baseline", (), 0.05, 2017)
-    results = run_cells([spec], jobs=1)
+    progress = ProgressReporter(label="test").begin(1)
+    results = PoolExecutor(jobs=1).run([spec], progress=progress)
     assert len(results) == 1
     assert results[0].program_name == BENCH
-    assert run_cells([], jobs=4) == []
+    # One job runs in-process: no pool worker is ever forked.
+    assert progress.per_worker == {"serial": 1}
+    assert PoolExecutor(jobs=4).run([]) == []
 
 
-def test_run_cells_propagates_worker_errors():
+def test_executors_propagate_worker_errors():
     bad = ("no.such.benchmark", SMALL, "baseline", (), 0.05, 2017)
     good = (BENCH, SMALL, "baseline", (), 0.05, 2017)
     # Two specs keep jobs=2 after the min(jobs, len(specs)) clamp, so
     # this genuinely exercises the pool path (exception pickled out of
-    # a worker and re-raised by pool.map), not the serial fallback.
+    # a worker and re-raised by the pool), not the serial fallback.
     with pytest.raises(KeyError):
-        run_cells([good, bad], jobs=2)
+        PoolExecutor(jobs=2).run([good, bad])
     with pytest.raises(KeyError):
-        run_cells([bad], jobs=1)
+        SerialExecutor().run([bad])
 
 
 def test_experiment_grid_needs():
@@ -480,7 +485,7 @@ def test_experiment_grid_needs():
     assert benchmarks == ("548.exchange2",)
     # table5 only reads the gem5-comparable subset; pre-population must
     # not pay for the excluded benchmarks.
-    from repro.gem5.model import GEM5_EXCLUDED
+    from repro.gem5 import GEM5_EXCLUDED
 
     _configs, _schemes, benchmarks = experiment_grid_needs("table5")
     assert benchmarks is not None
@@ -520,22 +525,18 @@ def test_result_is_idempotent():
     assert "accesses" not in core.stats.extra
 
 
-def test_shared_runner_keys_on_benchmarks():
-    full = shared_runner(scale=0.07)
-    subset = shared_runner(scale=0.07, benchmarks=SUBSET)
-    assert subset is not full
-    assert subset.benchmarks == SUBSET
-    assert len(full.benchmarks) > len(SUBSET)
-    assert shared_runner(scale=0.07, benchmarks=SUBSET) is subset
-
-
 def test_figure7_headers_follow_configs():
     from repro.harness.experiments import experiment_figure7
+    from repro.pipeline.config import named_configs
 
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
-    custom = MEGA.scaled(name="mega-variant", rob_entries=64)
-    report = experiment_figure7(runner, configs=(SMALL, custom))
-    assert "mega-variant" in report.text
-    assert "medium" not in report.text
+    report = experiment_figure7(runner)
+    names = [config.name for config in named_configs()]
+    # One table per scheme; its columns and data are the configs it
+    # iterated, in order.
+    sections = report.text.split("\n\n")
+    assert len(sections) == len(report.data)
+    for section in sections:
+        assert section.splitlines()[1].split() == ["Benchmark"] + names
     for scheme_data in report.data.values():
-        assert set(scheme_data) == {"small", "mega-variant"}
+        assert list(scheme_data) == names

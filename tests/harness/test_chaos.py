@@ -19,7 +19,6 @@ import time
 
 import pytest
 
-from repro.core.registry import scheme_wire_versions
 from repro.harness.cluster import (
     PROTOCOL_VERSION,
     ClusterCoordinator,
@@ -33,7 +32,7 @@ from repro.harness.cluster import (
 )
 from repro.harness.journal import CampaignJournal, journal_path
 from repro.harness.runner import CampaignRunner
-from repro.harness.store import ResultStore
+from repro.harness.store import MODEL_VERSION, ResultStore
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.pipeline.config import SMALL
 from repro.pipeline.core import SimulationResult
@@ -269,7 +268,7 @@ def test_closed_coordinator_takes_late_result_and_drop(tmp_path,
     try:
         send_frame(conn, {"kind": "hello", "worker": "late",
                           "protocol": PROTOCOL_VERSION,
-                          "schemes": scheme_wire_versions()})
+                          "model_version": MODEL_VERSION})
         assert recv_frame(conn)["kind"] == "welcome"
         send_frame(conn, {"kind": "steal"})
         cell = recv_frame(conn)
@@ -307,7 +306,7 @@ def test_persisted_count_is_exact_under_concurrent_results():
         try:
             send_frame(conn, {"kind": "hello", "worker": name,
                               "protocol": PROTOCOL_VERSION,
-                              "schemes": scheme_wire_versions()})
+                              "model_version": MODEL_VERSION})
             recv_frame(conn)
             while True:
                 send_frame(conn, {"kind": "steal"})

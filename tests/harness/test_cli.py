@@ -34,7 +34,7 @@ def test_cli_run_prepopulates_needed_cells(tmp_path, capsys, monkeypatch):
     # The run points the program disk cache into its store; undo that.
     monkeypatch.setattr(program_cache, "_DISK_DIR",
                         program_cache.disk_cache_dir())
-    argv = ["run", "table1", "figure6", "--executor", "serial",
+    argv = ["run", "table1", "figure6",
             "--scale", "0.05", "--benchmarks", "503.bwaves", "548.exchange2",
             "--store-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -46,6 +46,18 @@ def test_cli_run_prepopulates_needed_cells(tmp_path, capsys, monkeypatch):
     assert second[0].startswith(
         "grid pre-populated: 18 cells — 0 simulated, 18 from store")
     assert second[1:] == first[1:]
+
+
+def test_cli_serve_takes_no_jobs(capsys):
+    # serve's cells run on its cluster workers: --jobs would be ignored,
+    # so an otherwise runnable serve naming it is a usage error.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--jobs", "2", "--host", "127.0.0.1", "--port", "0",
+              "--local-workers", "1", "--scale", "0.05", "--benchmarks",
+              BENCH, "--configs", "small", "--schemes", "baseline",
+              "--no-store"])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_cli_grid_cluster_executor(tmp_path, capsys):

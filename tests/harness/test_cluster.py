@@ -15,6 +15,8 @@ from repro.harness.cluster import (
     ClusterCoordinator,
     ClusterExecutor,
     ClusterWorker,
+    Fault,
+    FaultPlan,
     PROTOCOL_VERSION,
     ProtocolError,
     recv_frame,
@@ -22,16 +24,10 @@ from repro.harness.cluster import (
     spec_from_wire,
     spec_to_wire,
 )
-from repro.harness.executor import (
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from repro.core.registry import scheme_wire_versions
-from repro.harness.parallel import run_cells
+from repro.harness.executor import PoolExecutor, SerialExecutor
 from repro.harness.progress import ProgressReporter
 from repro.harness.runner import CampaignRunner
-from repro.harness.store import ResultStore
+from repro.harness.store import MODEL_VERSION, ResultStore
 from repro.pipeline.config import MEDIUM, SMALL
 
 SUBSET = ("503.bwaves", "548.exchange2")
@@ -118,7 +114,7 @@ def test_spec_wire_round_trip():
 
 def test_loopback_cluster_matches_serial():
     specs = small_specs(configs=(SMALL, MEDIUM))
-    serial = run_cells(specs, jobs=1)
+    serial = SerialExecutor().run(specs)
 
     executor = ClusterExecutor(local_workers=2, wait_timeout=120)
     progress = ProgressReporter(label="test").begin(len(specs))
@@ -163,7 +159,7 @@ def test_cluster_runner_batch_streams_into_store(tmp_path):
 
 def test_crashed_worker_cells_are_requeued():
     specs = small_specs()
-    serial = run_cells(specs, jobs=1)
+    serial = SerialExecutor().run(specs)
 
     coordinator = ClusterCoordinator(specs, heartbeat_timeout=2.0)
     coordinator.start()
@@ -171,7 +167,8 @@ def test_crashed_worker_cells_are_requeued():
         host, port = coordinator.address
         # The crasher steals one cell and dies without reporting it.
         crasher, crasher_thread = start_worker(
-            host, port, name="crasher", crash_after_steals=1)
+            host, port, name="crasher",
+            fault_plan=FaultPlan([Fault("crash", worker="crasher", at=1)]))
         crasher_thread.join(timeout=30)
         assert not crasher_thread.is_alive()
         assert crasher.cells_completed == 0
@@ -203,7 +200,7 @@ def test_silent_worker_times_out_and_is_requeued():
         zombie = socket.create_connection((host, port), timeout=5)
         send_frame(zombie, {"kind": "hello", "worker": "zombie",
                             "protocol": PROTOCOL_VERSION,
-                            "schemes": scheme_wire_versions()})
+                            "model_version": MODEL_VERSION})
         assert recv_frame(zombie)["kind"] == "welcome"
         send_frame(zombie, {"kind": "steal"})
         assert recv_frame(zombie)["kind"] == "cell"
@@ -268,7 +265,7 @@ def test_late_duplicate_error_does_not_end_campaign():
         conn = socket.create_connection((host, port), timeout=5)
         send_frame(conn, {"kind": "hello", "worker": "straggler",
                           "protocol": PROTOCOL_VERSION,
-                          "schemes": scheme_wire_versions()})
+                          "model_version": MODEL_VERSION})
         recv_frame(conn)
         send_frame(conn, {"kind": "error", "cell_id": 0,
                           "error": "MemoryError: host-specific"})
@@ -311,7 +308,7 @@ def test_late_result_clears_quarantine_first_result_wins():
     # it is the result any rerun would produce, so it wins and the
     # quarantine dissolves.
     spec = ("503.bwaves", SMALL, "baseline", (), 0.05, 2017)
-    serial = run_cells([spec], jobs=1)[0]
+    serial = SerialExecutor().run([spec])[0]
 
     cleared = []
     progress = ProgressReporter(label="test").begin(1)
@@ -325,7 +322,7 @@ def test_late_result_clears_quarantine_first_result_wins():
         doomed = socket.create_connection((host, port), timeout=5)
         send_frame(doomed, {"kind": "hello", "worker": "doomed",
                             "protocol": PROTOCOL_VERSION,
-                            "schemes": scheme_wire_versions()})
+                            "model_version": MODEL_VERSION})
         assert recv_frame(doomed)["kind"] == "welcome"
         send_frame(doomed, {"kind": "steal"})
         assert recv_frame(doomed)["kind"] == "cell"
@@ -345,7 +342,7 @@ def test_late_result_clears_quarantine_first_result_wins():
         straggler = socket.create_connection((host, port), timeout=5)
         send_frame(straggler, {"kind": "hello", "worker": "doomed",
                                "protocol": PROTOCOL_VERSION,
-                               "schemes": scheme_wire_versions()})
+                               "model_version": MODEL_VERSION})
         assert recv_frame(straggler)["kind"] == "welcome"
         send_frame(straggler, {"kind": "result", "cell_id": 0,
                                "result": serial.to_dict()})
@@ -374,7 +371,7 @@ def test_undecodable_result_drops_its_worker_and_requeues_the_cell(
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)
     spec = ("503.bwaves", SMALL, "baseline", (), 0.05, 2017)
-    serial = run_cells([spec], jobs=1)[0]
+    serial = SerialExecutor().run([spec])[0]
     malformed = serial.to_dict()
     malformed["memory"] = 5
     foreign = serial.to_dict(
@@ -391,7 +388,7 @@ def test_undecodable_result_drops_its_worker_and_requeues_the_cell(
             try:
                 send_frame(conn, {"kind": "hello", "worker": "garbled",
                                   "protocol": PROTOCOL_VERSION,
-                                  "schemes": scheme_wire_versions()})
+                                  "model_version": MODEL_VERSION})
                 assert recv_frame(conn)["kind"] == "welcome"
                 send_frame(conn, {"kind": "steal"})
                 assert recv_frame(conn)["cell_id"] == 0
@@ -497,7 +494,7 @@ def test_protocol_version_mismatch_is_rejected():
         # and the reason names both versions.
         conn = socket.create_connection((host, port), timeout=5)
         send_frame(conn, {"kind": "hello", "worker": "old", "protocol": 2,
-                          "schemes": scheme_wire_versions()})
+                          "model_version": MODEL_VERSION})
         reply = recv_frame(conn)
         assert reply["kind"] == "reject"
         assert reply["error"] == (
@@ -532,65 +529,57 @@ def test_protocol_version_mismatch_is_rejected():
         coordinator.close()
 
 
-def test_scheme_wire_version_mismatch_is_rejected():
-    """ROADMAP PR 4 follow-up: a worker whose scheme code is a different
-    generation than the coordinator's must be refused at hello — its
-    results would be content-addressed as if they matched behaviour
-    they no longer (or do not yet) implement."""
+def test_model_version_mismatch_is_rejected():
+    """A worker running another model must be refused at hello: the
+    coordinator stores each result under a key hashed with its own
+    model version, which would vouch for the other model's results."""
     coordinator = ClusterCoordinator(small_specs(), heartbeat_timeout=5.0)
     coordinator.start()
     try:
         host, port = coordinator.address
 
-        # Stale version for one scheme -> reject naming the scheme.
-        stale = dict(scheme_wire_versions())
-        scheme = sorted(stale)[0]
-        stale[scheme] += 1
+        # Another model version -> reject naming both.
         conn = socket.create_connection((host, port), timeout=5)
         send_frame(conn, {"kind": "hello", "worker": "stale",
-                          "protocol": PROTOCOL_VERSION, "schemes": stale})
+                          "protocol": PROTOCOL_VERSION,
+                          "model_version": "0.0.0-stale"})
         reply = recv_frame(conn)
         assert reply["kind"] == "reject"
-        assert "scheme version mismatch" in reply["error"]
-        assert scheme in reply["error"]
+        assert reply["error"] == (
+            "model version mismatch: coordinator %s, worker 0.0.0-stale"
+            % MODEL_VERSION)
         conn.close()
 
-        # Missing scheme map entirely (an old build) -> reject.
+        # No model version at all -> reject.
         conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "ancient",
+        send_frame(conn, {"kind": "hello", "worker": "unstamped",
                           "protocol": PROTOCOL_VERSION})
         reply = recv_frame(conn)
         assert reply["kind"] == "reject"
-        assert "scheme versions missing" in reply["error"]
+        assert "model version mismatch" in reply["error"]
         conn.close()
 
-        # A worker knowing a scheme the coordinator lacks (but agreeing
-        # on every shared one) is welcomed -- the coordinator never
-        # dispatches the extra scheme.
-        extra = dict(scheme_wire_versions())
-        extra["experimental-v9"] = 1
+        # The coordinator's own version is welcomed.
         conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "pioneer",
-                          "protocol": PROTOCOL_VERSION, "schemes": extra})
+        send_frame(conn, {"kind": "hello", "worker": "current",
+                          "protocol": PROTOCOL_VERSION,
+                          "model_version": MODEL_VERSION})
         assert recv_frame(conn)["kind"] == "welcome"
         conn.close()
     finally:
         coordinator.close()
 
 
-def test_cluster_worker_surfaces_scheme_rejection(monkeypatch):
-    """A full ClusterWorker with stale scheme code reports the rejection
-    reason instead of pretending a clean drain."""
+def test_cluster_worker_surfaces_model_version_rejection(monkeypatch):
+    """A full ClusterWorker built from another model reports the
+    rejection instead of simulating cells into this model's keys."""
     import repro.harness.cluster.worker as worker_module
 
     coordinator = ClusterCoordinator(small_specs(), heartbeat_timeout=5.0)
     coordinator.start()
     try:
         host, port = coordinator.address
-        stale = dict(scheme_wire_versions())
-        stale[sorted(stale)[0]] += 1
-        monkeypatch.setattr(worker_module, "scheme_wire_versions",
-                            lambda: stale)
+        monkeypatch.setattr(worker_module, "MODEL_VERSION", "0.0.0-stale")
         # A generous reconnect budget must NOT be spent on a rejection:
         # the same hello gets the same refusal every time.
         worker = ClusterWorker(host, port, name="stale-build",
@@ -598,7 +587,8 @@ def test_cluster_worker_surfaces_scheme_rejection(monkeypatch):
         assert worker.run() == 0
         assert worker.disconnected and worker.rejected
         assert worker.reconnects == 0
-        assert "scheme version mismatch" in worker.last_error
+        assert "model version mismatch" in worker.last_error
+        assert coordinator.stats()["completed"] == 0
     finally:
         coordinator.close()
 
@@ -606,15 +596,6 @@ def test_cluster_worker_surfaces_scheme_rejection(monkeypatch):
 # ----------------------------------------------------------------------
 # Executor protocol: one seam, three backends.
 # ----------------------------------------------------------------------
-
-def test_make_executor_kinds():
-    assert isinstance(make_executor("serial"), SerialExecutor)
-    pool = make_executor("pool", jobs=3)
-    assert isinstance(pool, PoolExecutor) and pool.jobs == 3
-    assert isinstance(make_executor("cluster"), ClusterExecutor)
-    with pytest.raises(ValueError):
-        make_executor("carrier-pigeon")
-
 
 def test_serial_and_pool_report_progress_and_stream_results():
     specs = small_specs(schemes=("baseline",))
@@ -628,14 +609,6 @@ def test_serial_and_pool_report_progress_and_stream_results():
         assert sorted(streamed) == list(range(len(specs)))
         for index, result in enumerate(results):
             assert streamed[index].stats.to_dict() == result.stats.to_dict()
-
-
-def test_run_cells_accepts_executor():
-    specs = small_specs(schemes=("baseline",))
-    via_seam = run_cells(specs, executor=SerialExecutor())
-    direct = run_cells(specs, jobs=1)
-    for mine, theirs in zip(via_seam, direct):
-        assert mine.stats.to_dict() == theirs.stats.to_dict()
 
 
 def test_progress_reporter_counters_and_render():

@@ -42,9 +42,9 @@ def test_experiment_registry_complete():
         assert expected in ids
 
 
-def test_unknown_experiment_rejected():
+def test_unknown_experiment_rejected(runner):
     with pytest.raises(KeyError):
-        run_experiment("table99")
+        run_experiment("table99", runner)
 
 
 def test_table1_report(runner):
@@ -88,40 +88,58 @@ def test_gem5_configs():
         gem5_config("esp")
 
 
-def test_gem5_model_excludes_paper_benchmarks():
-    from repro.gem5.model import GEM5_EXCLUDED, Gem5Model
+def _record_direct_builds(monkeypatch):
+    """Record every core table5 and the ablations build off the runner."""
+    from repro.harness import experiments
 
-    model = Gem5Model("nda", scale=0.05)
-    names = model.benchmarks()
-    for excluded in GEM5_EXCLUDED:
-        assert excluded not in names
-    assert len(names) == 19
+    built = []
+    simulate = experiments._simulate_direct
+
+    def recording(runner, benchmark, config, scheme_name, **kwargs):
+        built.append((benchmark, config.name, scheme_name))
+        return simulate(runner, benchmark, config, scheme_name, **kwargs)
+
+    monkeypatch.setattr(experiments, "_simulate_direct", recording)
+    return built
+
+
+def test_gem5_model_excludes_paper_benchmarks(monkeypatch):
+    from repro.gem5 import GEM5_EXCLUDED
+    from repro.harness.experiments import experiment_table5
+
+    assert GEM5_EXCLUDED == ("508.namd", "510.parest", "511.povray")
+    built = _record_direct_builds(monkeypatch)
+    experiment_table5(CampaignRunner(
+        scale=0.05, benchmarks=("508.namd", "548.exchange2")))
+    # The gem5 rows never simulate a benchmark the paper excluded.
+    assert [name for name, _config, _scheme in built] == [
+        "548.exchange2"] * 4
 
 
 def test_gem5_loss_computation():
-    from repro.gem5.model import gem5_ipc_loss
+    from repro.harness.experiments import experiment_table5
 
-    base_ipc, loss = gem5_ipc_loss("nda", "nda", scale=0.05)
-    assert base_ipc > 0
-    assert -0.2 <= loss <= 1.0
+    report = experiment_table5(
+        CampaignRunner(scale=0.05, benchmarks=("548.exchange2",)))
+    for which, scheme in (("stt", "stt-rename"), ("nda", "nda")):
+        row = report.data["gem5-" + which]
+        assert row["baseline_ipc"] > 0
+        assert -0.2 <= row[scheme] <= 1.0
 
 
 def test_table5_gem5_rows_follow_runner_benchmarks(monkeypatch):
     # Each gem5 row averages the same suite as the BOOM rows it is
     # compared with: the runner's benchmarks minus the exclusions.
-    from repro.gem5.model import Gem5Model
     from repro.harness.experiments import experiment_table5
 
-    simulated = []
-    run_suite = Gem5Model.run_suite
-
-    def recording(self, *args, **kwargs):
-        results = run_suite(self, *args, **kwargs)
-        simulated.append(list(results))
-        return results
-
-    monkeypatch.setattr(Gem5Model, "run_suite", recording)
+    built = _record_direct_builds(monkeypatch)
     pair = ("503.bwaves", "548.exchange2")
     report = experiment_table5(CampaignRunner(scale=0.05, benchmarks=pair))
-    assert simulated == [list(pair)] * 4
+    assert built == [
+        (name, config, scheme)
+        for config, row_scheme in (("gem5-stt", "stt-rename"),
+                                   ("gem5-nda", "nda"))
+        for scheme in ("baseline", row_scheme)
+        for name in pair
+    ]
     assert report.data["gem5-nda"]["baseline_ipc"] > 0

@@ -160,19 +160,6 @@ def test_jalr_indirect_jump(scheme_name):
     assert result.regs[6] == 99
 
 
-def test_max_instructions_cap():
-    program = assemble("""
-        li   t0, 1000
-    loop:
-        addi t0, t0, -1
-        bne  t0, zero, loop
-        halt
-    """)
-    core = OoOCore(program, config=MEGA)
-    result = core.run(max_instructions=50)
-    assert 50 <= result.stats.committed_instructions <= 54
-
-
 def test_watchdog_reports_deadlock():
     program = assemble("""
         li t0, 4

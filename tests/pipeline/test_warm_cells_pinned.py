@@ -18,7 +18,7 @@ import json
 from repro.core.factory import make_scheme
 from repro.core.registry import grid_scheme_names
 from repro.core.stt_rename import STTRenameScheme
-from repro.gem5.model import GEM5_EXCLUDED, Gem5Model
+from repro.gem5 import GEM5_EXCLUDED, gem5_config
 from repro.harness.parallel import simulate_cell
 from repro.memsys.hierarchy import MemConfig
 from repro.pipeline.config import MEGA
@@ -41,11 +41,13 @@ def table5_gem5_cells():
     """table5's gem5-proxy rows: 19 proxies x 2 configs x 2 schemes."""
     comparable = [b for b in SPEC_BENCHMARKS if b not in GEM5_EXCLUDED]
     for which, scheme in (("stt", "stt-rename"), ("nda", "nda")):
-        model = Gem5Model(which, scale=SCALE, seed=SEED)
+        config = gem5_config(which)
         for scheme_name in ("baseline", scheme):
-            for name, result in model.run_suite(scheme_name,
-                                                comparable).items():
-                yield name, model.config, scheme_name, result
+            for name in comparable:
+                program = cached_spec_program(name, scale=SCALE, seed=SEED)
+                result = OoOCore(program, config=config, warm_caches=True,
+                                 scheme=make_scheme(scheme_name)).run()
+                yield name, config, scheme_name, result
 
 
 def ablation_cells():
