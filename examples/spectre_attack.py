@@ -32,7 +32,7 @@ def main():
     print()
     print("The unsafe baseline transmits the secret into the cache; all")
     print("three secure schemes keep the probe array cold, at the IPC")
-    print("costs quantified by the benchmark harness.")
+    print("costs quantified by `python -m repro run all`.")
 
 
 if __name__ == "__main__":

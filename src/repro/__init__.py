@@ -5,8 +5,8 @@ Microarchitectures for In-Core Secure Speculation Schemes* (MICRO
 2025): an out-of-order core model with pluggable secure-speculation
 microarchitectures (STT-Rename, STT-Issue, NDA-Permissive), a
 synthesis-substitute timing/area/power model, synthetic SPEC CPU2017
-proxy workloads, and a benchmark harness regenerating every table and
-figure of the paper's evaluation.
+proxy workloads, and a campaign harness (``python -m repro run all``)
+regenerating every table and figure of the paper's evaluation.
 
 Quickstart::
 

@@ -84,6 +84,7 @@ from repro.core.registry import (
 from repro.harness.bench import PROFILE_SORTS, THROUGHPUT_LABELS, profile_cell
 from repro.harness.executor import PoolExecutor
 from repro.harness.experiments import (
+    EXPERIMENTS,
     experiment_grid_needs,
     experiment_ids,
     run_experiment,
@@ -384,7 +385,8 @@ def _needed_cells(experiment_ids_, runner):
 def cmd_run(args):
     ids = list(args.experiments)
     if ids == ["all"]:
-        ids = experiment_ids()
+        # One id per experiment callable: figure1 and table3 share one.
+        ids = list({EXPERIMENTS[i].func: i for i in experiment_ids()}.values())
     unknown = [i for i in ids if i not in experiment_ids()]
     if unknown:
         print("unknown experiment(s): %s (choose from %s)"

@@ -1,6 +1,6 @@
 """Plain-text rendering of tables and figure series.
 
-The benchmark harness prints every regenerated table and figure in a
+The experiments render every regenerated table and figure in a
 terminal-friendly form: aligned tables for the paper's tables, series
 listings plus unicode bar charts for its figures.
 """

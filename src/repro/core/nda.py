@@ -270,5 +270,4 @@ register(SchemeSpec(
         area_ffs=_area_ffs,
         power=_power,
     ),
-    ipc_anchor=0.79,
 ))

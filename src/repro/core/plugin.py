@@ -151,5 +151,4 @@ register(SchemeSpec(
     name="baseline",
     factory=BaselineScheme,
     doc="Unsafe out-of-order baseline: no speculation defense.",
-    ipc_anchor=1.0,
 ))

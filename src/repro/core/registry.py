@@ -98,13 +98,6 @@ class SchemeSpec:
     grid: bool = True
     #: Timing-model parameters.
     timing: SchemeTiming = field(default_factory=SchemeTiming)
-    #: Paper anchor: the scheme's suite-mean IPC normalized to baseline
-    #: on the Mega configuration (Figure 6's arithmetic mean; ``None``
-    #: for schemes the paper does not plot).  Approximate by nature —
-    #: consumed for *relative ordering* validation (the campaign smoke
-    #: test asserts measured cells respect the anchors' ordering), not
-    #: as a point target.
-    ipc_anchor: float = None
 
 
 #: Modules registering scheme specs, in canonical evaluation order

@@ -134,16 +134,6 @@ def test_cli_choices_derive_from_registry():
     assert checked >= 4  # grid/serve --schemes, profile/pipeview --scheme
 
 
-def test_ipc_anchors_on_grid_specs():
-    """Grid schemes carry a Figure 6 anchor in (0, 1]; the dedicated
-    ordering assertions live in tests/harness/test_ipc_validation.py."""
-    from repro.core.registry import get_spec
-
-    for name in grid_scheme_names():
-        anchor = get_spec(name).ipc_anchor
-        assert anchor is not None and 0.0 < anchor <= 1.0, name
-
-
 def test_new_variants_reach_the_grid_and_wire_format():
     """fence / delay-on-miss run end-to-end: grid membership, cell
     keys, and the cluster wire round-trip."""

@@ -240,6 +240,17 @@ def test_cli_grid_populates_program_disk_cache(tmp_path, capsys):
         configure_disk_cache(previous)
 
 
+def test_cli_run_all_prints_each_report_once(capsys):
+    # figure1 and table3 share one experiment; `run all` renders it once.
+    assert main(["run", "all", "--scale", "0.02", "--benchmarks",
+                 "548.exchange2", "--no-store"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("Table 3 / Figure 1 — performance\n") == 1
+    assert main(["run", "figure1", "--scale", "0.02", "--benchmarks",
+                 "548.exchange2", "--no-store"]) == 0
+    assert "Table 3 / Figure 1 — performance\n" in capsys.readouterr().out
+
+
 def test_cli_run_unknown_experiment(capsys):
     assert main(["run", "definitely-not-an-experiment"]) == 2
     assert "unknown experiment" in capsys.readouterr().err

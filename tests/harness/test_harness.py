@@ -67,7 +67,28 @@ def test_exchange2_report(runner):
     report = experiment_exchange2(runner)
     assert "stt-rename" in report.data
     assert report.data["stt-rename"]["ipc"] > 0
-    assert "error_ratio_vs_nda" in report.data
+    # NDA makes no forwarding errors here: no ratio against zero.
+    errors = report.data["stt-rename"]["stl_forward_errors"]
+    assert report.data["nda"]["stl_forward_errors"] == 0 < errors
+    assert report.data["error_ratio_vs_nda"] is None
+    assert "incurs %d forwarding errors, NDA none" % errors in report.text
+
+
+def test_exchange2_report_states_a_reversed_ratio():
+    from types import SimpleNamespace
+
+    from repro.pipeline.stats import SimStats
+
+    errors = {"stt-rename": 2, "nda": 4}
+
+    class FixedRunner:
+        def run(self, benchmark, config, scheme):
+            return SimpleNamespace(stats=SimStats(
+                stl_forward_errors=errors.get(scheme, 0)))
+
+    report = experiment_exchange2(FixedRunner())
+    assert report.data["error_ratio_vs_nda"] == 0.5
+    assert "incurs 0.5x the forwarding errors of NDA" in report.text
 
 
 def test_report_str_renders():
