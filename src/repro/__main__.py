@@ -13,21 +13,6 @@ Subcommands:
     registry itself — are first populated on the chosen backend (one
     ``grid pre-populated`` summary line), so the experiments
     themselves are served from cache.
-``serve``
-    Host a campaign as a cluster coordinator: bind a TCP port, serve
-    grid cells to any number of ``work`` clients (work-stealing), and
-    stream results into the store.  Prints the ``work --connect`` line
-    to attach workers from other hosts.  The campaign journals itself
-    next to the store; ``serve --resume`` replays the journal (queue
-    order, attempt counts, quarantines) after a coordinator crash.
-    Deterministic cell failures are recorded and skipped by default;
-    ``--fail-fast`` restores abort-on-first-error.
-``work``
-    Join a cluster as a worker: ``--connect HOST:PORT``, pull cells,
-    simulate, report, repeat until the coordinator drains.  Transient
-    connection loss retries with capped exponential backoff
-    (``--max-reconnects``); ``--cell-timeout`` converts hung cells
-    into reported timeouts.
 ``store``
     Maintain the persistent result store: ``store verify`` quarantines
     corrupt cells aside (``.corrupt``) and drops stale ones,
@@ -67,8 +52,9 @@ scripts), ``--store-dir`` relocates the persistent store, and
 ``grid`` and ``run`` pick their backend with ``--executor
 {pool,cluster}``: ``pool`` (the default) simulates on ``--jobs N``
 processes, in-process at the default of 1; ``cluster`` serves a
-loopback coordinator (``--bind``) to ``--local-workers`` threads and
-to any ``work --connect`` client.
+loopback coordinator to ``--local-workers`` threads.  Results stream
+into the store as cells finish, so an interrupted campaign resumes by
+running the same command again against the same store.
 """
 
 import argparse
@@ -95,8 +81,12 @@ from repro.harness.store import DEFAULT_STORE_DIR, ResultStore
 from repro.pipeline.config import boom_config
 from repro.workloads.characteristics import SPEC_BENCHMARKS
 
-#: Default coordinator port (the SPEC vintage; above the privileged range).
-DEFAULT_PORT = 2017
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def build_parser():
@@ -133,13 +123,9 @@ def build_parser():
         p.add_argument("--jobs", type=int, default=1,
                        help="pool executor: worker processes (default 1:"
                             " in-process)")
-        p.add_argument("--bind", metavar="HOST:PORT", default="127.0.0.1:0",
-                       help="cluster executor bind address"
-                            " (default %(default)s; port 0 = ephemeral)")
-        p.add_argument("--local-workers", type=int, default=1,
+        p.add_argument("--local-workers", type=_positive_int, default=1,
                        help="cluster executor: in-process worker threads"
-                            " (default 1; remote workers attach via"
-                            " 'work --connect')")
+                            " (default 1)")
 
     def add_selection(p):
         p.add_argument("--configs", nargs="+", metavar="NAME",
@@ -159,54 +145,6 @@ def build_parser():
     add_executor(run)
     run.add_argument("experiments", nargs="+", metavar="EXPERIMENT",
                      help="experiment ids, or 'all'")
-
-    serve = sub.add_parser(
-        "serve", help="host a campaign for cluster workers (coordinator)")
-    add_common(serve)
-    add_selection(serve)
-    serve.add_argument("--host", default="0.0.0.0",
-                       help="bind address (default %(default)s)")
-    serve.add_argument("--port", type=int, default=DEFAULT_PORT,
-                       help="bind port (default %(default)s; 0 = ephemeral)")
-    serve.add_argument("--local-workers", type=int, default=0,
-                       help="also run N in-process worker threads"
-                            " (default 0: wait for remote workers)")
-    serve.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                       help="seconds of worker silence before its cells"
-                            " are requeued (default 10)")
-    serve.add_argument("--resume", action="store_true",
-                       help="replay the campaign journal from a crashed"
-                            " coordinator (queue order, attempts,"
-                            " quarantines) before serving")
-    serve.add_argument("--fail-fast", action="store_true",
-                       help="abort the campaign on the first cell"
-                            " failure (default: record and continue)")
-    serve.add_argument("--max-cell-attempts", type=int, default=None,
-                       help="worker deaths holding one cell before it is"
-                            " quarantined as poisoned (default 3)")
-
-    work = sub.add_parser(
-        "work", help="join a cluster campaign as a worker")
-    work.add_argument("--connect", required=True, metavar="HOST:PORT",
-                      help="coordinator address")
-    work.add_argument("--name", default=None,
-                      help="worker name (default host-pid-tid)")
-    work.add_argument("--heartbeat-interval", type=float, default=2.0,
-                      help="seconds between heartbeats (default 2)")
-    work.add_argument("--max-cells", type=int, default=None,
-                      help="stop after N cells (default: until drained)")
-    work.add_argument("--max-reconnects", type=int, default=5,
-                      help="reconnect attempts (capped exponential"
-                           " backoff) after losing the coordinator"
-                           " (default 5; 0 = give up immediately)")
-    work.add_argument("--cell-timeout", type=float, default=None,
-                      help="per-cell wall-clock deadline in seconds;"
-                           " a hung cell is reported as a timeout"
-                           " failure (default: none)")
-    work.add_argument("--program-cache-dir", default=None, metavar="DIR",
-                      help="persist generated programs under DIR so"
-                           " repeated worker processes skip generation"
-                           " (default: $REPRO_PROGRAM_CACHE_DIR)")
 
     schemes = sub.add_parser(
         "schemes", help="list registered speculation schemes")
@@ -305,31 +243,12 @@ def make_runner(args):
                           benchmarks=args.benchmarks, store=store)
 
 
-def parse_hostport(text, default_port=DEFAULT_PORT):
-    """``HOST:PORT`` / ``HOST`` / ``:PORT`` -> (host, port)."""
-    host, sep, port = text.rpartition(":")
-    if not sep:
-        return text, default_port
-    return host or "127.0.0.1", int(port)
-
-
-def _announce(address):
-    host, port = address
-    connect_host = "<this-host>" if host in ("0.0.0.0", "::") else host
-    print("cluster coordinator serving on %s:%d" % (host, port))
-    print("attach workers with: python -m repro work --connect %s:%d"
-          % (connect_host, port))
-
-
 def make_cli_executor(args):
     """The Executor ``--executor`` names, built from its flags."""
     if args.executor == "cluster":
         from repro.harness.cluster import ClusterExecutor
 
-        host, port = parse_hostport(args.bind, default_port=0)
-        return ClusterExecutor(host=host, port=port,
-                               local_workers=args.local_workers,
-                               on_serving=_announce)
+        return ClusterExecutor(local_workers=args.local_workers)
     return PoolExecutor(jobs=args.jobs)
 
 
@@ -404,78 +323,6 @@ def cmd_run(args):
         report = run_experiment(experiment_id, runner=runner)
         print(report)
         print()
-    return 0
-
-
-def cmd_serve(args):
-    from repro.harness.cluster import ClusterExecutor
-    from repro.harness.cluster.coordinator import DEFAULT_MAX_CELL_ATTEMPTS
-    from repro.harness.journal import journal_path
-
-    runner = make_runner(args)
-    schemes = tuple(args.schemes) if args.schemes else grid_scheme_names()
-    executor = ClusterExecutor(
-        host=args.host, port=args.port, local_workers=args.local_workers,
-        heartbeat_timeout=args.heartbeat_timeout, on_serving=_announce,
-        fail_fast=args.fail_fast,
-        max_cell_attempts=(DEFAULT_MAX_CELL_ATTEMPTS
-                           if args.max_cell_attempts is None
-                           else args.max_cell_attempts),
-        journal_path=(None if args.no_store
-                      else journal_path(args.store_dir)),
-        resume=args.resume,
-    )
-    summary = runner.run_grid(configs=_selected_configs(args),
-                              schemes=schemes, executor=executor,
-                              progress=make_progress(args.progress
-                                                     or "human"))
-    print(_summary_line("campaign drained", summary))
-    stats = executor.last_stats
-    if stats and stats["workers"]:
-        attribution = ", ".join(
-            "%s:%d" % (name, count)
-            for name, count in sorted(stats["workers"].items()))
-        print("workers: %s (requeues: %d)"
-              % (attribution, stats["requeues"]))
-    if stats and stats.get("telemetry"):
-        from repro.obs.telemetry import format_rollup
-
-        print(format_rollup(stats["telemetry"]))
-    if stats and (stats.get("failed") or stats.get("quarantined")):
-        print("failures: %d deterministic/timeout, %d quarantined"
-              " — inspect with: python -m repro store failures"
-              % (stats["failed"], stats["quarantined"]), file=sys.stderr)
-    return 0 if not summary.get("failed") else 1
-
-
-def cmd_work(args):
-    from repro.harness.cluster import ClusterWorker
-
-    if args.program_cache_dir:
-        from repro.workloads.program_cache import configure_disk_cache
-
-        configure_disk_cache(args.program_cache_dir)
-    host, port = parse_hostport(args.connect)
-    worker = ClusterWorker(host, port, name=args.name,
-                           heartbeat_interval=args.heartbeat_interval,
-                           max_cells=args.max_cells,
-                           max_reconnects=args.max_reconnects,
-                           cell_timeout=args.cell_timeout)
-    completed = worker.run()
-    if worker.rejected:
-        print("worker rejected by coordinator after %d cell(s): %s"
-              % (completed, worker.last_error), file=sys.stderr)
-        return 1
-    if worker.disconnected:
-        print("worker lost its coordinator after %d cell(s)"
-              " (%d reconnect(s) spent): %s"
-              % (completed, worker.reconnects, worker.last_error),
-              file=sys.stderr)
-        return 1
-    print("worker done: %d cell(s) simulated" % completed)
-    if worker.reconnects:
-        print("worker survived %d reconnect(s)" % worker.reconnects,
-              file=sys.stderr)
     return 0
 
 
@@ -631,8 +478,6 @@ def cmd_metrics(args):
 
 _COMMANDS = {
     "grid": cmd_grid,
-    "serve": cmd_serve,
-    "work": cmd_work,
     "store": cmd_store,
     "schemes": cmd_schemes,
     "profile": cmd_profile,
@@ -648,9 +493,9 @@ def main(argv=None):
         return 0
     handler = _COMMANDS.get(args.command, cmd_run)
     # Commands may point the process-global program disk cache at their
-    # store dir (make_runner) or a --program-cache-dir; scope that to
-    # the command so embedded callers (tests invoking main() in-process)
-    # never leak one run's cache directory into the next.
+    # store dir (make_runner); scope that to the command so embedded
+    # callers (tests invoking main() in-process) never leak one run's
+    # cache directory into the next.
     from repro.workloads.program_cache import configure_disk_cache, disk_cache_dir
 
     previous = disk_cache_dir()

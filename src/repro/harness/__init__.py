@@ -1,4 +1,4 @@
-"""Campaign engine: content-addressed, disk-backed, parallel, distributed.
+"""Campaign engine: content-addressed, disk-backed, parallel.
 
 :class:`~repro.harness.runner.CampaignRunner` executes the
 (benchmark x config x scheme) simulation grid and caches results;
@@ -92,8 +92,8 @@ feed one :class:`~repro.harness.progress.ProgressReporter` (cells
 done/total, cells/sec, ETA, per-worker attribution).
 
 **Cluster protocol** (:mod:`repro.harness.cluster`, stdlib-only).  A
-TCP coordinator owns the campaign's pending cells; workers *pull*
-(work stealing), simulate via the same
+loopback TCP coordinator owns the campaign's pending cells; in-process
+worker threads *pull* (work stealing), simulate via the same
 :func:`~repro.harness.parallel.simulate_cell` every backend uses, and
 report back.  The contract:
 
@@ -105,60 +105,59 @@ report back.  The contract:
   ``reject``); then
   loops ``steal`` -> ``cell`` (cell id + full wire spec) / ``wait``
   (queue empty, grid live) / ``done`` (drained or failed);
-  ``result``/``error`` report a cell and are ``ack``'d; ``heartbeat``
-  keeps liveness fresh mid-simulation; ``bye`` ends cleanly.
+  ``result``/``error`` report a cell and are ``ack``'d; ``bye`` ends
+  cleanly.
 - *Wire specs*: the complete ``CoreConfig`` record travels with every
-  cell (``spec_to_wire``/``spec_from_wire``), so remote workers
-  simulate exactly the configuration that was hashed — never a
-  same-named approximation.
+  cell (``spec_to_wire``/``spec_from_wire``), so workers simulate
+  exactly the configuration that was hashed — never a same-named
+  approximation.
 - *Telemetry frames*: a ``result`` frame may carry an optional
   ``telemetry`` sibling object (wall-clock seconds, replay counters,
   fast-forward engagement, peak worker RSS; see
   :func:`repro.obs.cell_telemetry`).  It rides *beside* the result —
   never inside it, stored results stay byte-identical across backends
-  — and is unversioned: coordinators tolerate its absence, so old and
-  new builds interoperate.  The coordinator aggregates frames into
-  per-worker / per-scheme rollups
+  — and is unversioned: coordinators tolerate its absence.  The
+  coordinator aggregates frames into per-worker / per-scheme rollups
   (:class:`repro.obs.TelemetryAggregate`) surfaced through
-  ``coordinator.stats()["telemetry"]`` and the ``serve`` summary.
+  ``coordinator.stats()["telemetry"]``.
 - *Requeue semantics*: a stolen cell is in-flight against its worker;
-  if the worker's socket drops or it stays silent past the heartbeat
-  timeout, the cell returns to the *front* of the queue and the
-  campaign continues.  Determinism makes the race benign: a
-  falsely-dead worker's late result is bit-identical to the requeued
-  rerun, the first result per cell wins, duplicates are dropped.
-  Reported ``error`` frames are deterministic failures and are *not*
-  requeued.
+  if the worker's socket reaches EOF or errors, the cell returns to
+  the *front* of the queue and the campaign continues.  Determinism
+  makes the race benign: a late result for a requeued cell is
+  bit-identical to the rerun, the first result per cell wins,
+  duplicates are dropped.  Reported ``error`` frames are
+  deterministic failures and are *not* requeued.  Once every worker
+  thread has exited with cells unsettled, the executor raises rather
+  than wait for a worker that cannot come.
 
 **Failure model** (the crash-safety contract, end to end):
 
-- *Retried*: worker death (socket EOF, heartbeat silence) requeues the
-  dead worker's in-flight cells at the front of the queue — a crash
-  costs one cell's work, never the campaign.  Workers themselves retry
-  lost coordinators with capped exponential backoff + jitter
-  (``work --max-reconnects``); an explicit coordinator *rejection*
-  (another protocol or model version) is not retried.
+- *Retried*: a socket EOF or error requeues the worker's in-flight
+  cells at the front of the queue — a crash costs one cell's work,
+  never the campaign.  An explicit coordinator *rejection* (another
+  protocol or model version) ends the worker.
 - *Quarantined*: a cell that kills its worker ``max_cell_attempts``
   times (default 3) is poisoned — it is settled as a
   :class:`~repro.harness.store.CellFailure` (kind ``poisoned``) and
   never requeued, so one pathological cell cannot starve the grid.
-  Deterministic ``error`` frames and watchdog timeouts
-  (``work --cell-timeout``) settle the same way with kinds
-  ``deterministic``/``timeout``.  Settled failures are persisted as
-  records under ``<store>/failures/`` (``python -m repro store
-  failures`` lists them; a later first result wins and clears the
-  record).
-- *Aborts*: only ``--fail-fast`` restores abort-on-first-error;
-  otherwise failed cells yield ``None`` results and the rest of the
-  campaign completes (graceful degradation).  Serial and pool
-  backends keep their historical raise-on-exception behaviour.
-- *Resumes*: the coordinator appends every steal/done/requeue/
-  quarantine to an atomic-headed journal
-  (``<store>/campaign.journal.jsonl``); ``serve --resume`` replays it
-  — the store stays authoritative for completed cells, the journal
-  contributes queue order, attempt counts, and settled failures.  A
-  seeded :class:`~repro.harness.cluster.FaultPlan` injects crashes,
-  frame faults, hangs, and coordinator kills at the protocol seam to
+  Deterministic ``error`` frames settle the same way with kind
+  ``deterministic``.  Settled failures are persisted as records under
+  ``<store>/failures/`` (``python -m repro store failures`` lists
+  them; a later first result wins and clears the record).
+- *Hung cells*: no wall-clock timeout is needed.  The kernel's
+  watchdog (no commit for ``watchdog_cycles``) and ``max_cycles``
+  raise inside the cell, so a hung cell settles as ``deterministic``
+  on the cluster and raises on the serial and pool backends.
+- *Aborts*: only ``fail_fast`` restores abort-on-first-error on the
+  cluster; otherwise failed cells yield ``None`` results and the rest
+  of the campaign completes (graceful degradation).  Serial and pool
+  backends raise on a cell exception; a pool worker process that dies
+  raises ``BrokenProcessPool`` instead of hanging the campaign.
+- *Resumes*: results stream into the store as each cell finishes, so
+  re-running the same command against the same store simulates only
+  the missing cells, and retries the failed ones.  A seeded
+  :class:`~repro.harness.cluster.FaultPlan` injects crashes, frame
+  faults, slow cells, and coordinator kills at the protocol seam to
   test all of the above deterministically.
 
 **Program cache.**  Workload generation is memoised content-addressed
@@ -173,13 +172,6 @@ cells of one benchmark generate its program once per process.
     python -m repro run figure6 table3           # named experiments
     python -m repro run all --jobs 8             # everything, parallel
     python -m repro grid --executor cluster --local-workers 4
-
-    # multi-host campaign: coordinator on one machine ...
-    python -m repro serve --port 2017 --scale 1.0
-    # ... any number of workers on any machines:
-    python -m repro work --connect coordinator-host:2017
-
-    python -m repro serve --resume               # pick up after a crash
     python -m repro store failures               # recorded cell failures
     python -m repro store verify                 # quarantine corrupt/stale
     python -m repro store gc --scale 1.0         # evict off-grid cells
@@ -193,7 +185,8 @@ cells of one benchmark generate its program once per process.
 coordinator to ``--local-workers`` threads.  ``--progress`` streams
 live ETA lines, ``--scale`` / ``--seed`` select the workload build,
 ``--store-dir`` relocates the persistent store, and ``--no-store``
-keeps a run purely in-memory.
+keeps a run purely in-memory.  An interrupted campaign resumes by
+running the same command again against the same ``--store-dir``.
 """
 
 from repro.harness.runner import CampaignRunner
@@ -203,7 +196,6 @@ from repro.harness.store import (
     ResultStore,
     simulation_key,
 )
-from repro.harness.journal import CampaignJournal, journal_path
 from repro.harness.executor import Executor, PoolExecutor, SerialExecutor
 from repro.harness.parallel import simulate_cell
 from repro.harness.progress import ProgressReporter, make_progress
@@ -219,8 +211,6 @@ __all__ = [
     "CampaignRunner",
     "ResultStore",
     "CellFailure",
-    "CampaignJournal",
-    "journal_path",
     "simulation_key",
     "MODEL_VERSION",
     "Executor",

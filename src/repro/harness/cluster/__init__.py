@@ -1,33 +1,34 @@
-"""Distributed campaign execution over sockets (stdlib-only).
+"""Loopback campaign execution over sockets (stdlib-only).
 
-The cluster subsystem turns the campaign engine into a multi-host
-service behind the same :class:`~repro.harness.executor.Executor`
-seam the serial loop and the multiprocessing pool share:
+The cluster subsystem serves a campaign's cells over TCP to in-process
+worker threads, behind the same
+:class:`~repro.harness.executor.Executor` seam the serial loop and the
+multiprocessing pool share:
 
 - :mod:`~repro.harness.cluster.protocol` — length-prefixed JSON
-  frames, the steal/result/heartbeat message kinds, and the wire form
-  of cell specs (full ``CoreConfig`` travels with every cell);
+  frames, the steal/result/error message kinds, and the wire form of
+  cell specs (full ``CoreConfig`` travels with every cell);
 - :mod:`~repro.harness.cluster.coordinator` — the TCP service owning
-  the work-stealing queue, worker liveness (heartbeat timeout + EOF),
-  requeue of a dead worker's in-flight cells, and result collection;
+  the work-stealing queue, requeue of a dead worker's in-flight cells
+  (a worker is dead on socket EOF or error), quarantine, and result
+  collection;
 - :mod:`~repro.harness.cluster.worker` — the pull/simulate/report
-  client (``python -m repro work --connect HOST:PORT``), heartbeating
-  in the background while it simulates;
+  client;
 - :mod:`~repro.harness.cluster.executor` — the
   :class:`~repro.harness.executor.Executor` adapter
-  (``--executor cluster`` / ``python -m repro serve``);
+  (``--executor cluster --local-workers N``);
 - :mod:`~repro.harness.cluster.faults` — the seeded chaos harness:
   :class:`~repro.harness.cluster.faults.FaultPlan` schedules worker
-  crashes, poison cells, frame drops/delays/corruption, slow and hung
-  cells, late duplicate results, and coordinator kills, all injected
-  at the protocol seam.
+  crashes, poison cells, frame drops/delays/corruption, slow cells,
+  late duplicate results, and coordinator kills, all injected at the
+  protocol seam.
 
 Everything is standard-library Python: one coordinator thread per
 connection, blocking sockets, JSON frames.  Determinism and
 content-addressing make the fault story simple — any cell may run
-twice (requeue races its "dead" worker's late result) and the first
-result wins, bit-identical either way.  The failure-model contract
-(what is retried, quarantined, aborts, resumes) is documented in
+twice (a requeue races a late result) and the first result wins,
+bit-identical either way.  The failure-model contract (what is
+retried, quarantined, aborts, resumes) is documented in
 :mod:`repro.harness`.
 """
 
@@ -46,7 +47,6 @@ from repro.harness.cluster.worker import (
     ClusterWorker,
     CoordinatorRejected,
     WorkerCrash,
-    run_worker,
 )
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "ClusterWorker",
     "CoordinatorRejected",
     "WorkerCrash",
-    "run_worker",
     "Fault",
     "FaultPlan",
     "PROTOCOL_VERSION",

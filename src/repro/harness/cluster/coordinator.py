@@ -1,24 +1,21 @@
-"""TCP coordinator: work-stealing queue, heartbeats, requeue, quarantine.
+"""TCP coordinator: work-stealing queue, requeue, quarantine.
 
 :class:`ClusterCoordinator` owns one campaign's pending cells.  It
-listens on a TCP port, registers workers as they ``hello``, and serves
-``steal`` requests from a double-ended queue — workers *pull* work
-when idle, so a fast host naturally simulates more cells than a slow
-one (work stealing without any placement policy).
+listens on an ephemeral loopback port, registers workers as they
+``hello``, and serves ``steal`` requests from a double-ended queue —
+workers *pull* work when idle, so a fast worker naturally simulates
+more cells than a slow one (work stealing without any placement
+policy).
 
-Liveness: every frame from a worker (steals, results, heartbeats)
-refreshes its ``last_seen``.  A monitor thread declares a worker dead
-when nothing arrives within ``heartbeat_timeout`` seconds — workers
-heartbeat at a fraction of that interval even mid-simulation — and a
-socket EOF/error declares it dead immediately.  Either way the
-worker's in-flight cells are pushed back to the *front* of the queue
-(they were stolen earliest; finishing them first keeps campaign
-latency bounded), and the campaign continues without them.
+Liveness: a socket EOF or error declares a worker dead.  Its
+in-flight cells are pushed back to the *front* of the queue (they
+were stolen earliest; finishing them first keeps campaign latency
+bounded), and the campaign continues without them.
 
 Determinism makes all of this safe: cells are content-addressed and
-simulation is reproducible, so a falsely-declared-dead worker's late
-``result`` is identical to the requeued rerun — the first result for
-a cell wins, duplicates are ack'd and dropped.
+simulation is reproducible, so a late ``result`` for a requeued cell
+is identical to the rerun — the first result for a cell wins,
+duplicates are ack'd and dropped.
 
 **Poison-cell quarantine.**  A requeue is attributed to the cell the
 dead worker was holding; after ``max_cell_attempts`` deaths the cell
@@ -35,14 +32,6 @@ campaign continues — one bad cell costs one cell.  ``fail_fast=True``
 restores the historical abort-on-first-error behaviour, where
 :meth:`ClusterCoordinator.results` raises like a pool run propagating
 a worker exception.
-
-**Journal.**  With a :class:`~repro.harness.journal.CampaignJournal`
-attached every state transition (steal, done, requeue, quarantine,
-failure, late-result unfail) appends one event line, and a coordinator
-built with ``resume_state`` reconstructs the previous campaign's shape:
-previously-in-flight cells re-queue at the front, attempt counts carry
-over (a poison cell does not get a fresh life per restart), and
-quarantine/failure records are re-applied instead of retried.
 """
 
 import socket
@@ -60,9 +49,6 @@ from repro.obs import TelemetryAggregate
 from repro.pipeline.core import SimulationResult
 from repro.workloads.program_cache import cached_spec_program
 
-#: Seconds a worker may stay silent before it is declared dead.
-DEFAULT_HEARTBEAT_TIMEOUT = 10.0
-
 #: Seconds an idle worker is told to wait before stealing again.
 STEAL_RETRY_SECONDS = 0.05
 
@@ -73,12 +59,9 @@ DEFAULT_MAX_CELL_ATTEMPTS = 3
 class _WorkerState:
     """Coordinator-side record of one connected worker."""
 
-    def __init__(self, name, conn):
-        self.name = name
+    def __init__(self, conn):
         self.conn = conn
-        self.last_seen = 0.0
         self.cells = set()  # in-flight cell ids
-        self.completed = 0
 
 
 def _spec_key(spec):
@@ -92,12 +75,10 @@ def _spec_key(spec):
 class ClusterCoordinator:
     """Serves one batch of cell specs to pulling workers."""
 
-    def __init__(self, specs, host="127.0.0.1", port=0,
-                 heartbeat_timeout=DEFAULT_HEARTBEAT_TIMEOUT,
-                 progress=None, on_result=None, on_failure=None,
+    def __init__(self, specs, progress=None, on_result=None, on_failure=None,
                  fail_fast=False,
                  max_cell_attempts=DEFAULT_MAX_CELL_ATTEMPTS,
-                 journal=None, resume_state=None, fault_plan=None):
+                 fault_plan=None):
         import collections
 
         self._specs = list(specs)
@@ -105,75 +86,31 @@ class ClusterCoordinator:
         self._queue = collections.deque(range(len(self._specs)))
         self._in_flight = {}  # cell_id -> worker name
         self._results = {}  # cell_id -> SimulationResult
-        self._failures = {}  # cell_id -> CellFailure (deterministic/timeout)
+        self._failures = {}  # cell_id -> CellFailure (deterministic)
         self._quarantined = {}  # cell_id -> CellFailure (poisoned)
         self._attempts = {}  # cell_id -> worker deaths attributed
         self._workers = {}  # name -> _WorkerState
         self._attribution = {}  # worker name -> cells completed, ever
         self._requeues = 0
         self._persisted = 0  # results whose on_result returned
+        self._connections = 0  # worker connections still being served
         #: Campaign-wide execution telemetry (wall time, replay
         #: counters, peak RSS), aggregated from the optional
         #: ``telemetry`` riding each first-winning result frame.
         self.telemetry = TelemetryAggregate()
-        self.heartbeat_timeout = heartbeat_timeout
         self.progress = progress
         self.on_result = on_result
         self.on_failure = on_failure
         self.fail_fast = fail_fast
         self.max_cell_attempts = max(1, int(max_cell_attempts))
-        self._journal = journal
-        self._resume_state = resume_state
         self._fault_plan = fault_plan
-        self._carried = []  # CellFailures re-applied from a resume
         self._lock = threading.Lock()
         self._done = threading.Event()
-        if resume_state is not None:
-            self._apply_resume_state(resume_state)
-        if self._settled_locked() >= len(self._specs):
+        if not self._specs:
             self._done.set()
         self._closed = False
         self._listener = None
         self._threads = []
-        self._host, self._port = host, port
-
-    def _apply_resume_state(self, state):
-        """Reconstruct campaign shape from a replayed journal.
-
-        Previously-quarantined/failed cells are re-applied as settled
-        (an explicit resume completes the *rest* of the campaign; a
-        fresh ``serve`` retries them), attempt counts carry over, and
-        the queue is reordered so cells that were in flight at the
-        crash resume at the front.
-        """
-        remaining = []
-        for cell_id, key in enumerate(self._keys):
-            record = state.quarantined.get(key) or state.failed.get(key)
-            if record is not None:
-                failure = self._rebuild_failure(cell_id, record)
-                if failure.kind == "poisoned":
-                    self._quarantined[cell_id] = failure
-                else:
-                    self._failures[cell_id] = failure
-                self._attempts[cell_id] = failure.attempts
-                self._carried.append((cell_id, failure))
-                continue
-            self._attempts[cell_id] = state.attempts.get(key, 0)
-            remaining.append(cell_id)
-        order = {key: rank for rank, key in
-                 enumerate(state.resume_order([self._keys[i]
-                                               for i in remaining]))}
-        remaining.sort(key=lambda i: order[self._keys[i]])
-        self._queue.clear()
-        self._queue.extend(remaining)
-
-    def _rebuild_failure(self, cell_id, record):
-        try:
-            return CellFailure.from_dict(record)
-        except (TypeError, ValueError):
-            return self._make_failure(cell_id, "deterministic",
-                                      error=str(record), worker=None,
-                                      attempts=1)
 
     def _make_failure(self, cell_id, kind, error, worker, attempts,
                       traceback=None):
@@ -189,26 +126,15 @@ class ClusterCoordinator:
     # -- lifecycle --------------------------------------------------------
 
     def start(self):
-        """Bind, listen, and start the accept + liveness threads."""
-        if self._journal is not None:
-            if self._resume_state is not None:
-                self._journal.resume()
-            else:
-                self._journal.begin([self._keys[i] for i in self._queue])
-        # Re-fire callbacks for failures carried over from the journal:
-        # idempotent on the store side, and it keeps a resumed
-        # campaign's progress/failure accounting complete.
-        for cell_id, failure in self._carried:
-            self._notify_failure(cell_id, failure)
+        """Bind an ephemeral loopback port, listen, start accepting."""
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self._host, self._port))
+        self._listener.bind(("127.0.0.1", 0))
         self._listener.listen(64)
         self._listener.settimeout(0.2)
-        for target in (self._accept_loop, self._monitor_loop):
-            thread = threading.Thread(target=target, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        thread = threading.Thread(target=self._accept_loop, daemon=True)
+        thread.start()
+        self._threads.append(thread)
         return self
 
     @property
@@ -220,23 +146,14 @@ class ClusterCoordinator:
         """Block until every cell has a result or failure; True if so."""
         return self._done.wait(timeout)
 
-    def drain(self, timeout=2.0):
-        """Wait briefly for connected workers to see ``done`` and leave.
+    def serving(self):
+        """True while any worker connection is still being served.
 
-        Purely a politeness window after the campaign completes: each
-        worker's next steal is answered ``done`` and it disconnects
-        with ``bye``; waiting for that beats cutting its socket
-        mid-exchange.  Returns True when every worker left in time.
+        Once it is False, every connection that ended has requeued or
+        settled what its worker held.
         """
-        import time
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._workers:
-                    return True
-            time.sleep(0.02)
-        return False
+        with self._lock:
+            return self._connections > 0
 
     def close(self):
         """Stop serving and drop every connection."""
@@ -249,10 +166,6 @@ class ClusterCoordinator:
                 pass
         with self._lock:
             workers = list(self._workers.values())
-            # Under the lock: every journal append holds it too, and
-            # sees _closed once this section has run.
-            if self._journal is not None:
-                self._journal.close()
         for state in workers:
             self._disconnect(state.conn)
 
@@ -326,6 +239,8 @@ class ClusterCoordinator:
                 continue
             except OSError:
                 break
+            with self._lock:
+                self._connections += 1
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )
@@ -333,8 +248,6 @@ class ClusterCoordinator:
             self._threads.append(thread)
 
     def _serve_connection(self, conn):
-        import time
-
         name = None
         try:
             while not self._closed:
@@ -342,12 +255,6 @@ class ClusterCoordinator:
                 if message is None:
                     break
                 kind = message["kind"]
-                if name is not None:
-                    with self._lock:
-                        state = self._workers.get(name)
-                        if state is None:
-                            break  # declared dead; force a reconnect
-                        state.last_seen = time.monotonic()
                 if kind == "hello":
                     name, reject_reason = self._register(message, conn)
                     if name is None:
@@ -376,8 +283,6 @@ class ClusterCoordinator:
                 elif kind == "error":
                     self._fail(name, message["cell_id"], message)
                     send_frame(conn, {"kind": "ack"})
-                elif kind == "heartbeat":
-                    send_frame(conn, {"kind": "ack"})
                 elif kind == "bye":
                     send_frame(conn, {"kind": "ack"})
                     break
@@ -388,8 +293,12 @@ class ClusterCoordinator:
         except (OSError, ProtocolError, KeyError):
             pass
         finally:
-            self._drop_worker(name)
-            self._disconnect(conn)
+            try:
+                self._drop_worker(name)
+                self._disconnect(conn)
+            finally:
+                with self._lock:
+                    self._connections -= 1
 
     def _register(self, message, conn):
         """Validate a ``hello`` and record the worker.
@@ -400,8 +309,6 @@ class ClusterCoordinator:
         simulated by another model must not be stored under this
         model's keys).
         """
-        import time
-
         if message.get("protocol") != PROTOCOL_VERSION:
             return None, ("protocol version mismatch: coordinator v%s,"
                           " worker v%s" % (PROTOCOL_VERSION,
@@ -417,24 +324,10 @@ class ClusterCoordinator:
             while name in self._workers:
                 suffix += 1
                 name = "%s~%d" % (base, suffix)
-            state = _WorkerState(name, conn)
-            state.last_seen = time.monotonic()
-            self._workers[name] = state
+            self._workers[name] = _WorkerState(conn)
         return name, None
 
     # -- queue management -------------------------------------------------
-
-    def _journal_event(self, record):
-        """Append one event; the caller holds ``self._lock``.
-
-        A closed coordinator journals nothing: its serve threads may
-        still settle a late result or drop a worker after ``close``.
-        """
-        if self._journal is not None and not self._closed:
-            try:
-                self._journal.append(record)
-            except OSError:
-                pass  # a full disk must not take the campaign down
 
     def _next_cell(self, name):
         with self._lock:
@@ -450,9 +343,6 @@ class ClusterCoordinator:
                 self._in_flight[cell_id] = name
                 state.cells.add(cell_id)
                 spec = self._specs[cell_id]
-                self._journal_event({"event": "steal",
-                                     "key": self._keys[cell_id],
-                                     "worker": name})
             elif self._in_flight:
                 # Queue drained but peers are still simulating; if one
                 # dies its cells reappear, so stay subscribed.
@@ -493,14 +383,7 @@ class ClusterCoordinator:
             # once; duplicates returned above never reach here.
             self.telemetry.add(name, self._specs[cell_id][2], telemetry)
             self._in_flight.pop(cell_id, None)
-            if state is not None:
-                state.completed += 1
             self._attribution[name] = self._attribution.get(name, 0) + 1
-            if cleared is not None:
-                self._journal_event({"event": "unfail",
-                                     "key": self._keys[cell_id]})
-            self._journal_event({"event": "done",
-                                 "key": self._keys[cell_id]})
             finished = self._settled_locked() >= len(self._specs)
         # The done event must fire even if a callback blows up (full
         # disk in the store-save, a buggy progress hook): the result is
@@ -524,15 +407,12 @@ class ClusterCoordinator:
         # injected kill must not cut it off.
         if (self._fault_plan is not None
                 and self._fault_plan.on_result_recorded(persisted)):
-            # Injected coordinator death: vanish abruptly, no drain —
-            # exactly what SIGKILL looks like to workers and callers.
+            # Injected coordinator death: vanish abruptly — exactly
+            # what SIGKILL looks like to workers and callers.
             self.close()
 
     def _fail(self, name, cell_id, message):
         error = str(message.get("error", "unknown error"))
-        kind = message.get("failure_kind", "deterministic")
-        if kind not in ("deterministic", "timeout"):
-            kind = "deterministic"
         with self._lock:
             state = self._workers.get(name)
             if state is not None:
@@ -542,14 +422,11 @@ class ClusterCoordinator:
                     or cell_id in self._quarantined):
                 return  # duplicate report for a settled cell; ignore
             failure = self._make_failure(
-                cell_id, kind, error=error, worker=name,
+                cell_id, "deterministic", error=error, worker=name,
                 attempts=self._attempts.get(cell_id, 0) + 1,
                 traceback=message.get("traceback"),
             )
             self._failures[cell_id] = failure
-            self._journal_event({"event": "failure",
-                                 "key": self._keys[cell_id],
-                                 "failure": failure.to_dict()})
             finished = self._settled_locked() >= len(self._specs)
         self._notify_failure(cell_id, failure)
         # Deterministic failure: retrying elsewhere cannot succeed.
@@ -601,19 +478,12 @@ class ClusterCoordinator:
                               " (last: %s)" % (attempts, name),
                     )
                     self._quarantined[cell_id] = failure
-                    self._journal_event({"event": "quarantine",
-                                         "key": self._keys[cell_id],
-                                         "failure": failure.to_dict()})
                     quarantined.append((cell_id, failure))
                 else:
                     self._queue.appendleft(cell_id)
                     self._requeues += 1
-                    self._journal_event({"event": "requeue",
-                                         "key": self._keys[cell_id],
-                                         "attempts": attempts})
                     requeued += 1
             finished = self._settled_locked() >= len(self._specs)
-        self._disconnect(state.conn)
         if self.progress is not None:
             for _ in range(requeued):
                 self.progress.requeued()
@@ -621,20 +491,6 @@ class ClusterCoordinator:
             self._notify_failure(cell_id, failure)
         if finished or (self.fail_fast and quarantined):
             self._done.set()
-
-    def _monitor_loop(self):
-        import time
-
-        interval = max(0.05, min(1.0, self.heartbeat_timeout / 4.0))
-        while not self._done.wait(interval):
-            now = time.monotonic()
-            with self._lock:
-                stale = [
-                    name for name, state in self._workers.items()
-                    if now - state.last_seen > self.heartbeat_timeout
-                ]
-            for name in stale:
-                self._drop_worker(name)
 
     @staticmethod
     def _disconnect(conn):

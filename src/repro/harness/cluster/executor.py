@@ -1,68 +1,54 @@
 """The cluster backend behind the ``Executor`` protocol.
 
-:class:`ClusterExecutor` makes multi-host execution a drop-in
-replacement for the serial loop and the multiprocessing pool: it
-stands up a :class:`~repro.harness.cluster.coordinator.ClusterCoordinator`
-for the batch, optionally spawns in-process worker threads (useful for
-loopback tests and for soaking up local cores alongside remote hosts),
+:class:`ClusterExecutor` stands up a loopback
+:class:`~repro.harness.cluster.coordinator.ClusterCoordinator` for the
+batch, starts ``local_workers`` in-process worker threads against it,
 blocks until the grid drains, and returns results in spec order —
 with ``None`` standing in for cells that failed or were quarantined
 (unless ``fail_fast``, which raises like a pool run).
 
-Remote capacity attaches at any time with::
+Worker threads share the Python interpreter (the GIL serialises
+them), so they exercise the socket path rather than add throughput;
+``PoolExecutor`` is the backend that fans out across cores.  Only the
+local threads can simulate cells: once every one of them has exited
+with cells still unsettled, :meth:`ClusterExecutor.run` raises instead
+of waiting for a worker that cannot come.
 
-    python -m repro work --connect HOST:PORT
-
-Local worker threads share the Python interpreter (the GIL serialises
-them), so they are a convenience, not a scaling mechanism — real
-fan-out comes from ``work`` processes on this or other machines.
-
-Crash-safety plumbing: ``journal_path`` attaches a
-:class:`~repro.harness.journal.CampaignJournal` (``resume=True``
-replays it first, so a coordinator killed mid-campaign picks up where
-it left off), ``fault_plan`` threads a seeded
+``fault_plan`` threads a seeded
 :class:`~repro.harness.cluster.faults.FaultPlan` into the coordinator
-and every local worker, and ``worker_kwargs`` parameterises local
-workers (reconnect budget, cell timeout, ...).
+and every local worker.
 """
 
 import threading
+import time
 
 from repro.harness.cluster.coordinator import (
-    DEFAULT_HEARTBEAT_TIMEOUT,
     DEFAULT_MAX_CELL_ATTEMPTS,
     ClusterCoordinator,
 )
 from repro.harness.cluster.worker import ClusterWorker
 from repro.harness.executor import Executor
-from repro.harness.journal import CampaignJournal
+
+#: Seconds between checks that a local worker is still alive.
+_POLL_SECONDS = 0.1
 
 
 class ClusterExecutor(Executor):
-    """Serve a batch of cell specs to cluster workers."""
+    """Serve a batch of cell specs to local cluster worker threads."""
 
     kind = "cluster"
 
-    def __init__(self, host="127.0.0.1", port=0, local_workers=0,
-                 heartbeat_timeout=DEFAULT_HEARTBEAT_TIMEOUT,
-                 on_serving=None, wait_timeout=None, fail_fast=False,
+    def __init__(self, local_workers=1, wait_timeout=None, fail_fast=False,
                  max_cell_attempts=DEFAULT_MAX_CELL_ATTEMPTS,
-                 journal_path=None, resume=False, fault_plan=None,
-                 worker_kwargs=None):
-        self.host = host
-        self.port = port
+                 fault_plan=None):
         self.local_workers = int(local_workers)
-        self.heartbeat_timeout = heartbeat_timeout
-        #: Called with the bound ``(host, port)`` once serving — the CLI
-        #: prints the ``work --connect`` line from it.
-        self.on_serving = on_serving
+        if self.local_workers < 1:
+            raise ValueError("ClusterExecutor needs at least one local"
+                             " worker, got %d" % self.local_workers)
         self.wait_timeout = wait_timeout
         self.fail_fast = fail_fast
         self.max_cell_attempts = max_cell_attempts
-        self.journal_path = journal_path
-        self.resume = resume
         self.fault_plan = fault_plan
-        self.worker_kwargs = dict(worker_kwargs or {})
         self.last_stats = None
         self.last_failures = {}
 
@@ -70,56 +56,58 @@ class ClusterExecutor(Executor):
         specs = list(specs)
         if not specs:
             return []
-        journal = resume_state = None
-        if self.journal_path is not None:
-            journal = CampaignJournal(self.journal_path)
-            if self.resume:
-                resume_state = CampaignJournal.load(self.journal_path)
         coordinator = ClusterCoordinator(
-            specs, host=self.host, port=self.port,
-            heartbeat_timeout=self.heartbeat_timeout,
-            progress=progress, on_result=on_result, on_failure=on_failure,
-            fail_fast=self.fail_fast,
+            specs, progress=progress, on_result=on_result,
+            on_failure=on_failure, fail_fast=self.fail_fast,
             max_cell_attempts=self.max_cell_attempts,
-            journal=journal, resume_state=resume_state,
             fault_plan=self.fault_plan,
         )
         coordinator.start()
         try:
             host, port = coordinator.address
-            if self.on_serving is not None:
-                self.on_serving((host, port))
             threads = []
             for index in range(self.local_workers):
-                worker = ClusterWorker(
-                    host, port, name="local-%d" % (index + 1),
-                    heartbeat_interval=max(
-                        0.1, self.heartbeat_timeout / 4.0),
-                    fault_plan=self.fault_plan,
-                    **self.worker_kwargs,
-                )
+                worker = ClusterWorker(host, port,
+                                       name="local-%d" % (index + 1),
+                                       fault_plan=self.fault_plan)
                 thread = threading.Thread(target=worker.run, daemon=True)
                 thread.start()
                 threads.append(thread)
-            finished = coordinator.wait(self.wait_timeout)
+            stuck = self._wait(coordinator, threads)
             self.last_stats = coordinator.stats()
             self.last_failures = coordinator.failures()
-            if not finished:
+            if stuck is not None:
                 raise RuntimeError(
-                    "cluster campaign timed out after %ss: %d/%d cells"
-                    % (self.wait_timeout, self.last_stats["completed"],
-                       self.last_stats["cells"])
-                )
+                    "cluster campaign %s: %d/%d cells"
+                    % (stuck, self.last_stats["completed"],
+                       self.last_stats["cells"]))
             results = coordinator.results()
             # Let workers drain cleanly (their next steal is answered
             # "done", they reply "bye") before tearing the coordinator
             # down, so a clean campaign never ends in mid-request
-            # connection errors — locals first, then remote stragglers.
+            # connection errors.
             for thread in threads:
                 thread.join(timeout=5.0)
-            coordinator.drain(timeout=2.0)
             self.last_stats = coordinator.stats()
             self.last_failures = coordinator.failures()
         finally:
             coordinator.close()
         return results
+
+    def _wait(self, coordinator, threads):
+        """Block until every cell settles; ``None``, or why none can.
+
+        Gives up after ``wait_timeout`` seconds, or once every worker
+        thread has exited and the coordinator has requeued or settled
+        what their connections held, with cells still unsettled.
+        """
+        deadline = (None if self.wait_timeout is None
+                    else time.monotonic() + self.wait_timeout)
+        while not coordinator.wait(_POLL_SECONDS):
+            if deadline is not None and time.monotonic() >= deadline:
+                return "timed out after %ss" % self.wait_timeout
+            if (not any(thread.is_alive() for thread in threads)
+                    and not coordinator.serving()
+                    and not coordinator.wait(0)):
+                return "stalled: every local worker exited"
+        return None

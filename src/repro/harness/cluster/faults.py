@@ -11,33 +11,32 @@ Fault kinds and where they fire:
 
 ``crash``
     The worker raises :class:`~repro.harness.cluster.worker.WorkerCrash`
-    after its *at*-th steal — a SIGKILL'd host: no report, no ``bye``,
+    after its *at*-th steal — a killed worker: no report, no ``bye``,
     just a vanished connection for the coordinator to requeue against.
 ``poison_cell``
     Every worker that steals the benchmark named by ``arg`` crashes
     (*not* one-shot): the deterministic worker-killer the coordinator's
     quarantine exists for.
 ``drop_frame``
-    The worker's *at*-th substantive frame (steal/result/error —
-    heartbeats are timing noise and never counted) is not sent and the
-    connection is torn down, as if the network ate it mid-flight.
+    The worker's *at*-th substantive frame (steal/result/error) is not
+    sent and the connection is torn down: the worker ends, and the
+    coordinator requeues any cell it held.
 ``delay_frame``
     The frame is sent ``arg`` seconds late (default 0.1).
 ``corrupt_frame``
     The frame's payload bytes are garbled (length prefix intact); the
-    coordinator's framing layer rejects it and drops the worker.
+    coordinator's framing layer rejects it and drops the worker, which
+    ends; any cell it held is requeued.
 ``slow_cell``
-    The worker's *at*-th simulation sleeps ``arg`` seconds first.  With
-    ``arg`` above the worker's ``cell_timeout`` this is a *hung* cell —
-    the watchdog converts it into a ``timeout`` error frame.
+    The worker's *at*-th simulation sleeps ``arg`` seconds first.
 ``duplicate_result``
     After its *at*-th completed cell the worker re-sends its first
     result frame — the late-duplicate race the coordinator's
     first-result-wins rule must absorb.
 ``kill_coordinator``
-    The coordinator closes abruptly (no drain) once its *at*-th result
-    is persisted (its ``on_result`` returned): the crash that ``serve
-    --resume`` recovers from.
+    The coordinator closes abruptly once its *at*-th result is
+    persisted (its ``on_result`` returned): the crash that re-running
+    the campaign against the same store recovers from.
 
 Determinism contract: the *schedule* is deterministic, the
 *interleaving* is not (work stealing races by design) — so chaos tests
@@ -63,8 +62,8 @@ FAULT_KINDS = (
     "kill_coordinator",
 )
 
-#: Frame kinds that advance a worker's frame counter (heartbeats and
-#: byes are timing-dependent noise; faulting them proves nothing).
+#: Frame kinds that advance a worker's frame counter (faulting a
+#: ``hello`` or ``bye`` proves nothing about a cell).
 _COUNTED_FRAMES = ("steal", "result", "error")
 
 

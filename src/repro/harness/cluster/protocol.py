@@ -6,9 +6,7 @@ followed by that many bytes of UTF-8 JSON encoding one object with a
 rejected (a corrupt length prefix must not allocate gigabytes).
 
 **Conversation.**  Strictly request/response over one TCP connection
-per worker; the worker serialises requests (its heartbeat thread and
-steal loop share one lock), so the coordinator never interleaves
-replies.
+per worker, so the coordinator never interleaves replies.
 
 ==================  =====================================  ==========
 worker sends        coordinator replies                    when
@@ -21,7 +19,6 @@ worker sends        coordinator replies                    when
                     ``done`` (grid complete or failed)
 ``result``          ``ack``                                cell done
 ``error``           ``ack``                                cell raised
-``heartbeat``       ``ack``                                periodic
 ``bye``             ``ack``                                clean exit
 ==================  =====================================  ==========
 
@@ -33,15 +30,12 @@ results must stay byte-identical across backends — and it is
 deliberately unversioned: a coordinator ignores its absence, so the
 field's introduction did not bump :data:`PROTOCOL_VERSION`.
 
-**Error frames** (protocol generation 2) carry structured failure
-fields beside the message: ``failure_kind`` (``deterministic`` — the
-simulation raised, or ``timeout`` — the worker's watchdog hit its
-per-cell wall-clock deadline) and ``traceback`` (the worker-side
-format_exc, when one exists).  The coordinator folds them into the
-:class:`~repro.harness.store.CellFailure` record it persists.  These
-fields are wire-versioned: :data:`PROTOCOL_VERSION` was bumped when
-they landed, so a mixed-generation pair refuses at ``hello`` instead
-of silently degrading failure records.
+**Error frames** carry the worker-side ``traceback`` beside the
+message (protocol generation 2).  The simulation raised, so the
+coordinator settles the cell as a ``deterministic``
+:class:`~repro.harness.store.CellFailure` carrying both.  Generation 2
+also carried a ``failure_kind`` naming a watchdog ``timeout``;
+generation 6 drops it with the wall-clock watchdog that set it.
 
 **Packed memory images** (protocol generation 3).  A ``result``
 frame carries :meth:`~repro.pipeline.core.SimulationResult.to_dict`,
@@ -66,7 +60,7 @@ hence the bump.
 **Cell specs on the wire.**  :func:`spec_to_wire` expands a spec tuple
 into plain JSON — the *complete* ``CoreConfig`` parameter record
 travels with every cell (via ``CoreConfig.to_dict`` /
-:func:`~repro.pipeline.config.config_from_dict`), so a remote worker
+:func:`~repro.pipeline.config.config_from_dict`), so a worker
 simulates exactly the configuration the coordinator hashed, never a
 same-named approximation.
 
@@ -82,11 +76,10 @@ generation first.
 **Requeue semantics.**  The coordinator owns the queue.  A cell
 leaves the queue when stolen and is marked in-flight against that
 worker; it completes on ``result``/``error``, and is pushed back to
-the *front* of the queue if its worker dies first (socket EOF/error,
-or no frame within the heartbeat timeout).  Cells are deterministic
-and content-addressed, so a "dead" worker's late result is
-indistinguishable from the requeued rerun — the first result for a
-cell wins and duplicates are ack'd and dropped.  A cell whose worker
+the *front* of the queue if its worker dies first (socket EOF or
+error).  Cells are deterministic and content-addressed, so a late
+result for a requeued cell is indistinguishable from the rerun — the
+first result for a cell wins and duplicates are ack'd and dropped.  A cell whose worker
 dies ``max_cell_attempts`` times is *quarantined* (recorded as a
 ``poisoned`` :class:`~repro.harness.store.CellFailure`, never
 requeued) so a worker-killing cell costs one cell, not every worker
@@ -105,7 +98,8 @@ from repro.pipeline.config import config_from_dict
 #: 3: result frames carry the packed-run memory image.
 #: 4: result frames carry the memory words a cell changed.
 #: 5: ``hello`` carries the model version instead of a per-scheme map.
-PROTOCOL_VERSION = 5
+#: 6: no ``heartbeat`` kind; error frames carry no ``failure_kind``.
+PROTOCOL_VERSION = 6
 
 #: Upper bound on one frame's payload (a campaign cell's result frame
 #: is under 2 KiB; 64 MiB is comfortably above any real frame).

@@ -1,4 +1,4 @@
-"""Cluster worker: pull a cell, simulate it, report, repeat, survive.
+"""Cluster worker: pull a cell, simulate it, report, repeat.
 
 :class:`ClusterWorker` is the client side of the protocol in
 :mod:`repro.harness.cluster.protocol`.  It funnels every cell through
@@ -6,40 +6,25 @@ the same :func:`~repro.harness.parallel.simulate_cell` the serial and
 pool backends use (and therefore through the content-addressed program
 cache), so a cell simulates bit-identically wherever it runs.
 
-A background thread heartbeats while the main thread is deep inside a
-simulation, keeping the coordinator's liveness clock fresh; both
-threads share the socket under one lock, preserving the protocol's
-strict request/response pairing.
-
-**Reconnect.**  A transient failure — connect refused, socket EOF, a
-frame the network ate — no longer ends the worker: it reconnects with
-capped exponential backoff plus deterministic jitter, up to
-``max_reconnects`` attempts (0 keeps the historical die-on-first-blip
-behaviour; ``python -m repro work`` defaults higher).  An explicit
-*rejection* (``reject`` frame: protocol or model version mismatch) is
-different — reconnecting cannot fix a version mismatch, so the worker
-exits immediately with ``rejected`` set.
-
-**Watchdog.**  With ``cell_timeout`` set, each simulation runs under a
-wall-clock deadline on a helper thread; a hung cell becomes a
-``timeout`` error frame instead of an immortal heartbeat (the worker
-keeps heartbeating while hung, so without the watchdog the coordinator
-would wait forever).
+A worker runs one connection.  Any failure of it — connect refused,
+socket EOF, a frame that did not arrive or did not decode — ends the
+worker; the coordinator sees the same EOF and requeues whatever the
+worker held.  An explicit *rejection* (``reject`` frame: protocol or
+model version mismatch) also ends it, with ``rejected`` set.  A hung
+cell needs no wall-clock deadline here: the kernel's watchdog and
+``max_cycles`` raise inside the cell, which reports as an ``error``.
 
 **Fault injection.**  A
 :class:`~repro.harness.cluster.faults.FaultPlan` (``fault_plan=``) is
 a seeded schedule of crashes, poison cells, frame drops/delays/
-corruption, slow/hung cells, and late duplicate results, consulted at
+corruption, slow cells, and late duplicate results, consulted at
 the protocol seam.  A ``crash`` fault makes the worker abandon the
-connection after a steal without reporting — exactly what a SIGKILL'd
-or partitioned host looks like to the coordinator.  Chaos tests use it
-to prove the final store is byte-identical to a fault-free serial run.
+connection after a steal without reporting — exactly what a killed
+worker looks like to the coordinator.  Chaos tests use it to prove
+the final store is byte-identical to a fault-free serial run.
 """
 
-import os
-import random
 import socket
-import threading
 import time
 import traceback as traceback_module
 
@@ -60,20 +45,8 @@ from repro.harness.store import MODEL_VERSION
 from repro.obs import cell_telemetry
 from repro.workloads.program_cache import cached_spec_program
 
-#: Fraction of the coordinator's timeout at which workers heartbeat.
-DEFAULT_HEARTBEAT_INTERVAL = 2.0
-
-#: First reconnect delay; doubles per attempt up to the cap.
-DEFAULT_RECONNECT_BACKOFF = 0.25
-
-#: Upper bound on one reconnect delay (before jitter).
-RECONNECT_BACKOFF_CAP = 15.0
-
-
-def default_worker_name():
-    """``host-pid-tid``: unique per thread, readable in progress lines."""
-    return "%s-%d-%d" % (socket.gethostname(), os.getpid(),
-                         threading.get_ident() % 10_000)
+#: Seconds to wait for the coordinator to accept the connection.
+CONNECT_TIMEOUT = 10.0
 
 
 class WorkerCrash(Exception):
@@ -81,51 +54,26 @@ class WorkerCrash(Exception):
 
 
 class CoordinatorRejected(ConnectionError):
-    """The coordinator explicitly refused us (version mismatch).
-
-    Distinct from the coordinator *crashing*: a rejection is
-    deterministic — the same hello gets the same refusal — so the
-    reconnect/backoff loop must not retry it.
-    """
+    """The coordinator explicitly refused us (version mismatch)."""
 
 
 class ClusterWorker:
     """One pull/simulate/report loop against a coordinator."""
 
-    def __init__(self, host, port, name=None,
-                 heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
-                 max_cells=None,
-                 connect_timeout=10.0, max_reconnects=0,
-                 reconnect_backoff=DEFAULT_RECONNECT_BACKOFF,
-                 cell_timeout=None, fault_plan=None):
+    def __init__(self, host, port, name, fault_plan=None):
         self.host = host
         self.port = int(port)
-        self.name = name or default_worker_name()
-        self.heartbeat_interval = heartbeat_interval
-        self.max_cells = max_cells
-        self.connect_timeout = connect_timeout
-        self.max_reconnects = int(max_reconnects)
-        self.reconnect_backoff = reconnect_backoff
-        self.cell_timeout = cell_timeout
+        self.name = name
         self.fault_plan = fault_plan
         self.cells_completed = 0
-        self.reconnects = 0  # reconnect attempts actually made
-        self.timeouts = 0  # cells abandoned by the watchdog
-        #: True when the coordinator vanished for good (reconnect budget
-        #: exhausted) as opposed to a clean ``done``/``bye`` drain;
-        #: ``last_error`` then holds the reason.
-        self.disconnected = False
         #: True when the coordinator explicitly refused our hello
-        #: (protocol or model version mismatch) — never retried.
+        #: (protocol or model version mismatch).
         self.rejected = False
+        #: Why the connection ended, when it did not end in a clean
+        #: ``done``/``bye`` drain.
         self.last_error = None
         self._sock = None
-        self._io_lock = threading.Lock()
-        self._stop = threading.Event()
         self._reported = []  # (cell_id, result_dict) for duplicate faults
-        # Deterministic jitter: the same worker name always draws the
-        # same delays, so a seeded chaos run is replayable.
-        self._jitter = random.Random("reconnect:%s" % self.name)
 
     # -- protocol plumbing ------------------------------------------------
 
@@ -142,7 +90,7 @@ class ClusterWorker:
             from repro.harness.cluster.faults import send_corrupted
 
             send_corrupted(self._sock, message)
-        else:  # drop_frame: the network ate it; tear the connection
+        else:  # drop_frame: the frame is lost; tear the connection
             try:
                 self._sock.close()
             except OSError:
@@ -150,10 +98,9 @@ class ClusterWorker:
             raise ConnectionError("injected frame drop")
 
     def _request(self, message):
-        """One locked request/response exchange."""
-        with self._io_lock:
-            self._send(message)
-            reply = recv_frame(self._sock)
+        """One request/response exchange."""
+        self._send(message)
+        reply = recv_frame(self._sock)
         if reply is None:
             raise ConnectionError("coordinator closed the connection")
         if reply["kind"] == "reject":
@@ -161,64 +108,32 @@ class ClusterWorker:
                 "coordinator rejected us: %s" % reply.get("error"))
         return reply
 
-    def _heartbeat_loop(self, stop):
-        while not stop.wait(self.heartbeat_interval):
-            try:
-                with self._io_lock:
-                    send_frame(self._sock, {"kind": "heartbeat"})
-                    reply = recv_frame(self._sock)
-                if reply is None:
-                    return
-            except (OSError, ConnectionError):
-                return
-
     # -- main loop --------------------------------------------------------
 
     def run(self):
         """Work until the coordinator drains; returns cells completed.
 
-        Transient connection failures (connect refused, EOF, protocol
-        noise) trigger reconnect with capped exponential backoff +
-        jitter up to ``max_reconnects``; an explicit rejection or an
-        injected crash ends the worker immediately.
+        A failed connection or an explicit rejection ends the worker
+        (``last_error`` says why); so does an injected crash.
         """
-        while True:
-            try:
-                return self._session()
-            except WorkerCrash:
-                # Die like a killed process: no bye, no report, just a
-                # vanished connection for the coordinator to detect.
-                return self.cells_completed
-            except CoordinatorRejected as exc:
-                # Deterministic refusal (another protocol or model
-                # version): retrying the same hello cannot succeed —
-                # exit now so the operator sees the reason instead of
-                # a stuck backoff loop.
-                self.rejected = True
-                self.disconnected = True
-                self.last_error = str(exc)
-                return self.cells_completed
-            except (OSError, ConnectionError, ProtocolError) as exc:
-                self.last_error = str(exc)
-                if self.reconnects >= self.max_reconnects:
-                    self.disconnected = True
-                    return self.cells_completed
-                self.reconnects += 1
-                delay = min(RECONNECT_BACKOFF_CAP,
-                            self.reconnect_backoff
-                            * (2 ** (self.reconnects - 1)))
-                # 0.5x..1.5x jitter, deterministic per worker name.
-                time.sleep(delay * (0.5 + self._jitter.random()))
+        try:
+            return self._session()
+        except WorkerCrash:
+            # Die like a killed process: no bye, no report, just a
+            # vanished connection for the coordinator to detect.
+            pass
+        except CoordinatorRejected as exc:
+            self.rejected = True
+            self.last_error = str(exc)
+        except (OSError, ProtocolError) as exc:
+            self.last_error = str(exc)
+        return self.cells_completed
 
     def _session(self):
         """One connect/hello/steal-loop lifetime against the coordinator."""
         self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout)
+            (self.host, self.port), timeout=CONNECT_TIMEOUT)
         self._sock.settimeout(None)
-        stop = threading.Event()
-        self._stop = stop
-        heartbeat = threading.Thread(target=self._heartbeat_loop,
-                                     args=(stop,), daemon=True)
         try:
             self._request({
                 "kind": "hello",
@@ -229,14 +144,13 @@ class ClusterWorker:
                 # its model version.
                 "model_version": MODEL_VERSION,
             })
-            heartbeat.start()
             while True:
                 reply = self._request({"kind": "steal"})
                 kind = reply["kind"]
                 if kind == "done":
                     try:
                         self._request({"kind": "bye"})
-                    except (OSError, ConnectionError):
+                    except OSError:
                         pass
                     return self.cells_completed
                 if kind == "wait":
@@ -245,15 +159,7 @@ class ClusterWorker:
                 # kind == "cell"
                 self._maybe_crash(reply)
                 self._run_cell(reply)
-                if (self.max_cells is not None
-                        and self.cells_completed >= self.max_cells):
-                    try:
-                        self._request({"kind": "bye"})
-                    except (OSError, ConnectionError):
-                        pass
-                    return self.cells_completed
         finally:
-            stop.set()
             try:
                 self._sock.close()
             except OSError:
@@ -272,56 +178,19 @@ class ClusterWorker:
 
     # -- simulation -------------------------------------------------------
 
-    def _simulate_guarded(self, spec):
-        """Simulate under the optional watchdog deadline.
-
-        Returns ``(result, None)`` or ``(None, (kind, message,
-        traceback))``.  Without ``cell_timeout`` the simulation runs
-        inline; with it, a helper thread simulates while this thread
-        waits out the wall-clock budget — a hang becomes a ``timeout``
-        failure while the heartbeat thread keeps liveness honest.  The
-        abandoned helper thread (daemon) cannot be killed, but its late
-        result is discarded, never reported.
-        """
+    def _simulate(self, spec):
+        """``(result, None, diagnostics)``, or ``(None, (message,
+        traceback), None)`` when the simulation raised."""
         fault = (self.fault_plan.on_cell(self.name)
                  if self.fault_plan is not None else None)
-        delay = float(fault.arg or 0.0) if fault is not None else 0.0
-        if self.cell_timeout is None:
-            try:
-                if delay:
-                    time.sleep(delay)
-                result = simulate_cell(spec)
-                return result, None, last_cell_diagnostics()
-            except Exception as exc:
-                return None, ("deterministic",
-                              "%s: %s" % (type(exc).__name__, exc),
-                              traceback_module.format_exc()), None
-        box = {}
-
-        def _target():
-            try:
-                if delay:
-                    time.sleep(delay)
-                box["result"] = simulate_cell(spec)
-                # Diagnostics are thread-local: read them here, on the
-                # thread that simulated, not from the waiting caller.
-                box["diagnostics"] = last_cell_diagnostics()
-            except BaseException as exc:
-                box["error"] = "%s: %s" % (type(exc).__name__, exc)
-                box["traceback"] = traceback_module.format_exc()
-
-        thread = threading.Thread(target=_target, daemon=True)
-        thread.start()
-        thread.join(self.cell_timeout)
-        if thread.is_alive():
-            self.timeouts += 1
-            return None, ("timeout",
-                          "cell exceeded the %.1fs wall-clock deadline"
-                          % self.cell_timeout, None), None
-        if "error" in box:
-            return None, ("deterministic", box["error"],
-                          box["traceback"]), None
-        return box["result"], None, box.get("diagnostics")
+        try:
+            if fault is not None:
+                time.sleep(float(fault.arg or 0.0))
+            result = simulate_cell(spec)
+            return result, None, last_cell_diagnostics()
+        except Exception as exc:
+            return None, ("%s: %s" % (type(exc).__name__, exc),
+                          traceback_module.format_exc()), None
 
     @staticmethod
     def _peak_rss_kb():
@@ -339,15 +208,12 @@ class ClusterWorker:
         cell_id = reply["cell_id"]
         spec = spec_from_wire(reply["spec"])
         start = time.perf_counter()
-        result, failure, diagnostics = self._simulate_guarded(spec)
+        result, failure, diagnostics = self._simulate(spec)
         wall = time.perf_counter() - start
         if failure is not None:
-            kind, message, trace = failure
-            frame = {"kind": "error", "cell_id": cell_id, "error": message,
-                     "failure_kind": kind}
-            if trace:
-                frame["traceback"] = trace
-            self._request(frame)
+            message, trace = failure
+            self._request({"kind": "error", "cell_id": cell_id,
+                           "error": message, "traceback": trace})
             return
         # Telemetry rides beside the result, never inside it: stored
         # results must stay byte-identical across backends and runs.
@@ -370,8 +236,3 @@ class ClusterWorker:
                 dup_id, dup_result = self._reported[0]
                 self._request({"kind": "result", "cell_id": dup_id,
                                "result": dup_result})
-
-
-def run_worker(host, port, **kwargs):
-    """Convenience wrapper: build a worker, run it, return cells done."""
-    return ClusterWorker(host, port, **kwargs).run()

@@ -30,10 +30,10 @@ in spec order::
 Three implementations exist:
 
 - :class:`SerialExecutor` — in-process loop;
-- :class:`PoolExecutor` — ``multiprocessing`` fan-out over ``jobs``
-  processes (in-process at one job, or when a pool cannot be created);
+- :class:`PoolExecutor` — process fan-out over ``jobs`` processes
+  (in-process at one job, or when a pool cannot be created);
 - :class:`~repro.harness.cluster.ClusterExecutor` — the socket-based
-  work-stealing cluster backend (multi-host).
+  work-stealing cluster backend (loopback worker threads).
 
 The caller picks one and hands it to :meth:`CampaignRunner.run_grid
 <repro.harness.runner.CampaignRunner.run_grid>` or
@@ -81,14 +81,17 @@ class SerialExecutor(Executor):
 
 
 class PoolExecutor(Executor):
-    """``multiprocessing`` fan-out across ``jobs`` local processes.
+    """Process fan-out across ``jobs`` local processes.
 
-    Results stream back unordered (``imap_unordered``) so progress and
-    ``on_result`` fire as cells finish, then are reassembled into spec
-    order.  Anything that prevents pool *creation* (restricted
-    sandboxes, missing ``/dev/shm``) degrades to the serial executor;
-    once workers exist, an exception inside ``simulate_cell``
-    propagates to the caller exactly as a serial run would.
+    Results stream back in completion order (``as_completed``) so
+    progress and ``on_result`` fire as cells finish, then are
+    reassembled into spec order.  Anything that prevents pool
+    *creation* (restricted sandboxes, missing ``/dev/shm``) degrades to
+    the serial executor; once workers exist, an exception inside
+    ``simulate_cell`` propagates to the caller exactly as a serial run
+    would, and a worker process that dies raises ``BrokenProcessPool``
+    instead of leaving the campaign waiting for its cell.  Either way
+    the cells still queued are dropped, not simulated.
     """
 
     kind = "pool"
@@ -105,25 +108,30 @@ class PoolExecutor(Executor):
         if jobs <= 1:
             return SerialExecutor().run(specs, progress=progress,
                                         on_result=on_result)
+        # Imported here, not at module level: it costs every process
+        # that imports the harness ~14 ms, and only a pool needs it.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
         try:
-            pool = ctx.Pool(processes=jobs)
+            pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
         except (OSError, PermissionError, RuntimeError):
             return SerialExecutor().run(specs, progress=progress,
                                         on_result=on_result)
         results = [None] * len(specs)
-        with pool:
-            completions = pool.imap_unordered(
-                _simulate_indexed, list(enumerate(specs)), chunksize=1
-            )
-            for index, pid, result in completions:
+        try:
+            futures = [pool.submit(_simulate_indexed, (index, spec))
+                       for index, spec in enumerate(specs)]
+            for future in as_completed(futures):
+                index, pid, result = future.result()
                 results[index] = result
                 if on_result is not None:
                     on_result(index, result)
                 if progress is not None:
                     progress.cell_done(worker="pid-%d" % pid)
+        finally:
+            pool.shutdown(cancel_futures=True)
         return results
-

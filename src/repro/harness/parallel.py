@@ -4,7 +4,7 @@ A *cell spec* is the picklable tuple
 ``(benchmark, config, scheme_name, scheme_kwargs, scale, seed)`` — the
 same identity that :func:`repro.harness.store.simulation_key` hashes,
 and (in wire form, see :mod:`repro.harness.cluster.protocol`) the unit
-of work the cluster coordinator hands to remote workers.
+of work the cluster coordinator hands to its workers.
 
 :func:`simulate_cell` executes one spec; every backend — the serial
 loop, the multiprocessing pool, and cluster workers — funnels through
@@ -80,7 +80,7 @@ def simulate_cell(spec):
 
 
 def _simulate_indexed(indexed_spec):
-    """``(index, spec) -> (index, pid, result)`` for unordered pools.
+    """``(index, spec) -> (index, pid, result)`` for the process pool.
 
     The index lets the pool stream completions out of order and still
     reassemble spec order; the pid provides per-worker attribution for

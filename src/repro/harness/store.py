@@ -52,8 +52,8 @@ method that reads that layout) folds it into segments; ``store stats``
 counts such files and says so.
 
 Failures are first-class: a cell the campaign could not complete —
-quarantined after repeatedly killing workers, a deterministic
-exception, a watchdog timeout — persists as a :class:`CellFailure`
+quarantined after repeatedly killing workers, or a deterministic
+exception — persists as a :class:`CellFailure`
 record under ``failures/`` beside the results, written with the same
 atomic discipline as before.  A later successful result for the cell
 clears its failure record (first-result-wins), and ``python -m repro
@@ -101,9 +101,8 @@ _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 #: Recognised failure classes (see the failure-model contract in
 #: :mod:`repro.harness`): ``poisoned`` — the cell killed workers until
-#: it was quarantined; ``deterministic`` — the simulation raised;
-#: ``timeout`` — the worker's watchdog hit its wall-clock deadline.
-FAILURE_KINDS = ("poisoned", "deterministic", "timeout")
+#: it was quarantined; ``deterministic`` — the simulation raised.
+FAILURE_KINDS = ("poisoned", "deterministic")
 
 
 class CellFailure:
@@ -607,8 +606,8 @@ class ResultStore:
 
         Failures live under ``failures/`` with browsable prefix +
         digest names (:func:`cell_filename`).  Saving is idempotent
-        per key (atomic replace), so a quarantine re-recorded on resume
-        or retried campaigns never duplicate.
+        per key (atomic replace), so a failure re-recorded by a
+        retried campaign never duplicates.
         """
         directory = self.failures_dir
         directory.mkdir(parents=True, exist_ok=True)

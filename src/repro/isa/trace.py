@@ -4,7 +4,7 @@ A :class:`DynamicTrace` is the architectural execution of one program,
 recorded once by driving the :class:`~repro.isa.interp.ReferenceInterpreter`
 to completion and kept in *typed* column form — one entry per retired
 instruction (the *trace step*).  Since trace-v2 the columns are dense
-machine-word arrays (:mod:`array`) and packed byte strings, not Python
+machine-word arrays (:mod:`array`) and a packed byte string, not Python
 lists: the timing replayer streams through them like a gem5-style
 trace-driven model, payloads serialise as base64 over the raw buffers
 (zero intermediate copies on little-endian hosts), and a recorded
@@ -26,15 +26,12 @@ entry instead of a boxed ``int`` each.
 ``taken`` — ``bytes``
     one byte per step: 1 iff the step is a taken conditional branch
     (recorded explicitly — ``next_pc`` alone is ambiguous when a
-    branch's target equals its fall-through);
-``l1_hit`` — ``bytes``
-    one byte per step: 1 iff a load's access hit a default-geometry L1
-    warmed in *commit order*.  **Advisory only** — the pipeline's live
-    :class:`~repro.memsys.hierarchy.MemoryHierarchy` stays authoritative
-    for timing, because wrong-path accesses and the prefetcher make the
-    commit-order classification unusable cycle-accurately.  The column
-    exists for trace consumers (analysis tooling, future schedulers)
-    that want a microarchitecture-independent locality signal.
+    branch's target equals its fall-through).
+
+The trace records architecture only.  Cache behaviour belongs to the
+pipeline's live :class:`~repro.memsys.hierarchy.MemoryHierarchy`,
+because wrong-path accesses and the prefetcher make any commit-order
+classification unusable cycle-accurately.
 
 Indexing a column yields a plain ``int`` either way, so consumers are
 layout-agnostic; constructing a :class:`DynamicTrace` from list-backed
@@ -47,7 +44,7 @@ host byteswaps a scratch copy on the way out and back in, so payloads
 are interchangeable across hosts and bit-identical for the same
 execution.  :meth:`from_payload` validates the format version, the
 declared endianness/item size, base64 integrity, column-length
-agreement, and that the flag columns are strictly 0/1 — a truncated or
+agreement, and that the flag column is strictly 0/1 — a truncated or
 corrupted persisted trace raises ``ValueError`` and the disk cache
 falls back to re-recording.
 
@@ -58,9 +55,9 @@ substitute for in-line evaluation, and the purity tracking that guards
 it — is documented in the core's module docstring.
 
 Traces are content-addressed and disk-persisted next to generated
-programs; see :mod:`repro.workloads.program_cache`.  The format bump to
-``trace-v2`` participates in the cache key, so every ``trace-v1`` file
-on disk is simply ignored and re-recorded.
+programs; see :mod:`repro.workloads.program_cache`.  The format
+version participates in the cache key, so a file on disk written in an
+older format is simply ignored and re-recorded.
 """
 
 import base64
@@ -70,14 +67,14 @@ from array import array
 
 from repro.isa.instructions import Opcode
 from repro.isa.interp import ReferenceInterpreter, branch_taken, to_unsigned64
-from repro.memsys.hierarchy import MemConfig, MemoryHierarchy
 
 #: Bumped whenever the recorded column semantics *or storage format*
 #: change; participates in the trace cache key (see
 #: workloads.program_cache.trace_key) so stale on-disk traces can never
 #: be replayed by a newer pipeline.  trace-v2: typed-array columns,
 #: base64-over-raw-buffer payloads, little-endian canonical form.
-TRACE_FORMAT_VERSION = "trace-v2"
+#: trace-v3: no ``l1_hit`` column.
+TRACE_FORMAT_VERSION = "trace-v3"
 
 #: Canonical byte order of serialised word columns.
 _PAYLOAD_ENDIAN = "little"
@@ -98,7 +95,7 @@ def _as_column(values, typecode):
 
 
 def _as_flags(values):
-    """Coerce a 0/1 flag column to immutable packed ``bytes``."""
+    """Coerce the 0/1 flag column to immutable packed ``bytes``."""
     return values if isinstance(values, bytes) else bytes(values)
 
 
@@ -143,11 +140,11 @@ class DynamicTrace:
     """Column-oriented record of one program's architectural execution."""
 
     __slots__ = ("program_name", "program_len", "entry",
-                 "pcs", "next_pcs", "results", "addrs", "taken", "l1_hit",
+                 "pcs", "next_pcs", "results", "addrs", "taken",
                  "_replay_view")
 
     def __init__(self, program_name, program_len, entry,
-                 pcs, next_pcs, results, addrs, taken, l1_hit):
+                 pcs, next_pcs, results, addrs, taken):
         self.program_name = program_name
         self.program_len = program_len
         self.entry = entry
@@ -156,7 +153,6 @@ class DynamicTrace:
         self.results = _as_column(results, "q")
         self.addrs = _as_column(addrs, "Q")
         self.taken = _as_flags(taken)
-        self.l1_hit = _as_flags(l1_hit)
         self._replay_view = None
 
     def __len__(self):
@@ -170,7 +166,7 @@ class DynamicTrace:
         subscript, and the replayer reads these three columns once or
         more per simulated uop — across every scheme of every grid
         cell sharing the trace.  Boxing each column once here (the
-        flag columns stay ``bytes``: byte reads are cached small ints)
+        flag column stays ``bytes``: byte reads are cached small ints)
         costs O(steps) per trace per process and makes the hot reads
         ordinary list indexing; the view is built lazily so traces
         that are only stored or transported never pay for it.
@@ -222,7 +218,6 @@ class DynamicTrace:
             "results": _encode_words(self.results),
             "addrs": _encode_words(self.addrs),
             "taken": base64.b64encode(self.taken).decode("ascii"),
-            "l1_hit": base64.b64encode(self.l1_hit).decode("ascii"),
         }
 
     @classmethod
@@ -246,9 +241,7 @@ class DynamicTrace:
             raise ValueError("trace payload itemsize %r != %d"
                              % (payload.get("itemsize"), _ITEMSIZE))
         taken = _decode_b64(payload["taken"], "taken")
-        l1_hit = _decode_b64(payload["l1_hit"], "l1_hit")
         _check_flag_column(taken, "taken")
-        _check_flag_column(l1_hit, "l1_hit")
         trace = cls(
             program_name=payload["program_name"],
             program_len=payload["program_len"],
@@ -258,12 +251,10 @@ class DynamicTrace:
             results=_decode_words(payload["results"], "q", "results"),
             addrs=_decode_words(payload["addrs"], "Q", "addrs"),
             taken=taken,
-            l1_hit=l1_hit,
         )
         n = len(trace.pcs)
         if not all(len(col) == n for col in (
-                trace.next_pcs, trace.results, trace.addrs,
-                trace.taken, trace.l1_hit)):
+                trace.next_pcs, trace.results, trace.addrs, trace.taken)):
             raise ValueError("trace columns have inconsistent lengths")
         return trace
 
@@ -274,17 +265,14 @@ class DynamicTrace:
 _RECORD_CHUNK = 8192
 
 
-def record_trace(program, mem_config=None, max_steps=5_000_000):
+def record_trace(program, max_steps=5_000_000):
     """Record ``program``'s canonical dynamic trace (one full run).
 
     Drives the reference interpreter to halt, capturing each step's
     outcome *before and after* the step: branch directions and memory
     addresses come from the pre-step register state (exactly what the
     pipeline computes at resolve/agen time), results and successor PCs
-    from the post-step state.  The advisory L1 column classifies each
-    load against a ``mem_config`` (default geometry) hierarchy accessed
-    in commit order — stores access it too (write, no prefetcher
-    training), mirroring the pipeline's commit-time accesses.
+    from the post-step state.
 
     The columns are recorded straight into preallocated typed buffers
     (grown in :data:`_RECORD_CHUNK` steps, trimmed once at the end), so
@@ -293,8 +281,6 @@ def record_trace(program, mem_config=None, max_steps=5_000_000):
     """
     interp = ReferenceInterpreter(program)
     state = interp.state
-    hierarchy = MemoryHierarchy(mem_config or MemConfig())
-    l1_latency = hierarchy.config.l1_latency
     read_reg = state.read_reg
 
     zeros = array("Q", bytes(_ITEMSIZE * _RECORD_CHUNK))
@@ -303,7 +289,6 @@ def record_trace(program, mem_config=None, max_steps=5_000_000):
     results = array("q", bytes(_ITEMSIZE * _RECORD_CHUNK))
     addrs = array("Q", zeros)
     taken = bytearray(_RECORD_CHUNK)
-    l1_hit = bytearray(_RECORD_CHUNK)
     capacity = _RECORD_CHUNK
 
     steps = 0
@@ -318,24 +303,14 @@ def record_trace(program, mem_config=None, max_steps=5_000_000):
             results.extend(array("q", bytes(_ITEMSIZE * _RECORD_CHUNK)))
             addrs.extend(zeros)
             taken.extend(bytes(_RECORD_CHUNK))
-            l1_hit.extend(bytes(_RECORD_CHUNK))
             capacity += _RECORD_CHUNK
         pc = state.pc
         instr = program[pc]
         op = instr.op
         info = instr.info
 
-        if info.is_load:
-            addr = to_unsigned64(read_reg(instr.rs1) + instr.imm)
-            latency, _level = hierarchy.access(addr, pc=pc)
-            addrs[steps] = addr
-            if latency <= l1_latency:
-                l1_hit[steps] = 1
-        elif info.is_store:
-            addr = to_unsigned64(read_reg(instr.rs1) + instr.imm)
-            hierarchy.access(addr, pc=pc, is_write=True,
-                             train_prefetcher=False)
-            addrs[steps] = addr
+        if info.is_load or info.is_store:
+            addrs[steps] = to_unsigned64(read_reg(instr.rs1) + instr.imm)
         elif info.is_branch:
             if branch_taken(op, read_reg(instr.rs1), read_reg(instr.rs2)):
                 taken[steps] = 1
@@ -359,5 +334,4 @@ def record_trace(program, mem_config=None, max_steps=5_000_000):
         results=results[:steps],
         addrs=addrs[:steps],
         taken=bytes(taken[:steps]),
-        l1_hit=bytes(l1_hit[:steps]),
     )

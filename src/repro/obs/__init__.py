@@ -96,11 +96,7 @@ cluster wire without new schema.
 
 from repro.obs.account import CycleAccount, LEAF_CAUSES
 from repro.obs.pipeview import PipeTracer, trace_pipeline
-from repro.obs.telemetry import (
-    TelemetryAggregate,
-    cell_telemetry,
-    format_rollup,
-)
+from repro.obs.telemetry import TelemetryAggregate, cell_telemetry
 
 __all__ = [
     "CycleAccount",
@@ -109,5 +105,4 @@ __all__ = [
     "trace_pipeline",
     "TelemetryAggregate",
     "cell_telemetry",
-    "format_rollup",
 ]

@@ -9,8 +9,7 @@ coordinators ignore the extra key; old workers simply do not send it
 
 The worker stamps each frame via :func:`cell_telemetry`; the
 coordinator feeds frames into a :class:`TelemetryAggregate`, whose
-:meth:`~TelemetryAggregate.rollup` rides ``coordinator.stats()`` out
-to the CLI.
+:meth:`~TelemetryAggregate.rollup` rides ``coordinator.stats()``.
 """
 
 
@@ -99,32 +98,3 @@ class TelemetryAggregate:
                 for name, bucket in sorted(self.per_scheme.items())
             },
         }
-
-    def format(self):
-        """Short human-readable rollup (one line per worker/scheme)."""
-        return format_rollup(self.rollup())
-
-
-def format_rollup(rollup):
-    """Render a :meth:`TelemetryAggregate.rollup` dict as text.
-
-    A module function (not a method) so callers holding only the
-    JSON-ready rollup — the CLI reading ``coordinator.stats()`` — can
-    format it without rebuilding an aggregate.
-    """
-    if not rollup or not rollup.get("cells"):
-        return "telemetry: no frames recorded"
-    lines = ["telemetry: %d cells, %.2fs simulated wall time"
-             % (rollup["cells"], rollup["wall_seconds"])]
-    for name, bucket in sorted(rollup.get("per_worker", {}).items()):
-        lines.append(
-            "  worker %-16s cells=%-5d wall=%.2fs peak_rss=%sKB"
-            % (name, bucket["cells"], bucket["wall_seconds"],
-               bucket.get("peak_rss_kb", "?")))
-    for name, bucket in sorted(rollup.get("per_scheme", {}).items()):
-        lines.append(
-            "  scheme %-16s cells=%-5d wall=%.2fs cycles=%d replays=%d"
-            % (name, bucket["cells"], bucket["wall_seconds"],
-               bucket.get("simulated_cycles", 0),
-               bucket.get("replayed_uops", 0)))
-    return "\n".join(lines)

@@ -118,10 +118,10 @@ def config_from_dict(data):
 
     The inverse used wherever configurations travel as plain JSON —
     most importantly the cluster wire protocol, which ships each grid
-    cell's full configuration to remote workers.  Unknown fields raise
-    (a worker running a different model version must not silently
-    simulate a truncated configuration), and the rebuilt config is
-    validated before use.
+    cell's full configuration to its workers.  Unknown fields raise
+    (a configuration from another model version must not silently
+    simulate truncated), and the rebuilt config is validated before
+    use.
     """
     data = dict(data)
     mem = data.pop("mem", None)

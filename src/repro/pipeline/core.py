@@ -37,7 +37,7 @@ Replay is *opportunistic and bit-exact*, never approximate:
   load's value is pure only when its address is pure, no older store
   address is unresolved or impure (an impure address could mask real
   aliasing), and its forwarding source (if any) is itself pure.
-* The recorded L1 hit/miss column is advisory only; the live
+* The trace records no cache behaviour: the live
   :class:`~repro.memsys.hierarchy.MemoryHierarchy` decides latency
   (wrong-path pollution and prefetching are timing-relevant and
   scheme-visible).

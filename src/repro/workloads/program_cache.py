@@ -60,11 +60,11 @@ reused by every grid cell that shares the workload.  The trace key
 outlive either the generator output it was recorded from or the column
 format the pipeline expects; on disk a trace is one
 ``<key>.trace.json`` file with the same atomic-write and
-corrupt-falls-back-to-re-record discipline as programs.  The trace-v2
-format bump (typed-array columns, base64-over-raw-buffer payloads)
-rides exactly this mechanism: every ``trace-v1`` file on disk keys
-differently, is never opened, and the workload is re-recorded into the
-columnar layout on first use — and should a v2 file be truncated or
+corrupt-falls-back-to-re-record discipline as programs.  Every trace
+format bump (trace-v2's typed-array columns, trace-v3's dropped
+``l1_hit`` column) rides exactly this mechanism: a file written in an
+older format keys differently, is never opened, and the workload is
+re-recorded on first use — and should a current file be truncated or
 corrupted, :meth:`~repro.isa.trace.DynamicTrace.from_payload` raises
 ``ValueError``, which the loader treats as a miss.
 """

@@ -124,14 +124,15 @@ def test_cli_choices_derive_from_registry():
     registered names — a new registry entry is immediately reachable."""
     from repro.__main__ import build_parser
 
-    parser = build_parser()
-    checked = 0
-    for action in parser._subparsers._group_actions[0].choices.values():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    checked = set()
+    for command, action in subcommands.items():
         for option in action._actions:
             if option.dest in ("scheme", "schemes") and option.choices:
                 assert tuple(option.choices) == scheme_names(), option.dest
-                checked += 1
-    assert checked >= 4  # grid/serve --schemes, profile/pipeview --scheme
+                checked.add((command, option.option_strings[0]))
+    assert checked == {("grid", "--schemes"), ("profile", "--scheme"),
+                       ("pipeview", "--scheme")}
 
 
 def test_new_variants_reach_the_grid_and_wire_format():

@@ -8,12 +8,17 @@ identical to a fault-free serial run — every cell's stored envelope
 once canonicalised — whatever crashed, hung, or got eaten by the
 network along the way.  (Segment *files* are append logs whose record
 order depends on the interleaving, so equivalence is asserted at the
-envelope level, where the store contract actually lives.)
+envelope level, where the store contract actually lives.)  The pool
+backend's chaos case, a worker process that dies, lives here too.
 """
 
 import json
+import os
+import pathlib
 import socket
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -30,7 +35,6 @@ from repro.harness.cluster import (
     send_frame,
     spec_from_wire,
 )
-from repro.harness.journal import CampaignJournal, journal_path
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import MODEL_VERSION, ResultStore
 from repro.isa.registers import NUM_ARCH_REGS
@@ -88,7 +92,7 @@ def test_fault_plan_counters_and_one_shot():
     assert fault is not None and fault.kind == "crash"
     assert plan.on_steal("w1") is None  # one-shot: never fires again
     # Frame faults only count substantive frames.
-    assert plan.on_frame("w1", "heartbeat") is None
+    assert plan.on_frame("w1", "bye") is None
     assert plan.on_frame("w1", "steal").kind == "drop_frame"
     # poison_cell is a predicate, not a counter: it always applies.
     assert plan.poisoned("503.bwaves") and plan.poisoned("503.bwaves")
@@ -124,10 +128,8 @@ def test_chaos_smoke_store_equivalence(tmp_path):
     chaos_root = tmp_path / "chaos"
     runner = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
                             store=ResultStore(chaos_root))
-    executor = ClusterExecutor(
-        local_workers=3, wait_timeout=120, fault_plan=plan,
-        worker_kwargs={"max_reconnects": 5, "reconnect_backoff": 0.05},
-    )
+    executor = ClusterExecutor(local_workers=3, wait_timeout=120,
+                               fault_plan=plan)
     summary = runner.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
                               executor=executor)
     assert summary["simulated"] == 4 and summary["failed"] == 0
@@ -148,10 +150,8 @@ def test_chaos_with_duplicates_and_corruption(tmp_path):
     chaos_root = tmp_path / "chaos"
     runner = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
                             store=ResultStore(chaos_root))
-    executor = ClusterExecutor(
-        local_workers=3, wait_timeout=120, fault_plan=plan,
-        worker_kwargs={"max_reconnects": 5, "reconnect_backoff": 0.05},
-    )
+    executor = ClusterExecutor(local_workers=3, wait_timeout=120,
+                               fault_plan=plan)
     summary = runner.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
                               executor=executor)
     assert summary["failed"] == 0
@@ -160,43 +160,32 @@ def test_chaos_with_duplicates_and_corruption(tmp_path):
 
 def test_coordinator_kill_and_resume_completes_campaign(tmp_path):
     """The big one: the coordinator dies mid-campaign (injected kill
-    after the 2nd persisted result), and ``--resume`` semantics — store
-    for done cells, journal for shape — finish the job.  The final
-    store is byte-identical to a fault-free serial run."""
+    after the 2nd persisted result), and running the same grid again
+    against the same store finishes the job — the store is all the
+    resume state there is.  The final store is byte-identical to a
+    fault-free serial run."""
     expected = serial_store(tmp_path)
 
     chaos_root = tmp_path / "chaos"
-    journal = journal_path(chaos_root)
     plan = FaultPlan([Fault("kill_coordinator", at=2)])
     runner = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
                             store=ResultStore(chaos_root))
-    executor = ClusterExecutor(
-        local_workers=2, wait_timeout=120, fault_plan=plan,
-        journal_path=journal,
-        worker_kwargs={"max_reconnects": 1, "reconnect_backoff": 0.05},
-    )
+    executor = ClusterExecutor(local_workers=2, wait_timeout=120,
+                               fault_plan=plan)
     with pytest.raises(RuntimeError, match="incomplete|timed out"):
         runner.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
                         executor=executor)
-    # The kill fired and the journal captured the partial campaign.
     assert plan.fired()
-    state = CampaignJournal.load(journal)
-    assert state is not None
-    assert len(state.done) >= 2
     partial = store_bytes(chaos_root)
     assert len(partial) >= 2  # streamed results survived the crash
 
-    # A new coordinator resumes: store-present cells are filtered by
-    # the runner, the journal orders what remains.
-    resumed = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
-                             store=ResultStore(chaos_root))
-    again = ClusterExecutor(
-        local_workers=2, wait_timeout=120,
-        journal_path=journal, resume=True,
-        worker_kwargs={"max_reconnects": 1, "reconnect_backoff": 0.05},
-    )
-    summary = resumed.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
-                               executor=again)
+    # The same grid again on the same store: the runner loads what the
+    # store holds and simulates only the rest.
+    rerun = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
+                           store=ResultStore(chaos_root))
+    summary = rerun.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
+                             executor=ClusterExecutor(local_workers=2,
+                                                      wait_timeout=120))
     assert summary["failed"] == 0
     # A result in flight at the kill may still have streamed into the
     # store after our snapshot, so >=; either way nothing re-simulates
@@ -204,8 +193,63 @@ def test_coordinator_kill_and_resume_completes_campaign(tmp_path):
     assert summary["from_store"] >= len(partial)
     assert summary["from_store"] + summary["simulated"] == 4
     assert store_bytes(chaos_root) == expected
-    final = CampaignJournal.load(journal)
-    assert final.sessions == 2
+
+
+#: Runs a 4-cell grid on a 2-process pool into the store at argv[1],
+#: with the last cell killing its worker process.
+_DYING_POOL_SCRIPT = textwrap.dedent("""
+    import os
+    import sys
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.harness import parallel
+    from repro.harness.executor import PoolExecutor
+    from repro.harness.runner import CampaignRunner
+    from repro.harness.store import ResultStore
+    from repro.pipeline.config import SMALL
+
+    simulate = parallel.simulate_cell
+
+    def dying(spec):
+        if spec[0] == "548.exchange2" and spec[2] == "nda":
+            os._exit(3)
+        return simulate(spec)
+
+    parallel.simulate_cell = dying
+    runner = CampaignRunner(scale=%r, benchmarks=%r,
+                            store=ResultStore(sys.argv[1]))
+    try:
+        runner.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
+                        executor=PoolExecutor(jobs=2))
+    except BrokenProcessPool:
+        sys.exit(0)
+    sys.exit("the grid survived a dead pool worker")
+""" % (SCALE, SUBSET))
+
+
+def test_dead_pool_worker_raises_and_rerun_completes(tmp_path):
+    """A pool worker process that dies must end the campaign with
+    ``BrokenProcessPool``, not leave it waiting forever for the lost
+    cell; re-running the grid serially on the same store then loads
+    what streamed in and simulates only the rest."""
+    expected = serial_store(tmp_path)
+
+    root = tmp_path / "pool"
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", _DYING_POOL_SCRIPT, str(root)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=30)
+    assert completed.returncode == 0, completed.stderr[-4000:]
+
+    streamed = len(ResultStore(root))
+    assert streamed < 4  # the dying cell never reached the store
+    rerun = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
+                           store=ResultStore(root))
+    summary = rerun.run_grid(configs=(SMALL,), schemes=("baseline", "nda"))
+    assert summary["from_store"] == streamed
+    assert summary["simulated"] == 4 - streamed
+    assert store_bytes(root) == expected
 
 
 def _specs():
@@ -256,14 +300,12 @@ def test_kill_waits_for_results_still_being_persisted():
             assert not thread.is_alive()
 
 
-def test_closed_coordinator_takes_late_result_and_drop(tmp_path,
-                                                        monkeypatch):
-    """After ``close`` the journal is shut, yet a serve thread may still
-    settle a late result or drop its worker: neither may raise."""
+def test_closed_coordinator_takes_late_result_and_drop(monkeypatch):
+    """After ``close`` a serve thread may still settle a late result
+    or drop its worker: neither may raise."""
     raised = []
     monkeypatch.setattr(threading, "excepthook", raised.append)
-    journal = CampaignJournal(journal_path(tmp_path))
-    coordinator = ClusterCoordinator(_specs(), journal=journal).start()
+    coordinator = ClusterCoordinator(_specs()).start()
     conn = socket.create_connection(coordinator.address, timeout=5)
     try:
         send_frame(conn, {"kind": "hello", "worker": "late",
@@ -273,7 +315,6 @@ def test_closed_coordinator_takes_late_result_and_drop(tmp_path,
         send_frame(conn, {"kind": "steal"})
         cell = recv_frame(conn)
         assert cell["kind"] == "cell"
-        journaled = journal.path.read_text()
 
         coordinator.close()  # cuts the socket: its serve thread drops
         spec = spec_from_wire(cell["spec"])
@@ -288,7 +329,6 @@ def test_closed_coordinator_takes_late_result_and_drop(tmp_path,
     finally:
         conn.close()
     assert raised == []
-    assert journal.path.read_text() == journaled
 
 
 def test_persisted_count_is_exact_under_concurrent_results():

@@ -4,18 +4,12 @@ import json
 
 import pytest
 
-from repro.__main__ import main, parse_hostport
+from repro.__main__ import main
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore
 from repro.pipeline.config import SMALL
 
 BENCH = "503.bwaves"
-
-
-def test_parse_hostport():
-    assert parse_hostport("example.org:9000") == ("example.org", 9000)
-    assert parse_hostport("example.org") == ("example.org", 2017)
-    assert parse_hostport(":9000") == ("127.0.0.1", 9000)
 
 
 def test_cli_grid_serial_and_store(tmp_path, capsys):
@@ -48,18 +42,6 @@ def test_cli_run_prepopulates_needed_cells(tmp_path, capsys, monkeypatch):
     assert second[1:] == first[1:]
 
 
-def test_cli_serve_takes_no_jobs(capsys):
-    # serve's cells run on its cluster workers: --jobs would be ignored,
-    # so an otherwise runnable serve naming it is a usage error.
-    with pytest.raises(SystemExit) as exit_info:
-        main(["serve", "--jobs", "2", "--host", "127.0.0.1", "--port", "0",
-              "--local-workers", "1", "--scale", "0.05", "--benchmarks",
-              BENCH, "--configs", "small", "--schemes", "baseline",
-              "--no-store"])
-    assert exit_info.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
 def test_cli_grid_cluster_executor(tmp_path, capsys):
     code = main(["grid", "--scale", "0.05", "--benchmarks", BENCH,
                  "--configs", "small", "--schemes", "baseline", "nda",
@@ -67,9 +49,20 @@ def test_cli_grid_cluster_executor(tmp_path, capsys):
                  "--store-dir", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "cluster coordinator serving on" in out
     assert "2 simulated" in out
     assert len(ResultStore(tmp_path)) == 2
+
+
+def test_cli_cluster_needs_a_local_worker(tmp_path, capsys):
+    # With no local worker thread nothing could simulate a cell: a
+    # usage error, not a campaign that waits forever.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["grid", "--scale", "0.05", "--benchmarks", BENCH,
+              "--configs", "small", "--schemes", "baseline",
+              "--executor", "cluster", "--local-workers", "0",
+              "--store-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--local-workers" in capsys.readouterr().err
 
 
 def test_cli_store_verify_and_gc(tmp_path, capsys):
@@ -157,41 +150,15 @@ def test_cli_store_failures(tmp_path, capsys):
 
     store.save_failure(CellFailure(
         key="a" * 64, benchmark=BENCH, config_name="small",
-        scheme_name="baseline", kind="timeout", attempts=2, worker="w9",
-        error="cell exceeded the 5.0s wall-clock deadline"))
+        scheme_name="baseline", kind="poisoned", attempts=2, worker="w9",
+        error="worker died 2 time(s) holding this cell (last: w9)"))
     # Any recorded failure makes the action exit nonzero (scriptable in
     # CI as a campaign-health check).
     assert main(["store", "failures", "--store-dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "1 recorded" in out
-    assert BENCH in out and "timeout" in out and "x2" in out
-    assert "wall-clock" in out
-
-
-def test_cli_serve_writes_journal_and_resumes(tmp_path, capsys):
-    from repro.harness.journal import CampaignJournal, journal_path
-
-    args = ["serve", "--scale", "0.05", "--benchmarks", BENCH,
-            "--configs", "small", "--schemes", "baseline",
-            "--host", "127.0.0.1", "--port", "0", "--local-workers", "2",
-            "--store-dir", str(tmp_path)]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "campaign drained" in out and "1 simulated" in out
-    state = CampaignJournal.load(journal_path(tmp_path))
-    assert state is not None and len(state.done) == 1
-
-    # Simulate a coordinator crash that lost the store cells: --resume
-    # replays the journal, re-simulates the missing cell, and the
-    # journal gains a session marker.
-    from repro.harness.store import ResultStore
-
-    ResultStore(tmp_path).clear()
-    assert main(args + ["--resume"]) == 0
-    out = capsys.readouterr().out
-    assert "1 simulated" in out
-    resumed = CampaignJournal.load(journal_path(tmp_path))
-    assert resumed.sessions == 2 and len(resumed.done) == 1
+    assert BENCH in out and "poisoned" in out and "x2" in out
+    assert "worker died" in out
 
 
 def test_cli_accepts_underscore_scheme_aliases(tmp_path, capsys):
@@ -254,16 +221,6 @@ def test_cli_run_all_prints_each_report_once(capsys):
 def test_cli_run_unknown_experiment(capsys):
     assert main(["run", "definitely-not-an-experiment"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
-
-
-def test_cli_work_refuses_bad_coordinator(capsys):
-    # Nothing listens: the reconnect loop (disabled here to keep the
-    # test instant) exhausts and the worker reports the loss, exit 1.
-    code = main(["work", "--connect", "127.0.0.1:1",
-                 "--max-reconnects", "0"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "lost its coordinator" in err and "0 reconnect(s)" in err
 
 
 def test_cli_pipeview_writes_trace(tmp_path, capsys):

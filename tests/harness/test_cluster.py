@@ -1,8 +1,8 @@
 """Cluster backend tests: protocol, loopback equivalence, fault injection.
 
 Everything runs in-process on 127.0.0.1 — a coordinator plus worker
-threads — so the full socket path (framing, stealing, heartbeats,
-requeue) is exercised without any external orchestration.
+threads — so the full socket path (framing, stealing, requeue) is
+exercised without any external orchestration.
 """
 
 import socket
@@ -161,7 +161,7 @@ def test_crashed_worker_cells_are_requeued():
     specs = small_specs()
     serial = SerialExecutor().run(specs)
 
-    coordinator = ClusterCoordinator(specs, heartbeat_timeout=2.0)
+    coordinator = ClusterCoordinator(specs)
     coordinator.start()
     try:
         host, port = coordinator.address
@@ -186,39 +186,6 @@ def test_crashed_worker_cells_are_requeued():
     assert stats["workers"] == {"survivor": len(specs)}
     for mine, theirs in zip(serial, results):
         assert mine.stats.to_dict() == theirs.stats.to_dict()
-
-
-def test_silent_worker_times_out_and_is_requeued():
-    specs = small_specs(schemes=("baseline",))
-    coordinator = ClusterCoordinator(specs, heartbeat_timeout=0.4)
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        # A raw client steals a cell, then goes silent: no heartbeats,
-        # no result, socket deliberately left open (a hung host, not a
-        # crashed one).
-        zombie = socket.create_connection((host, port), timeout=5)
-        send_frame(zombie, {"kind": "hello", "worker": "zombie",
-                            "protocol": PROTOCOL_VERSION,
-                            "model_version": MODEL_VERSION})
-        assert recv_frame(zombie)["kind"] == "welcome"
-        send_frame(zombie, {"kind": "steal"})
-        assert recv_frame(zombie)["kind"] == "cell"
-
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if coordinator.stats()["requeues"] >= 1:
-                break
-            time.sleep(0.05)
-        assert coordinator.stats()["requeues"] >= 1
-
-        _worker, thread = start_worker(host, port, name="rescuer")
-        assert coordinator.wait(timeout=120)
-        assert coordinator.stats()["completed"] == len(specs)
-        thread.join(timeout=10)
-        zombie.close()
-    finally:
-        coordinator.close()
 
 
 def test_deterministic_worker_error_records_and_continues():
@@ -252,7 +219,7 @@ def test_deterministic_worker_error_fails_fast_when_asked():
 
 def test_late_duplicate_error_does_not_end_campaign():
     specs = small_specs(schemes=("baseline",))
-    coordinator = ClusterCoordinator(specs, heartbeat_timeout=5.0)
+    coordinator = ClusterCoordinator(specs)
     coordinator.start()
     try:
         host, port = coordinator.address
@@ -302,6 +269,42 @@ def test_poison_cell_is_quarantined_and_grid_completes():
     assert stats["requeues"] >= 1  # the first death requeued it once
 
 
+def test_campaign_raises_once_every_local_worker_exits():
+    # Only the local threads can simulate cells: when the only one
+    # crashes, the campaign raises promptly instead of waiting for a
+    # worker that cannot come.  (wait_timeout only bounds a regression.)
+    specs = small_specs(schemes=("baseline",))
+    plan = FaultPlan([Fault("crash", worker="local-1", at=1)])
+    executor = ClusterExecutor(local_workers=1, wait_timeout=30,
+                               fault_plan=plan)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="every local worker exited"):
+        executor.run(specs)
+    assert time.monotonic() - start < 10
+    assert executor.last_stats["requeues"] == 1
+    assert executor.last_stats["completed"] == 0
+
+
+def test_last_worker_death_that_settles_the_grid_is_not_a_stall():
+    # The only worker dies holding the only cell, and that death
+    # quarantines the cell: the grid is settled, not stalled, however
+    # the worker thread's exit races the coordinator's drop.
+    spec = ("503.bwaves", SMALL, "baseline", (), 0.05, 2017)
+    plan = FaultPlan([Fault("poison_cell", arg=spec[0])])
+    executor = ClusterExecutor(local_workers=1, wait_timeout=30,
+                               max_cell_attempts=1, fault_plan=plan)
+    failures = {}
+    results = executor.run(
+        [spec], on_failure=lambda i, f: failures.__setitem__(i, f))
+    assert results == [None]
+    assert failures[0].kind == "poisoned"
+
+
+def test_cluster_executor_needs_a_local_worker():
+    with pytest.raises(ValueError, match="at least one local worker"):
+        ClusterExecutor(local_workers=0)
+
+
 def test_late_result_clears_quarantine_first_result_wins():
     # A cell is quarantined (its worker presumed dead), then the
     # presumed-dead worker's result arrives after all: determinism says
@@ -312,8 +315,8 @@ def test_late_result_clears_quarantine_first_result_wins():
 
     cleared = []
     progress = ProgressReporter(label="test").begin(1)
-    coordinator = ClusterCoordinator([spec], heartbeat_timeout=30.0,
-                                     max_cell_attempts=1, progress=progress)
+    coordinator = ClusterCoordinator([spec], max_cell_attempts=1,
+                                     progress=progress)
     coordinator.start()
     try:
         host, port = coordinator.address
@@ -379,7 +382,7 @@ def test_undecodable_result_drops_its_worker_and_requeues_the_cell(
     foreign["memory_base"] = cached_spec_program(
         "548.exchange2", scale=0.05, seed=2017).image_digest
 
-    coordinator = ClusterCoordinator([spec], heartbeat_timeout=30.0)
+    coordinator = ClusterCoordinator([spec])
     coordinator.start()
     try:
         host, port = coordinator.address
@@ -411,77 +414,8 @@ def test_undecodable_result_drops_its_worker_and_requeues_the_cell(
     assert raised == []
 
 
-def test_worker_reconnects_after_injected_frame_drop():
-    from repro.harness.cluster import Fault, FaultPlan
-
-    specs = small_specs(schemes=("baseline",))
-    # The network eats this worker's 2nd substantive frame (its first
-    # result); the worker must reconnect and the campaign still drain.
-    plan = FaultPlan([Fault("drop_frame", worker="flaky", at=2)])
-    coordinator = ClusterCoordinator(specs, heartbeat_timeout=5.0)
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        worker = ClusterWorker(host, port, name="flaky", max_reconnects=3,
-                               reconnect_backoff=0.05, fault_plan=plan)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        assert coordinator.wait(timeout=120)
-        thread.join(timeout=30)
-        assert coordinator.stats()["completed"] == len(specs)
-        assert worker.reconnects >= 1
-        assert not worker.disconnected and not worker.rejected
-        assert len(coordinator.results()) == len(specs)
-    finally:
-        coordinator.close()
-
-
-def test_worker_reconnect_budget_exhausts_against_dead_coordinator():
-    # Nothing listens on this port: every connect fails, the backoff
-    # loop spends its budget, and the worker reports disconnected.
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    host, port = probe.getsockname()
-    probe.close()  # free the port; nothing serves it now
-    worker = ClusterWorker(host, port, name="orphan", max_reconnects=2,
-                           reconnect_backoff=0.01, connect_timeout=0.5)
-    assert worker.run() == 0
-    assert worker.disconnected and not worker.rejected
-    assert worker.reconnects == 2
-
-
-def test_watchdog_converts_hung_cell_into_timeout_failure():
-    from repro.harness.cluster import Fault, FaultPlan
-
-    spec = ("503.bwaves", SMALL, "baseline", (), 0.05, 2017)
-    # The injected slow cell sleeps far past the watchdog deadline — a
-    # hung simulation, reported as a timeout instead of hanging the
-    # campaign behind an immortal heartbeat.
-    plan = FaultPlan([Fault("slow_cell", worker="hung", at=1, arg=30.0)])
-    failures = {}
-    coordinator = ClusterCoordinator(
-        [spec], heartbeat_timeout=10.0,
-        on_failure=lambda i, f: failures.__setitem__(i, f))
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        worker = ClusterWorker(host, port, name="hung", cell_timeout=0.5,
-                               fault_plan=plan)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        assert coordinator.wait(timeout=60)
-        thread.join(timeout=30)
-        assert worker.timeouts == 1
-        assert failures[0].kind == "timeout"
-        assert "wall-clock" in failures[0].error
-        assert coordinator.stats()["failed"] == 1
-        assert coordinator.results() == [None]
-    finally:
-        coordinator.close()
-
-
 def test_protocol_version_mismatch_is_rejected():
-    coordinator = ClusterCoordinator(small_specs(), heartbeat_timeout=5.0)
+    coordinator = ClusterCoordinator(small_specs())
     coordinator.start()
     try:
         host, port = coordinator.address
@@ -518,7 +452,7 @@ def test_protocol_version_mismatch_is_rejected():
 
         run_with_wrong_version()
         assert rejected_run["count"] == 0
-        assert rejected.disconnected
+        assert rejected.rejected
         assert "rejected" in rejected.last_error
         # Stealing without hello is rejected too.
         conn = socket.create_connection((host, port), timeout=5)
@@ -533,7 +467,7 @@ def test_model_version_mismatch_is_rejected():
     """A worker running another model must be refused at hello: the
     coordinator stores each result under a key hashed with its own
     model version, which would vouch for the other model's results."""
-    coordinator = ClusterCoordinator(small_specs(), heartbeat_timeout=5.0)
+    coordinator = ClusterCoordinator(small_specs())
     coordinator.start()
     try:
         host, port = coordinator.address
@@ -575,18 +509,14 @@ def test_cluster_worker_surfaces_model_version_rejection(monkeypatch):
     rejection instead of simulating cells into this model's keys."""
     import repro.harness.cluster.worker as worker_module
 
-    coordinator = ClusterCoordinator(small_specs(), heartbeat_timeout=5.0)
+    coordinator = ClusterCoordinator(small_specs())
     coordinator.start()
     try:
         host, port = coordinator.address
         monkeypatch.setattr(worker_module, "MODEL_VERSION", "0.0.0-stale")
-        # A generous reconnect budget must NOT be spent on a rejection:
-        # the same hello gets the same refusal every time.
-        worker = ClusterWorker(host, port, name="stale-build",
-                               max_reconnects=5)
+        worker = ClusterWorker(host, port, name="stale-build")
         assert worker.run() == 0
-        assert worker.disconnected and worker.rejected
-        assert worker.reconnects == 0
+        assert worker.rejected
         assert "model version mismatch" in worker.last_error
         assert coordinator.stats()["completed"] == 0
     finally:

@@ -1,9 +1,9 @@
 """Columnar trace storage: typed-layout coercion, payload round-trips,
 and corruption rejection.
 
-The serialisation contract (trace-v2) is load-bearing for the disk
-cache: a payload must survive array -> payload -> array bit-identically
-on any host, and *anything* damaged — stale version, foreign
+The serialisation contract (typed columns since trace-v2) is
+load-bearing for the disk cache: a payload must survive array ->
+payload -> array bit-identically on any host, and *anything* damaged — stale version, foreign
 endianness, bad base64, truncated buffers, disagreeing lengths,
 non-boolean flags — must raise ``ValueError`` so the cache re-records
 instead of replaying garbage.
@@ -30,11 +30,11 @@ _U64 = st.integers(min_value=0, max_value=2**64 - 1)
 _S64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
-def _make_trace(pcs, next_pcs, results, addrs, taken, l1_hit):
+def _make_trace(pcs, next_pcs, results, addrs, taken):
     return DynamicTrace(
         program_name="prop", program_len=max(len(pcs), 1), entry=0,
         pcs=pcs, next_pcs=next_pcs, results=results, addrs=addrs,
-        taken=taken, l1_hit=l1_hit,
+        taken=taken,
     )
 
 
@@ -46,7 +46,6 @@ def _columns(draw, max_len=64):
         draw(st.lists(_U64, min_size=n, max_size=n)),
         draw(st.lists(_S64, min_size=n, max_size=n)),
         draw(st.lists(_U64, min_size=n, max_size=n)),
-        bytes(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
         bytes(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
     )
 
@@ -63,7 +62,6 @@ def test_payload_roundtrip_is_bit_identical(cols):
     assert list(clone.results) == list(cols[2])
     assert list(clone.addrs) == list(cols[3])
     assert clone.taken == cols[4]
-    assert clone.l1_hit == cols[5]
     # Second hop is byte-identical: serialisation is canonical.
     assert clone.to_payload() == payload
 
@@ -76,14 +74,14 @@ def test_typed_layout_and_list_coercion_agree(cols):
     assert isinstance(typed.taken, bytes)
     # Constructing from the already-typed columns must not copy.
     again = _make_trace(typed.pcs, typed.next_pcs, typed.results,
-                        typed.addrs, typed.taken, typed.l1_hit)
+                        typed.addrs, typed.taken)
     assert again.pcs is typed.pcs and again.taken is typed.taken
     assert again.to_payload() == typed.to_payload()
 
 
 def _good_payload():
     trace = _make_trace([1, 2, 3], [2, 3, 3], [-7, 0, 5], [0, 64, 0],
-                        b"\x00\x01\x00", b"\x01\x00\x00")
+                        b"\x00\x01\x00")
     return trace.to_payload()
 
 
@@ -111,7 +109,6 @@ def test_payload_declares_canonical_format():
     {"taken": base64.b64encode(b"\x00\x01").decode("ascii")},
     # Non-boolean flag bytes would silently flip replay decisions.
     {"taken": base64.b64encode(b"\x00\x02\x00").decode("ascii")},
-    {"l1_hit": base64.b64encode(b"\xff\x00\x00").decode("ascii")},
 ])
 def test_damaged_payloads_are_rejected(mutation):
     payload = dict(_good_payload())
@@ -129,6 +126,6 @@ def test_recorded_trace_uses_typed_columns():
     trace = record_trace(streaming_kernel(iterations=2, array_words=32))
     assert isinstance(trace.pcs, array) and trace.pcs.typecode == "Q"
     assert isinstance(trace.results, array) and trace.results.typecode == "q"
-    assert isinstance(trace.taken, bytes) and isinstance(trace.l1_hit, bytes)
+    assert isinstance(trace.taken, bytes)
     assert len(trace) == len(trace.pcs) == len(trace.taken)
     assert trace.pcs[0] == trace.entry

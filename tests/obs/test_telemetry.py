@@ -2,7 +2,7 @@
 
 Unit layer: frame stamping (:func:`repro.obs.cell_telemetry`), the
 per-worker / per-scheme rollup (:class:`repro.obs.TelemetryAggregate`),
-its text rendering, and the JSONL progress mode.  Integration layer: a
+and the JSONL progress mode.  Integration layer: a
 real local-workers cluster campaign must surface telemetry through
 ``executor.last_stats``, and ``cycle_account_breakdown`` over the
 resulting store must reproduce a conserved per-scheme stall breakdown
@@ -17,7 +17,7 @@ from repro.harness.cluster import ClusterExecutor
 from repro.harness.progress import ProgressReporter
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore
-from repro.obs import TelemetryAggregate, cell_telemetry, format_rollup
+from repro.obs import TelemetryAggregate, cell_telemetry
 from repro.pipeline.config import SMALL
 
 SUBSET = ("503.bwaves", "548.exchange2")
@@ -53,7 +53,7 @@ def test_cell_telemetry_optional_fields_absent():
 
 
 # ----------------------------------------------------------------------
-# Aggregation and rendering.
+# Aggregation.
 # ----------------------------------------------------------------------
 
 def _frame(wall, cycles, rss):
@@ -80,18 +80,10 @@ def test_aggregate_rollup_per_worker_and_scheme():
     assert nda["simulated_cycles"] == 500
     assert nda["replayed_uops"] == 6
 
-    text = format_rollup(rollup)
-    assert "3 cells" in text
-    assert "worker w1" in text and "worker w2" in text
-    assert "scheme nda" in text and "scheme baseline" in text
-    assert agg.format() == text
-
 
 def test_empty_rollup():
     agg = TelemetryAggregate()
     assert agg.rollup() == {}
-    assert format_rollup({}) == "telemetry: no frames recorded"
-    assert format_rollup(None) == "telemetry: no frames recorded"
 
 
 # ----------------------------------------------------------------------

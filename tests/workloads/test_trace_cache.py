@@ -59,7 +59,6 @@ def test_payload_round_trip():
     assert list(clone.results) == list(trace.results)
     assert list(clone.addrs) == list(trace.addrs)
     assert bytes(clone.taken) == bytes(trace.taken)
-    assert bytes(clone.l1_hit) == bytes(trace.l1_hit)
 
 
 def test_from_payload_rejects_foreign_format():
