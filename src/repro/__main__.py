@@ -23,8 +23,9 @@ Subcommands:
     ``store compact`` folds live records into fresh sealed segments,
     ``store migrate`` converts JSON-per-cell files from earlier
     releases into segment records in place (the store reads nothing
-    else), and ``store failures`` lists recorded cell failures (exit 1
-    when any exist).
+    else), and ``store failures`` lists recorded cell failures and
+    names any failure file it cannot read (exit 1 when either exists;
+    ``store stats`` names those files too).
 ``schemes``
     List every registered speculation scheme straight from the scheme
     registry: canonical name, grid membership, kwargs schema, and the
@@ -166,8 +167,8 @@ def build_parser():
                             " migrate: convert JSON-per-cell files from"
                             " earlier releases into segments in place"
                             " (no other command reads them); failures:"
-                            " list recorded cell failures (exit 1 when"
-                            " any exist)")
+                            " list recorded cell failures and unreadable"
+                            " failure files (exit 1 when any exist)")
     store.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help="persistent store root (default %(default)s)")
     store.add_argument("--scale", type=float, default=1.0,
@@ -360,7 +361,11 @@ def cmd_store(args):
               % (_format_bytes(stats["disk_bytes"]),
                  _format_bytes(stats["manifest_bytes"]),
                  _format_bytes(stats["legacy_bytes"])))
-        print("  failures recorded: %d" % stats["failures"])
+        unreadable = stats["unreadable_failures"]
+        print("  failures recorded: %d%s"
+              % (stats["failures"], ", %d unreadable (%s)"
+                 % (len(unreadable), ", ".join(unreadable))
+                 if unreadable else ""))
         return 0
     if args.action == "compact":
         summary = store.compact()
@@ -379,16 +384,18 @@ def cmd_store(args):
               % (store.root, summary["migrated"], summary["skipped"]))
         return 0 if not summary["skipped"] else 1
     if args.action == "failures":
-        failures = store.failures()
+        failures, unreadable = store.read_failures()
         for record in failures:
             print("%s  %s/%s/%s  %s x%d (worker %s): %s"
                   % (record.key[:12], record.benchmark,
                      record.config_name or "-", record.scheme_name,
                      record.kind, record.attempts,
                      record.worker or "?", record.error))
-        print("store failures (%s): %d recorded"
-              % (store.root, len(failures)))
-        return 1 if failures else 0
+        for name in unreadable:
+            print("unreadable failure record: %s" % name)
+        print("store failures (%s): %d recorded, %d unreadable"
+              % (store.root, len(failures), len(unreadable)))
+        return 1 if failures or unreadable else 0
     runner = CampaignRunner(scale=args.scale, seed=args.seed,
                             benchmarks=args.benchmarks)
     from repro.pipeline.config import named_configs

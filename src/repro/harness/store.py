@@ -37,12 +37,18 @@ never decompresses a snapshot.
 A campaign cell's record stores its final memory image as the few
 words that differ from its program's initial image (see
 :meth:`~repro.pipeline.core.SimulationResult.to_dict`), about 2 KiB
-instead of up to 116 kB.  The ``benchmark``/``scale``/``seed`` meta the
-runner writes beside each result names that program, so every read
-path rebuilds the whole image against
-:func:`~repro.workloads.program_cache.cached_spec_program` — lazily,
-when ``memory`` is read.  Records whose meta names no SPEC proxy, and
-those written before deltas, hold the whole image and load unchanged.
+instead of up to 116 kB.  Finding those words costs O(words the cell
+wrote), not O(image): a result straight from its core, or decoded
+from such a delta, names the words that can differ, and :meth:`save`
+codes it against the very program object the program cache holds.
+Any other result, such as one a pool worker pickled back, is scanned
+whole, to the same bytes.  The
+``benchmark``/``scale``/``seed`` meta the runner writes beside each
+result names that program, so every read path rebuilds the whole image
+against :func:`~repro.workloads.program_cache.cached_spec_program` —
+lazily, when ``memory`` is read.  Records whose meta names no SPEC
+proxy, and those written before deltas, hold the whole image and load
+unchanged.
 
 Segment files are the only format the store reads.  The JSON-file-per-
 cell layout of earlier releases (one ``<prefix>__<digest12>.json`` per
@@ -560,7 +566,9 @@ class ResultStore:
         Appends a record to this instance's segment and indexes it in
         the manifest.  When ``meta`` names the cell's benchmark, scale
         and seed, as the runner's does, the memory image is stored as
-        the words that differ from the program's initial image.
+        the words that differ from the program's initial image, found
+        in O(words written) for a result its core or a delta decode
+        produced (see the module docstring).
         """
         meta = dict(meta or {})
         envelope = {
@@ -642,15 +650,23 @@ class ResultStore:
             return None
 
     def failures(self):
-        """Every persisted failure record, sorted by benchmark/config."""
+        """Every readable failure record, sorted by benchmark/config."""
+        return self.read_failures()[0]
+
+    def read_failures(self):
+        """``(records, unreadable)``: every readable failure record, as
+        :meth:`failures` returns them, and the sorted file names under
+        ``failures/`` that hold none (truncated, not JSON, or of a
+        failure kind this release does not know)."""
         records = []
+        unreadable = []
         for path in sorted(self.failures_dir.glob("*.json")):
             try:
                 with open(path) as handle:
                     records.append(CellFailure.from_dict(json.load(handle)))
-            except (OSError, ValueError, TypeError):
-                continue
-        return records
+            except (OSError, ValueError, TypeError, AttributeError):
+                unreadable.append(path.name)
+        return records, unreadable
 
     def clear_failure(self, key):
         """Drop the failure record for ``key`` (first-result-wins).
@@ -960,6 +976,7 @@ class ResultStore:
                 1 for _ in self.segments_dir.glob("*" + SEGMENT_SUFFIX))
         live, raw = manifest.totals() if manifest is not None else (0, 0)
         segment_bytes = self._segment_disk_bytes()
+        failures, unreadable = self.read_failures()
         return {
             "root": str(self.root),
             "format": FORMAT_VERSION,
@@ -974,5 +991,6 @@ class ResultStore:
             "raw_bytes": raw,
             "compression_ratio": (raw / live) if live else None,
             "legacy": bool(legacy_files),
-            "failures": len(self.failures()),
+            "failures": len(failures),
+            "unreadable_failures": unreadable,
         }

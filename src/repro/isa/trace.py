@@ -65,7 +65,6 @@ import binascii
 import sys
 from array import array
 
-from repro.isa.instructions import Opcode
 from repro.isa.interp import ReferenceInterpreter, branch_taken, to_unsigned64
 
 #: Bumped whenever the recorded column semantics *or storage format*

@@ -92,6 +92,27 @@ All counters ride ``SimStats.extra`` under the ``cycacct.`` namespace
 ``cycacct.issue_blocks.``, and summed per-cycle occupancies under
 ``cycacct.occ.``), so they flow through the existing result store and
 cluster wire without new schema.
+
+What the core pays
+------------------
+
+The core makes three kinds of call into a ``CycleAccount``, and no
+other: ``note_cycle`` once per stepped cycle (after commit),
+``note_skip`` once per fast-forwarded window, and ``note_flush`` per
+ordering-violation flush.  The cost therefore scales with stepped
+cycles, not with issue events:
+
+* the occupancy integrals (``cycacct.occ.rob/iq/ldq/stq``) are the
+  structures' lengths read inline by those sinks, weighted by the
+  window length for a skipped window; ``cycacct.occ.pregs`` is derived
+  at the end as ``num_phys_regs x cycles`` minus the summed free-list
+  length;
+* ``cycacct.issue_blocks.<label>`` is ``SimStats.taint_blocked_issues``
+  under the scheme's one delay label (``scheme`` when it has none):
+  every block the issue stage charges is that scheme's, so the count
+  is read off the statistics instead of being reported per event;
+* classification runs once per stepped cycle with an idle commit
+  slot, and once per skipped window.
 """
 
 from repro.obs.account import CycleAccount, LEAF_CAUSES

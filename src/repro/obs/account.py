@@ -10,10 +10,18 @@ OoOCore` at construction (``account=``).  The core calls
   across the window — fast-forward only engages when every phase is
   provably inert);
 * :meth:`CycleAccount.note_flush` when an ordering-violation flush
-  fires (consumed by the same cycle's ``note_cycle``);
-* :meth:`CycleAccount.issue_blocked` each time the issue stage charges
-  ``taint_blocked_issues`` (per-scheme block-event counts, distinct
-  from slot attribution).
+  fires (consumed by the same cycle's ``note_cycle``).
+
+Those three are the only calls the core makes while it runs; nothing
+else on the hot path reaches this module.  Each sink adds the ROB, issue-queue, LDQ,
+STQ and free-list lengths into plain counters (weighted by the window
+length for a skipped window), and only a cycle with an idle commit slot
+is classified.  The physical-register integral is derived at the end
+as ``num_phys_regs * cycles`` minus the summed free-list length, and
+the per-label issue-block count is read off
+``SimStats.taint_blocked_issues`` (every block the issue stage charges
+is charged under the core's one scheme label), so neither costs a call
+per event.
 
 The conservation invariant — every commit slot attributed exactly
 once::
@@ -148,27 +156,52 @@ def _classify(core):
 class CycleAccount:
     """Accumulates per-leaf idle-slot counts plus occupancy integrals."""
 
-    __slots__ = ("width", "cycles", "leaves", "scheme_sub", "issue_blocks",
-                 "occupancy", "_flush_pending")
+    __slots__ = ("width", "cycles", "leaves", "scheme_sub", "_occ_rob",
+                 "_occ_iq", "_occ_ldq", "_occ_stq", "_occ_free",
+                 "_phys_regs", "_stats", "_block_label", "_flush_pending",
+                 "_rob", "_iq", "_ldq", "_stq", "_rename")
 
     def __init__(self):
         self.width = 0
         self.cycles = 0
         self.leaves = {}
         self.scheme_sub = {}
-        self.issue_blocks = {}
-        self.occupancy = {"rob": 0, "iq": 0, "ldq": 0, "stq": 0, "pregs": 0}
+        # Per-cycle lengths summed after commit; ``_occ_free`` sums the
+        # free list, from which the ``pregs`` integral is derived.
+        self._occ_rob = 0
+        self._occ_iq = 0
+        self._occ_ldq = 0
+        self._occ_stq = 0
+        self._occ_free = 0
+        self._phys_regs = 0
+        self._stats = None
+        self._block_label = "scheme"
         self._flush_pending = False
 
     def attach(self, core):
         self.width = core.config.width
+        self._phys_regs = core.config.num_phys_regs
+        self._stats = core.stats
+        self._block_label = core.scheme.delay_label or "scheme"
+        # The queues the sinks measure.  The ROB and LSQ deques live as
+        # long as the core; a flush replaces the issue queue's entry
+        # dict and the free list, so those are read through their unit.
+        self._rob = core.rob
+        self._ldq = core.lsu.ldq
+        self._stq = core.lsu.stq
+        self._iq = core.iq
+        self._rename = core.rename
 
     # -- core-facing sinks ------------------------------------------------
 
     def note_cycle(self, core, committed):
         """Attribute one stepped cycle (``committed`` uops retired)."""
         self.cycles += 1
-        self._sample(core, 1)
+        self._occ_rob += len(self._rob)
+        self._occ_iq += len(self._iq.entries)
+        self._occ_ldq += len(self._ldq)
+        self._occ_stq += len(self._stq)
+        self._occ_free += len(self._rename.free_list)
         idle = self.width - committed
         if idle <= 0:
             self._flush_pending = False
@@ -189,7 +222,11 @@ class CycleAccount:
         if skipped <= 0:
             return
         self.cycles += skipped
-        self._sample(core, skipped)
+        self._occ_rob += len(self._rob) * skipped
+        self._occ_iq += len(self._iq.entries) * skipped
+        self._occ_ldq += len(self._ldq) * skipped
+        self._occ_stq += len(self._stq) * skipped
+        self._occ_free += len(self._rename.free_list) * skipped
         leaf, sub = _classify(core)
         slots = self.width * skipped
         leaves = self.leaves
@@ -202,20 +239,27 @@ class CycleAccount:
         """An ordering-violation flush fired in the current commit."""
         self._flush_pending = True
 
-    def issue_blocked(self, label):
-        """The issue stage withheld a (half-)issue; count per label."""
-        label = label or "scheme"
-        blocks = self.issue_blocks
-        blocks[label] = blocks.get(label, 0) + 1
+    # -- derived counts ---------------------------------------------------
 
-    def _sample(self, core, weight):
-        occ = self.occupancy
-        occ["rob"] += len(core.rob) * weight
-        occ["iq"] += len(core.iq.entries) * weight
-        ldq, stq = core.lsu.occupancy()
-        occ["ldq"] += ldq * weight
-        occ["stq"] += stq * weight
-        occ["pregs"] += core.rename.occupancy() * weight
+    @property
+    def issue_blocks(self):
+        """``{label: count}`` of the (half-)issues the scheme withheld,
+        under the scheme's delay label (``"scheme"`` if it has none);
+        empty when it withheld none."""
+        stats = self._stats
+        blocked = stats.taint_blocked_issues if stats is not None else 0
+        return {self._block_label: blocked} if blocked else {}
+
+    @property
+    def occupancy(self):
+        """Summed per-cycle occupancy of each back-end structure."""
+        return {
+            "iq": self._occ_iq,
+            "ldq": self._occ_ldq,
+            "pregs": self._phys_regs * self.cycles - self._occ_free,
+            "rob": self._occ_rob,
+            "stq": self._occ_stq,
+        }
 
     # -- reporting --------------------------------------------------------
 
@@ -234,8 +278,8 @@ class CycleAccount:
             extra["cycacct." + leaf] = self.leaves[leaf]
         for sub in sorted(self.scheme_sub):
             extra["cycacct.scheme." + sub] = self.scheme_sub[sub]
-        for label in sorted(self.issue_blocks):
-            extra["cycacct.issue_blocks." + label] = self.issue_blocks[label]
-        for name in sorted(self.occupancy):
-            extra["cycacct.occ." + name] = self.occupancy[name]
+        for label, blocked in self.issue_blocks.items():
+            extra["cycacct.issue_blocks." + label] = blocked
+        for name, integral in self.occupancy.items():
+            extra["cycacct.occ." + name] = integral
         return extra

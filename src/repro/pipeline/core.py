@@ -156,7 +156,7 @@ from operator import itemgetter
 
 from repro.core.factory import make_scheme
 from repro.core.plugin import SchemeBase, overridden_hook
-from repro.core.shadows import C_SHADOW, D_SHADOW, ShadowTracker
+from repro.core.shadows import C_SHADOW, ShadowTracker
 from repro.frontend.branch_predictor import BranchTargetBuffer, make_predictor
 from repro.isa.instructions import Opcode
 from repro.isa.interp import (
@@ -174,7 +174,7 @@ from repro.pipeline.lsu import LoadStoreUnit
 from repro.pipeline.regfile import READY, PhysRegFile
 from repro.pipeline.rename import RenameUnit
 from repro.pipeline.stats import SimStats
-from repro.pipeline.uop import ADDR, DATA, WHOLE, MicroOp, MicroOpPool
+from repro.pipeline.uop import ADDR, MicroOp, MicroOpPool
 
 # Event priorities within one cycle.
 _P_SPEC_KILL = 0
@@ -255,10 +255,16 @@ def decode_memory(data, program=None):
     image is the one it names.  Any other record holds the whole image,
     whatever ``program`` is.
     """
+    return _decode_memory(data, program)[0]
+
+
+def _decode_memory(data, program):
+    """``(image, delta)`` for :func:`decode_memory`: ``delta`` is the
+    unpacked delta a ``memory_base`` record holds, else ``None``."""
     memory = unpack_memory(data["memory"])
     digest = data.get("memory_base")
     if digest is None:
-        return memory
+        return memory, None
     if program is None or program.image_digest != digest:
         raise ValueError(
             "memory is a delta against image %s; %s" % (
@@ -267,7 +273,7 @@ def decode_memory(data, program=None):
                                            program.image_digest)))
     image = dict(program.initial_memory)
     image.update(memory)
-    return image
+    return image, memory
 
 
 @dataclass
@@ -283,6 +289,20 @@ class SimulationResult:
     halted: bool
     cycles: int = 0
     extra: dict = field(default_factory=dict)
+    #: ``(program, addresses)`` when ``memory`` is ``program``'s whole
+    #: initial image with only ``addresses`` written over it, as a core
+    #: and :meth:`from_dict` leave it; ``None`` when that is unknown.
+    #: :meth:`to_dict` then scans ``addresses`` instead of the image.
+    written: tuple = field(default=None, init=False, compare=False,
+                           repr=False)
+
+    def __getstate__(self):
+        # ``written`` holds its program, and so the program's whole
+        # image: a pickle leaves it out, and the receiver encodes by
+        # the full scan.
+        state = self.__dict__.copy()
+        state.pop("written", None)
+        return state
 
     @property
     def ipc(self):
@@ -304,16 +324,30 @@ class SimulationResult:
         :meth:`from_dict` also reads the legacy ``{"address": value}``
         object (see :func:`unpack_memory`), so results stored before the
         packed form load unchanged.
+
+        Finding the delta costs O(written), not O(image), when
+        ``program`` is the very program whose core (or whose decoded
+        record) produced this result: :attr:`written` then names every
+        address that can differ.  Any other result — built by hand,
+        unpickled, or coded against another program — is scanned whole,
+        with the same output.
         """
         memory = self.memory
         base = program.initial_memory if program is not None else {}
-        delta = {addr: value for addr, value in memory.items()
-                 if base.get(addr) != value}
-        # Every final address but the delta's new ones is a base
-        # address.  Fewer of them than the base holds means the core
-        # normalised an initial address away: code the whole image.
-        if len(memory) - sum(addr not in base for addr in delta) != len(base):
-            delta, base = memory, {}
+        written = self.written
+        if written is not None and written[0] is program:
+            delta = {addr: memory[addr] for addr in written[1]
+                     if base.get(addr) != memory[addr]}
+        else:
+            delta = {addr: value for addr, value in memory.items()
+                     if base.get(addr) != value}
+            # Every final address but the delta's new ones is a base
+            # address.  Fewer of them than the base holds means the
+            # core normalised an initial address away: code the whole
+            # image.
+            if (len(memory) - sum(addr not in base for addr in delta)
+                    != len(base)):
+                delta, base = memory, {}
         data = {
             "program_name": self.program_name,
             "scheme_name": self.scheme_name,
@@ -335,19 +369,25 @@ class SimulationResult:
 
         A record coded against a program needs that ``program`` back:
         another program, or none, raises ``ValueError`` (see
-        :func:`decode_memory`).
+        :func:`decode_memory`).  Such a result records the delta's
+        addresses as :attr:`written`, so coding it again against the
+        same program costs O(delta).
         """
-        return cls(
+        memory, delta = _decode_memory(data, program)
+        result = cls(
             program_name=data["program_name"],
             scheme_name=data["scheme_name"],
             config_name=data["config_name"],
             stats=SimStats.from_dict(data["stats"]),
             regs=list(data["regs"]),
-            memory=decode_memory(data, program),
+            memory=memory,
             halted=data["halted"],
             cycles=data.get("cycles", 0),
             extra=dict(data.get("extra", {})),
         )
+        if delta is not None:
+            result.written = (program, frozenset(delta))
+        return result
 
 
 class OoOCore:
@@ -421,6 +461,11 @@ class OoOCore:
                 to_unsigned64(addr): to_signed64(value)
                 for addr, value in image.items()
             }
+        # Every address the commit store path (the only writer of
+        # self.memory) writes.  An image copied whole then ends as the
+        # program's initial image plus these words, and result() says so.
+        self._written = set()
+        self._image_copied = in_range
         self.hierarchy = MemoryHierarchy(cfg.mem)
         if warm_caches and self.memory:
             l2 = self.hierarchy.l2
@@ -559,10 +604,7 @@ class OoOCore:
         if account is None:
             self._commit()
         else:
-            before = self.stats.committed_instructions
-            self._commit()
-            account.note_cycle(
-                self, self.stats.committed_instructions - before)
+            account.note_cycle(self, self._commit())
         if self.halted:
             self.stats.cycles = self.cycle + 1
             return
@@ -588,7 +630,7 @@ class OoOCore:
         if self._obs_account is not None:
             extra.update(self._obs_account.as_extra())
         stats = replace(self.stats, extra=extra)
-        return SimulationResult(
+        result = SimulationResult(
             program_name=self.program.name,
             scheme_name=self.scheme.name,
             config_name=self.config.name,
@@ -598,6 +640,9 @@ class OoOCore:
             halted=self.halted,
             cycles=stats.cycles,
         )
+        if self._image_copied:
+            result.written = (self.program, frozenset(self._written))
+        return result
 
     # ------------------------------------------------------------------
     # Idle-cycle fast-forward.
@@ -733,9 +778,10 @@ class OoOCore:
     # ------------------------------------------------------------------
 
     def _commit(self):
+        """Retire this cycle's micro-ops; returns how many committed."""
         rob = self.rob
         if not rob or not rob[0].completed:
-            return
+            return 0
         committed = 0
         width = self.config.width
         stats = self.stats
@@ -749,7 +795,7 @@ class OoOCore:
                 break
             if head.order_violation:
                 self._flush_all(head)
-                return
+                return committed
             rob.popleft()
             head.committed = True
             head.commit_cycle = cycle
@@ -761,6 +807,7 @@ class OoOCore:
 
             if head.op_is_store:
                 self.memory[head.address] = head.mem_value
+                self._written.add(head.address)
                 self.hierarchy.access(
                     head.address, pc=head.pc, is_write=True, train_prefetcher=False
                 )
@@ -779,7 +826,7 @@ class OoOCore:
                 elif op is Opcode.HALT:
                     self.rename.commit(head)
                     self.halted = True
-                    return
+                    return committed
             self.rename.commit(head)
             # Retired micro-op back to the pool (inlined release) —
             # unless its ready broadcast is still withheld by a
@@ -791,6 +838,7 @@ class OoOCore:
             ):
                 head.in_pool = True
                 pool_free.append(head)
+        return committed
 
     def _train_predictor(self, uop):
         update_with_history = self._predictor_update_with_history

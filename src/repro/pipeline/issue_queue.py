@@ -309,8 +309,6 @@ class IssueQueue:
                 continue
             if blocks_issue is not None and blocks_issue(uop, WHOLE):
                 core.stats.taint_blocked_issues += 1
-                if core._obs_account is not None:
-                    core._obs_account.issue_blocked(core.scheme.delay_label)
                 continue
             if uop.op_is_div:
                 # One unpipelined divider: a single grant per cycle,
@@ -369,16 +367,11 @@ class IssueQueue:
             uop.prs2 is None or state[uop.prs2] == READY
         )
         if blocks_issue is not None:
-            account = core._obs_account
             if addr_ready and blocks_issue(uop, ADDR):
                 core.stats.taint_blocked_issues += 1
-                if account is not None:
-                    account.issue_blocked(core.scheme.delay_label)
                 addr_ready = False
             if data_ready and blocks_issue(uop, DATA):
                 core.stats.taint_blocked_issues += 1
-                if account is not None:
-                    account.issue_blocked(core.scheme.delay_label)
                 data_ready = False
         if not addr_ready and not data_ready:
             return slots, mem_slots
@@ -454,9 +447,6 @@ class IssueQueue:
             # before kill_spec), so this re-registers the consumer.
             self._classify(uop)
         return replayed
-
-    def occupancy(self):
-        return len(self.entries)
 
 
 def _register(index, preg, uop):

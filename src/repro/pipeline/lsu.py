@@ -70,10 +70,6 @@ class LoadStoreUnit:
     def stq_full(self):
         return len(self.stq) >= self.config.stq_entries
 
-    def occupancy(self):
-        """Current ``(ldq, stq)`` entry counts."""
-        return len(self.ldq), len(self.stq)
-
     # -- load execution -----------------------------------------------------
 
     def load_agen(self, uop, cycle):
@@ -308,6 +304,3 @@ class LoadStoreUnit:
         self._store_data_waiters.clear()
         self._pending_store_waiters.clear()
         self._ldq_by_addr.clear()
-
-    def occupancy(self):
-        return len(self.ldq), len(self.stq)

@@ -69,10 +69,6 @@ class RenameUnit:
     def free_checkpoints(self):
         return self.max_branches - len(self._checkpoints)
 
-    def occupancy(self):
-        """Physical registers currently mapped or in flight (not free)."""
-        return self.num_phys_regs - len(self.free_list)
-
     # -- renaming -------------------------------------------------------
 
     def lookup(self, arch_reg):

@@ -234,8 +234,8 @@ def _disk_store(key, program):
         fd, tmp = tempfile.mkstemp(dir=str(_DISK_DIR), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(_program_to_payload(program), handle,
-                          separators=(",", ":"))
+                handle.write(json.dumps(_program_to_payload(program),
+                                        separators=(",", ":")))
             os.replace(tmp, str(_program_path(key)))
         except BaseException:
             os.unlink(tmp)
@@ -263,8 +263,8 @@ def _trace_disk_store(key, trace):
         fd, tmp = tempfile.mkstemp(dir=str(_DISK_DIR), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(trace.to_payload(), handle,
-                          separators=(",", ":"))
+                handle.write(json.dumps(trace.to_payload(),
+                                        separators=(",", ":")))
             os.replace(tmp, str(_DISK_DIR / ("%s.trace.json" % key)))
         except BaseException:
             os.unlink(tmp)

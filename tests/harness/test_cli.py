@@ -161,6 +161,38 @@ def test_cli_store_failures(tmp_path, capsys):
     assert "worker died" in out
 
 
+def test_cli_store_reports_unreadable_failure_records(tmp_path, capsys):
+    """A failure file that holds no readable record is named by both
+    ``store failures`` and ``store stats``, never silently skipped."""
+    from repro.harness.store import CellFailure
+
+    store = ResultStore(tmp_path)
+    valid = store.save_failure(CellFailure(
+        key="a" * 64, benchmark=BENCH, config_name="small",
+        scheme_name="baseline", kind="deterministic", error="boom"))
+    record = json.loads(valid.read_text())
+    # A kind this release no longer knows, and a truncated file.
+    stale = valid.with_name("stale__%s.json" % ("b" * 12))
+    stale.write_text(json.dumps(dict(record, key="b" * 64, kind="timeout")))
+    truncated = valid.with_name("cut__%s.json" % ("c" * 12))
+    truncated.write_text(valid.read_text()[:40])
+
+    argv = ["--store-dir", str(tmp_path)]
+    assert main(["store", "failures"] + argv) == 1
+    out = capsys.readouterr().out
+    assert "1 recorded, 2 unreadable" in out
+    assert stale.name in out and truncated.name in out
+    assert main(["store", "stats"] + argv) == 0
+    out = capsys.readouterr().out
+    assert ("failures recorded: 1, 2 unreadable (%s, %s)"
+            % (truncated.name, stale.name)) in out
+
+    # Unreadable records alone still fail the health check.
+    valid.unlink()
+    assert main(["store", "failures"] + argv) == 1
+    assert "0 recorded, 2 unreadable" in capsys.readouterr().out
+
+
 def test_cli_accepts_underscore_scheme_aliases(tmp_path, capsys):
     """Registry aliases (stt_rename) must survive argparse choices."""
     code = main(["grid", "--scale", "0.05", "--benchmarks", BENCH,

@@ -1,13 +1,18 @@
 """Top-down cycle accounting: conservation, attribution, zero-cost off.
 
-Three contracts pinned here:
+Four contracts pinned here:
 
 * *Conservation* — every commit slot is attributed exactly once:
   ``sum(leaf slots) + committed_instructions == width x cycles`` and
   ``account.cycles == stats.cycles``, across every scheme variant.
 * *Attribution* — each secure scheme's delay surfaces as
   ``scheme_delayed`` with that scheme's own sub-cause label on a
-  shadow-heavy workload, and the baseline never charges it.
+  shadow-heavy workload, its issue-block count under the same label
+  equals ``taint_blocked_issues``, and the baseline never charges
+  either.
+* *Occupancy* — the ROB/IQ/LDQ/STQ/physical-register integrals equal
+  a test-local reading of each structure after every stepped commit
+  phase (window-weighted across fast-forwarded windows).
 * *Disabled-path equivalence* — enabling the observability sinks
   changes nothing but the ``cycacct.*`` extras: every cell of the
   golden equivalence grid (tests/pipeline) re-simulated with
@@ -54,6 +59,11 @@ DELAY_LABELS = {
     "nda": "nda-budget-block",
     "delay-on-miss": "delay-on-miss-defer",
 }
+
+#: The schemes that withhold issue itself on the shadow-heavy
+#: attribution workload (NDA defers broadcasts, delay-on-miss defers
+#: missing loads).
+ISSUE_BLOCKING = {"fence", "stt-rename", "stt-issue"}
 
 
 def golden_programs():
@@ -122,9 +132,47 @@ def assert_conserved(result, account):
         "scheme_delayed", 0)
 
 
+#: The cells whose ordering-violation flushes empty every structure
+#: mid-run, so the oracle below also covers the flush path.
+FLUSHING_CELLS = {"forwarding-small-stt-rename", "forwarding-mega-stt-rename"}
+
+
+def _reference_occupancy(core):
+    """Wrap ``core`` so that its five occupancies are read straight off
+    the structures after the commit phase of every stepped cycle, and
+    weighted by the window length for every fast-forwarded window;
+    returns the dict the readings sum into."""
+    totals = dict.fromkeys(("iq", "ldq", "pregs", "rob", "stq"), 0)
+    phys_regs = core.config.num_phys_regs
+
+    def sample(weight):
+        totals["rob"] += len(core.rob) * weight
+        totals["iq"] += len(core.iq.entries) * weight
+        totals["ldq"] += len(core.lsu.ldq) * weight
+        totals["stq"] += len(core.lsu.stq) * weight
+        totals["pregs"] += (phys_regs - len(core.rename.free_list)) * weight
+
+    commit, fast_forward = core._commit, core._fast_forward
+
+    def committed():
+        count = commit()
+        sample(1)
+        return count
+
+    def skipped():
+        start = core.cycle
+        fast_forward()
+        sample(core.cycle - start)
+
+    core._commit = committed
+    core._fast_forward = skipped
+    return totals
+
+
 @pytest.mark.parametrize("cell", _CELLS, ids=[_cell_id(c) for c in _CELLS])
 def test_obs_enabled_conserves_and_matches_golden(cell, golden_results):
-    """One pass over the golden grid checks both contracts per cell."""
+    """One pass over the golden grid checks conservation, occupancy and
+    disabled-path equivalence per cell."""
     program, config, scheme_name, scheme_kwargs = cell
     key = simulation_key(
         program.name, config, scheme_name, scheme_kwargs=scheme_kwargs,
@@ -133,9 +181,19 @@ def test_obs_enabled_conserves_and_matches_golden(cell, golden_results):
     golden = golden_results.get(key)
     assert golden is not None, "no golden result for %s" % _cell_id(cell)
 
-    result, account = simulate_with_obs(
-        program, config, scheme_name, scheme_kwargs)
+    account = CycleAccount()
+    core = OoOCore(program, config=config,
+                   scheme=make_scheme(scheme_name, **scheme_kwargs),
+                   account=account, tracer=PipeTracer(limit=100))
+    occupancy = _reference_occupancy(core)
+    result = core.run()
     assert_conserved(result, account)
+    assert account.occupancy == occupancy
+    assert {name: result.stats.extra["cycacct.occ." + name]
+            for name in occupancy} == occupancy
+    if _cell_id(cell) in FLUSHING_CELLS:
+        assert result.stats.order_violation_flushes > 0
+        assert account.leaves["flush_recovery"] > 0
 
     # Strip the (and only the) cycacct extras: the remainder must be
     # byte-identical to the obs-off fixture.
@@ -161,6 +219,18 @@ def test_scheme_delay_surfaces_with_own_subcause(scheme_name):
     assert delayed > 0, "%s never charged scheme_delayed" % scheme_name
     assert set(account.scheme_sub) == {DELAY_LABELS[scheme_name]}
     assert account.scheme_sub[DELAY_LABELS[scheme_name]] == delayed
+    # Every withheld (half-)issue is counted under the scheme's label.
+    blocked = result.stats.taint_blocked_issues
+    assert (blocked > 0) == (scheme_name in ISSUE_BLOCKING)
+    extra = result.stats.extra
+    assert extra.get("cycacct.issue_blocks." + DELAY_LABELS[scheme_name],
+                     0) == blocked
+    assert account.issue_blocks == (
+        {DELAY_LABELS[scheme_name]: blocked} if blocked else {})
+    assert [name for name in extra
+            if name.startswith("cycacct.issue_blocks.")] == (
+        ["cycacct.issue_blocks." + DELAY_LABELS[scheme_name]]
+        if blocked else [])
 
 
 def test_baseline_never_charges_scheme_delay():

@@ -25,6 +25,7 @@ Regenerate (only when an *intentional* model change invalidates it)::
 import json
 import pathlib
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -172,6 +173,10 @@ def test_kernel_matches_golden(cell, golden_results):
     assert result.memory == golden.memory, "architectural memory diverged"
     # Belt and braces: the full serialised form must round-trip equal.
     assert result.to_dict() == golden.to_dict()
+    # Coded against its program, the words the core wrote give the
+    # delta a scan of the whole image finds.
+    assert result.written is not None
+    assert result.to_dict(program) == replace(result).to_dict(program)
 
 
 @pytest.mark.parametrize(

@@ -13,12 +13,15 @@ architectural state.
 """
 
 import json
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MEGA, OoOCore, assemble, make_scheme
+from repro.core.registry import grid_scheme_names
 from repro.harness.parallel import simulate_cell
 from repro.isa.interp import run_reference
 from repro.isa.program import Program
@@ -138,6 +141,75 @@ def test_every_spec_proxy_codes_to_a_small_delta():
                       None):
             with pytest.raises(ValueError, match="delta against image"):
                 SimulationResult.from_dict(data, wrong)
+
+
+# ----------------------------------------------------------------------
+# The written set: deltas in O(words written), same bytes as the scan.
+# ----------------------------------------------------------------------
+
+#: The cells of perfbench's ``campaign-cluster`` slice: these 11
+#: proxies x Mega x every grid scheme, at scale 0.05.
+CAMPAIGN_PROXIES = ("500.perlbench", "503.bwaves", "507.cactuBSSN",
+                    "510.parest", "519.lbm", "521.wrf", "525.x264",
+                    "531.deepsjeng", "541.leela", "548.exchange2",
+                    "554.roms")
+
+
+def _campaign_cell(name, scheme="baseline"):
+    result = simulate_cell((name, MEGA, scheme, (), 0.05, 2017))
+    return result, cached_spec_program(name, scale=0.05, seed=2017)
+
+
+def test_written_set_codes_what_the_full_scan_codes():
+    for name in CAMPAIGN_PROXIES:
+        for scheme in grid_scheme_names():
+            result, program = _campaign_cell(name, scheme)
+            assert result.written[0] is program
+            scanned = replace(result)  # no written set: the full scan
+            assert scanned.written is None and scanned == result
+            data = result.to_dict(program)
+            assert data == scanned.to_dict(program), (name, scheme)
+            assert data["memory_base"] == program.image_digest
+            # A decoded delta names its own words, so the coordinator's
+            # decode-then-save codes it again without a scan.
+            decoded = SimulationResult.from_dict(data, program)
+            assert decoded.written == (
+                program, frozenset(unpack_memory(data["memory"])))
+            assert decoded == result
+            assert decoded.to_dict(program) == data
+
+
+def test_written_set_applies_to_its_own_program_only():
+    result, program = _campaign_cell("503.bwaves")
+    # The same image in another object, another program's image, and
+    # no program at all: each codes as the full scan does.
+    twin = Program(program.instructions, dict(program.initial_memory),
+                   dict(program.initial_regs), name=program.name)
+    other = cached_spec_program("548.exchange2", scale=0.05, seed=2017)
+    for target in (twin, other, None):
+        data = result.to_dict(target)
+        assert data == replace(result).to_dict(target)
+        assert SimulationResult.from_dict(data, target).memory == \
+            result.memory
+    assert result.to_dict(twin) == result.to_dict(program)
+    # A hand-built result carries no written set and is scanned whole.
+    hand = _result(dict(result.memory))
+    assert hand.written is None
+    assert hand.to_dict(program)["memory"] == \
+        result.to_dict(program)["memory"]
+
+
+def test_pickled_result_leaves_the_written_set_behind():
+    # The written set names its program, and through it the whole
+    # initial image: a pickle carries neither, so it is byte for byte
+    # the pickle of the same result without one.
+    result, program = _campaign_cell("554.roms", "nda")
+    blob = pickle.dumps(result)
+    assert blob == pickle.dumps(replace(result))
+    assert b"repro.isa.program" not in blob
+    copied = pickle.loads(blob)
+    assert copied == result and copied.written is None
+    assert copied.to_dict(program) == result.to_dict(program)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Content-addressed program cache: identity, reuse, invalidation,
 and the persistent (disk) layer."""
 
+import io
 import json
 
 import pytest
@@ -129,6 +130,24 @@ def test_disk_cache_round_trips_across_processes(tmp_path):
     assert second.initial_memory == first.initial_memory
     assert second.initial_regs == first.initial_regs
     assert (second.name, second.entry) == (first.name, first.entry)
+
+
+def test_disk_files_hold_the_streaming_encoders_bytes(tmp_path):
+    """Program and trace files are written in one ``json.dumps`` call;
+    their bytes are those ``json.dump`` streams for the same payload."""
+    from repro.workloads import program_cache
+
+    configure_disk_cache(tmp_path)
+    program = cached_spec_program("548.exchange2", scale=0.05)
+    trace = program_cache.cached_spec_trace("548.exchange2", scale=0.05)
+    (program_path,) = tmp_path.glob("*.%s.json" % PROGRAM_FORMAT_VERSION)
+    (trace_path,) = tmp_path.glob("*.trace.json")
+    for path, payload in (
+            (program_path, program_cache._program_to_payload(program)),
+            (trace_path, trace.to_payload())):
+        streamed = io.StringIO()
+        json.dump(payload, streamed, separators=(",", ":"))
+        assert path.read_text() == streamed.getvalue(), path.name
 
 
 def test_disk_cached_program_simulates_identically(tmp_path):
