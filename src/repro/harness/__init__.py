@@ -34,8 +34,10 @@ cell packs only the words that differ from its program's initial
 image, and ``memory_base`` names that image by its digest; the
 envelope's ``meta`` (benchmark, scale, seed) names the program, and
 every read path — ``load``, ``load_many``, the lazy results'
-``memory`` — rebuilds the whole image against it through
-:func:`~repro.pipeline.core.decode_memory`.  Records without
+``memory`` — decodes the record through
+:func:`~repro.pipeline.core.decode_memory` to a read-only
+:class:`~repro.pipeline.core.MemoryImage`: the record's words over the
+program's own image, shared rather than copied.  Records without
 ``memory_base`` hold the whole image: packed, or, if written by 1.1.0
 before the packed form, a ``{"address": value}`` object; both still
 load, so such stores stay valid under the same model version.  The
@@ -86,8 +88,12 @@ backends share the seam: the in-process
 :class:`~repro.harness.cluster.ClusterExecutor`.  The caller picks
 one; ``CampaignRunner.run_grid(executor=...)`` / ``run_cell_batch``
 hand the uncached cells straight to it (``None`` is the serial
-backend).  ``on_result`` streams each cell into the store the moment
-it completes, so interrupted campaigns keep their work.  All backends
+backend).  A result that crosses a process or socket boundary, from a
+pool worker or a cluster worker alike, travels as the record the store
+holds: ``SimulationResult.to_dict`` coded against the cell's program,
+decoded on arrival against the receiver's copy of that program.
+``on_result`` streams each cell into the store the moment it
+completes, so interrupted campaigns keep their work.  All backends
 feed one :class:`~repro.harness.progress.ProgressReporter` (cells
 done/total, cells/sec, ETA, per-worker attribution).
 

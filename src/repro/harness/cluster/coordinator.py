@@ -354,9 +354,9 @@ class ClusterCoordinator:
 
     def _complete(self, name, cell_id, result_data, telemetry=None):
         # The worker coded the cell's memory against its program's
-        # initial image; rebuild the whole image, which is what results
-        # handed to on_result and results() carry.  A frame that does
-        # not decode is the worker's fault: drop it, requeue the cell.
+        # initial image; decode it to a view over this process's copy
+        # of that image, as the pool does.  A frame that does not
+        # decode is the worker's fault: drop it, requeue the cell.
         try:
             benchmark, _config, _scheme, _kwargs, scale, seed = \
                 self._specs[cell_id]

@@ -50,12 +50,12 @@ whose ``memory`` is a list of contiguous runs,
 initial image, and ``memory_base`` names that image by its digest
 (``SimulationResult.to_dict(program)``): a campaign cell changes a
 handful of its thousands of words, so the frame shrinks from tens of
-kilobytes to under 2 KiB.  The coordinator rebuilds the whole image
-against its own copy of the program, and treats a frame that does not
-decode — a malformed image, or a delta against another image — as a
-protocol error: the worker is dropped and its cell requeued.  A
-generation-3 coordinator would read the delta as the whole image,
-hence the bump.
+kilobytes to under 2 KiB.  The coordinator decodes it to a view over
+its own copy of the program's image (the pool ships results the same
+way), and treats a frame that does not decode — a malformed image, or
+a delta against another image — as a protocol error: the worker is
+dropped and its cell requeued.  A generation-3 coordinator would read
+the delta as the whole image, hence the bump.
 
 **Cell specs on the wire.**  :func:`spec_to_wire` expands a spec tuple
 into plain JSON — the *complete* ``CoreConfig`` parameter record

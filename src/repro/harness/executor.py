@@ -51,6 +51,8 @@ from repro.harness.parallel import (
     default_jobs,
     simulate_cell,
 )
+from repro.pipeline.core import SimulationResult
+from repro.workloads.program_cache import cached_spec_program
 
 
 class Executor:
@@ -85,13 +87,20 @@ class PoolExecutor(Executor):
 
     Results stream back in completion order (``as_completed``) so
     progress and ``on_result`` fire as cells finish, then are
-    reassembled into spec order.  Anything that prevents pool
-    *creation* (restricted sandboxes, missing ``/dev/shm``) degrades to
-    the serial executor; once workers exist, an exception inside
-    ``simulate_cell`` propagates to the caller exactly as a serial run
-    would, and a worker process that dies raises ``BrokenProcessPool``
-    instead of leaving the campaign waiting for its cell.  Either way
-    the cells still queued are dropped, not simulated.
+    reassembled into spec order.  Each result crosses the process
+    boundary as its :meth:`~repro.pipeline.core.SimulationResult.to_dict`
+    record coded against the cell's program, as the cluster wire and
+    the store carry it, and decodes here against this process's copy
+    of that program: only the words the cell changed travel, and the
+    result shares the program's image as a core's result does.
+
+    Anything that prevents pool *creation* (restricted sandboxes,
+    missing ``/dev/shm``) degrades to the serial executor; once workers
+    exist, an exception inside ``simulate_cell`` propagates to the
+    caller exactly as a serial run would, and a worker process that
+    dies raises ``BrokenProcessPool`` instead of leaving the campaign
+    waiting for its cell.  Either way the cells still queued are
+    dropped, not simulated.
     """
 
     kind = "pool"
@@ -126,8 +135,12 @@ class PoolExecutor(Executor):
             futures = [pool.submit(_simulate_indexed, (index, spec))
                        for index, spec in enumerate(specs)]
             for future in as_completed(futures):
-                index, pid, result = future.result()
-                results[index] = result
+                index, pid, record = future.result()
+                benchmark, _config, _scheme, _kwargs, scale, seed = \
+                    specs[index]
+                result = results[index] = SimulationResult.from_dict(
+                    record,
+                    cached_spec_program(benchmark, scale=scale, seed=seed))
                 if on_result is not None:
                     on_result(index, result)
                 if progress is not None:

@@ -80,12 +80,18 @@ def simulate_cell(spec):
 
 
 def _simulate_indexed(indexed_spec):
-    """``(index, spec) -> (index, pid, result)`` for the process pool.
+    """``(index, spec) -> (index, pid, record)`` for the process pool.
 
-    The index lets the pool stream completions out of order and still
-    reassemble spec order; the pid provides per-worker attribution for
-    progress reporting.
+    The result crosses the pool as the record that the cluster wire and
+    the store carry, :meth:`~repro.pipeline.core.SimulationResult.to_dict`
+    coded against the cell's program: the words the cell changed, not
+    its whole image.  The index lets the pool stream completions out of
+    order and still reassemble spec order; the pid provides per-worker
+    attribution for progress reporting.
     """
     index, spec = indexed_spec
-    return index, os.getpid(), simulate_cell(spec)
+    benchmark, _config, _scheme, _kwargs, scale, seed = spec
+    result = simulate_cell(spec)
+    program = cached_spec_program(benchmark, scale=scale, seed=seed)
+    return index, os.getpid(), result.to_dict(program)
 

@@ -38,17 +38,18 @@ A campaign cell's record stores its final memory image as the few
 words that differ from its program's initial image (see
 :meth:`~repro.pipeline.core.SimulationResult.to_dict`), about 2 KiB
 instead of up to 116 kB.  Finding those words costs O(words the cell
-wrote), not O(image): a result straight from its core, or decoded
-from such a delta, names the words that can differ, and :meth:`save`
-codes it against the very program object the program cache holds.
-Any other result, such as one a pool worker pickled back, is scanned
-whole, to the same bytes.  The
-``benchmark``/``scale``/``seed`` meta the runner writes beside each
-result names that program, so every read path rebuilds the whole image
-against :func:`~repro.workloads.program_cache.cached_spec_program` —
-lazily, when ``memory`` is read.  Records whose meta names no SPEC
-proxy, and those written before deltas, hold the whole image and load
-unchanged.
+wrote), not O(image): a result from a core, from the process pool or
+from such a record holds its memory as a
+:class:`~repro.pipeline.core.MemoryImage` over its program's image,
+and :meth:`save` codes it against the very program object the program
+cache holds.  Any other result, such as one built by hand, is scanned
+whole, to the same bytes.  The ``benchmark``/``scale``/``seed`` meta
+the runner writes beside each result names that program, so every read
+path decodes the record to a view over the image of
+:func:`~repro.workloads.program_cache.cached_spec_program`, which it
+shares rather than copies — lazily, when ``memory`` is read.  Records
+whose meta names no SPEC proxy, and those written before deltas, hold
+the whole image and load unchanged.
 
 Segment files are the only format the store reads.  The JSON-file-per-
 cell layout of earlier releases (one ``<prefix>__<digest12>.json`` per
@@ -230,9 +231,9 @@ class _StoredResult(SimulationResult):
     actually touched.  This is what makes ``load_many`` and
     ``iter_results`` over 10^4 cells an index scan instead of 10^4
     decompress+parse round trips.  ``memory`` decodes later still: a
-    campaign cell's record holds only the words it changed, and
-    rebuilding the image needs the cell's program, which reading
-    ``regs``, ``extra`` or the statistics never generates.
+    campaign cell's record holds only the words it changed, and its
+    view over the program's image needs the cell's program, which
+    reading ``regs``, ``extra`` or the statistics never generates.
     """
 
     @classmethod
@@ -567,8 +568,9 @@ class ResultStore:
         the manifest.  When ``meta`` names the cell's benchmark, scale
         and seed, as the runner's does, the memory image is stored as
         the words that differ from the program's initial image, found
-        in O(words written) for a result its core or a delta decode
-        produced (see the module docstring).
+        in O(words written) for a result whose memory is a view over
+        that image: one from a core, the pool or a decoded record (see
+        the module docstring).
         """
         meta = dict(meta or {})
         envelope = {

@@ -16,6 +16,13 @@ class Program:
         initial_regs: initial architectural register values, reg -> value.
         name: human-readable identifier used in reports.
         entry: starting PC (instruction index).
+
+    Programs are read-only once built.  :attr:`image_digest` and
+    :attr:`start_state` are computed once and rely on it, and so does
+    every result's memory: a core and a decoded record read the words
+    they did not write straight from :attr:`initial_memory` (see
+    :class:`~repro.pipeline.core.MemoryImage`) instead of a copy, so a
+    word changed after a core was built changes what its results read.
     """
 
     instructions: list

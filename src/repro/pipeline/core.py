@@ -150,8 +150,10 @@ error paths fire at the same cycle they would when stepping.
 """
 
 from collections import deque
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
+from itertools import chain
 from operator import itemgetter
 
 from repro.core.factory import make_scheme
@@ -246,34 +248,106 @@ def unpack_memory(data):
     return memory
 
 
+_MISSING = object()
+
+
+class MemoryImage(Mapping):
+    """A read-only memory image: the words of ``delta`` over those of
+    ``base``.
+
+    ``base`` is a program's initial image, shared by every core and
+    result of that program and never written through the view
+    (programs are read-only once built); ``delta`` holds the words a
+    core wrote.  Reads check ``delta``, then ``base``.  Iteration yields
+    ``base``'s addresses in its own order, then the addresses only
+    ``delta`` holds: the order of ``dict(base)`` updated by ``delta``.
+    Neither iteration nor :meth:`items` builds a whole-image dict.  Two
+    images over one base compare by the words that differ from it, in
+    O(delta); any other mapping compares word by word.  A pickle holds
+    a plain dict, so it stands alone and names no program.
+    """
+
+    __slots__ = ("base", "delta")
+
+    def __init__(self, base, delta):
+        self.base = base
+        self.delta = delta
+
+    def __getitem__(self, address):
+        delta = self.delta
+        return delta[address] if address in delta else self.base[address]
+
+    def _added(self):
+        """The addresses only ``delta`` holds, in its order."""
+        base = self.base
+        return [address for address in self.delta if address not in base]
+
+    def _changed(self):
+        """``{address: value}`` of the words that differ from ``base``."""
+        base = self.base
+        return {address: value for address, value in self.delta.items()
+                if base.get(address, _MISSING) != value}
+
+    def __len__(self):
+        return len(self.base) + len(self._added())
+
+    def __iter__(self):
+        return chain(self.base, self._added())
+
+    def items(self):
+        return _ImageItems(self)
+
+    def __eq__(self, other):
+        if isinstance(other, MemoryImage) and other.base is self.base:
+            return self._changed() == other._changed()
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        get = other.get
+        return len(self) == len(other) and all(
+            get(address, _MISSING) == value for address, value in self.items())
+
+    def __repr__(self):
+        return "<MemoryImage: %d words, %d written>" % (len(self),
+                                                        len(self.delta))
+
+    def __reduce__(self):
+        return dict, (), None, None, iter(self.items())
+
+
+class _ImageItems(ItemsView):
+    """:meth:`MemoryImage.items`, iterated in C over both dicts."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        image = self._mapping
+        base, delta = image.base, image.delta
+        return chain(zip(base, map(delta.get, base, base.values())),
+                     [(address, delta[address])
+                      for address in image._added()])
+
+
 def decode_memory(data, program=None):
     """The final memory image held by the :meth:`SimulationResult.to_dict`
     record ``data``.
 
-    A delta record (one naming a ``memory_base``) is rebuilt on
-    ``program``'s initial image, and raises ``ValueError`` unless that
+    A delta record (one naming a ``memory_base``) decodes to a
+    :class:`MemoryImage` over ``program``'s initial image, which it
+    shares rather than copies, and raises ``ValueError`` unless that
     image is the one it names.  Any other record holds the whole image,
-    whatever ``program`` is.
+    whatever ``program`` is, and decodes to a dict.
     """
-    return _decode_memory(data, program)[0]
-
-
-def _decode_memory(data, program):
-    """``(image, delta)`` for :func:`decode_memory`: ``delta`` is the
-    unpacked delta a ``memory_base`` record holds, else ``None``."""
     memory = unpack_memory(data["memory"])
     digest = data.get("memory_base")
     if digest is None:
-        return memory, None
+        return memory
     if program is None or program.image_digest != digest:
         raise ValueError(
             "memory is a delta against image %s; %s" % (
                 digest, "no program given" if program is None
                 else "%s's image is %s" % (program.name,
                                            program.image_digest)))
-    image = dict(program.initial_memory)
-    image.update(memory)
-    return image, memory
+    return MemoryImage(program.initial_memory, memory)
 
 
 @dataclass
@@ -285,24 +359,12 @@ class SimulationResult:
     config_name: str
     stats: SimStats
     regs: list
-    memory: dict
+    #: The final image: a :class:`MemoryImage` over the program's
+    #: initial image from a core or a delta record, else a dict.
+    memory: Mapping
     halted: bool
     cycles: int = 0
     extra: dict = field(default_factory=dict)
-    #: ``(program, addresses)`` when ``memory`` is ``program``'s whole
-    #: initial image with only ``addresses`` written over it, as a core
-    #: and :meth:`from_dict` leave it; ``None`` when that is unknown.
-    #: :meth:`to_dict` then scans ``addresses`` instead of the image.
-    written: tuple = field(default=None, init=False, compare=False,
-                           repr=False)
-
-    def __getstate__(self):
-        # ``written`` holds its program, and so the program's whole
-        # image: a pickle leaves it out, and the receiver encodes by
-        # the full scan.
-        state = self.__dict__.copy()
-        state.pop("written", None)
-        return state
 
     @property
     def ipc(self):
@@ -325,19 +387,16 @@ class SimulationResult:
         object (see :func:`unpack_memory`), so results stored before the
         packed form load unchanged.
 
-        Finding the delta costs O(written), not O(image), when
-        ``program`` is the very program whose core (or whose decoded
-        record) produced this result: :attr:`written` then names every
-        address that can differ.  Any other result — built by hand,
-        unpickled, or coded against another program — is scanned whole,
-        with the same output.
+        Finding the delta costs O(delta), not O(image), when ``memory``
+        is a :class:`MemoryImage` over ``program``'s own initial image,
+        as a core and :meth:`from_dict` leave it.  Any other result —
+        built by hand, unpickled, coded against another program, or over
+        a normalised image — is scanned whole, with the same output.
         """
         memory = self.memory
         base = program.initial_memory if program is not None else {}
-        written = self.written
-        if written is not None and written[0] is program:
-            delta = {addr: memory[addr] for addr in written[1]
-                     if base.get(addr) != memory[addr]}
+        if isinstance(memory, MemoryImage) and memory.base is base:
+            delta = memory._changed()
         else:
             delta = {addr: value for addr, value in memory.items()
                      if base.get(addr) != value}
@@ -369,25 +428,22 @@ class SimulationResult:
 
         A record coded against a program needs that ``program`` back:
         another program, or none, raises ``ValueError`` (see
-        :func:`decode_memory`).  Such a result records the delta's
-        addresses as :attr:`written`, so coding it again against the
+        :func:`decode_memory`).  Such a result's ``memory`` is a
+        :class:`MemoryImage` over the program's initial image, so it
+        holds only the record's words, and coding it again against the
         same program costs O(delta).
         """
-        memory, delta = _decode_memory(data, program)
-        result = cls(
+        return cls(
             program_name=data["program_name"],
             scheme_name=data["scheme_name"],
             config_name=data["config_name"],
             stats=SimStats.from_dict(data["stats"]),
             regs=list(data["regs"]),
-            memory=memory,
+            memory=decode_memory(data, program),
             halted=data["halted"],
             cycles=data.get("cycles", 0),
             extra=dict(data.get("extra", {})),
         )
-        if delta is not None:
-            result.written = (program, frozenset(delta))
-        return result
 
 
 class OoOCore:
@@ -439,9 +495,11 @@ class OoOCore:
         # Initial state is loaded as the reference interpreter loads it
         # (ArchState.write_reg / write_mem): unsigned addresses, signed
         # 64-bit values.  An image already in range (every generated
-        # workload's) is copied whole.  The range check (C-level
-        # min/max) and the warmed L2 are per-program facts: the first
-        # core of a program records them (see Program.start_state).
+        # workload's) is the memory's base as it is, never copied; the
+        # commit store path, the only writer, writes memory.delta.  The
+        # range check (C-level min/max) and the warmed L2 are
+        # per-program facts: the first core of a program records them
+        # (see Program.start_state).
         for reg, value in program.initial_regs.items():
             if reg != 0:
                 self.prf.values[reg] = to_signed64(value)
@@ -454,26 +512,18 @@ class OoOCore:
                 0 <= min(image) and max(image) <= _MAX_ADDRESS
                 and _MIN_WORD <= min(image.values())
                 and max(image.values()) <= _MAX_WORD)
-        if in_range:
-            self.memory = dict(image)
-        else:
-            self.memory = {
-                to_unsigned64(addr): to_signed64(value)
-                for addr, value in image.items()
-            }
-        # Every address the commit store path (the only writer of
-        # self.memory) writes.  An image copied whole then ends as the
-        # program's initial image plus these words, and result() says so.
-        self._written = set()
-        self._image_copied = in_range
+        self.memory = MemoryImage(image if in_range else {
+            to_unsigned64(addr): to_signed64(value)
+            for addr, value in image.items()
+        }, {})
         self.hierarchy = MemoryHierarchy(cfg.mem)
-        if warm_caches and self.memory:
+        if warm_caches and image:
             l2 = self.hierarchy.l2
             warm_key = ("warm-l2", l2.num_sets, l2.ways, l2.line_words,
                         len(image))
             warmed = facts.get(warm_key)
             if warmed is None:
-                self.hierarchy.warm(self.memory.keys(), level="l2")
+                self.hierarchy.warm(self.memory.base, level="l2")
                 facts[warm_key] = l2.snapshot()
             else:
                 l2.restore(warmed)
@@ -630,19 +680,17 @@ class OoOCore:
         if self._obs_account is not None:
             extra.update(self._obs_account.as_extra())
         stats = replace(self.stats, extra=extra)
-        result = SimulationResult(
+        memory = self.memory
+        return SimulationResult(
             program_name=self.program.name,
             scheme_name=self.scheme.name,
             config_name=self.config.name,
             stats=stats,
             regs=regs,
-            memory=dict(self.memory),
+            memory=MemoryImage(memory.base, dict(memory.delta)),
             halted=self.halted,
             cycles=stats.cycles,
         )
-        if self._image_copied:
-            result.written = (self.program, frozenset(self._written))
-        return result
 
     # ------------------------------------------------------------------
     # Idle-cycle fast-forward.
@@ -806,8 +854,7 @@ class OoOCore:
                 tracer.on_retire(head, cycle)
 
             if head.op_is_store:
-                self.memory[head.address] = head.mem_value
-                self._written.add(head.address)
+                self.memory.delta[head.address] = head.mem_value
                 self.hierarchy.access(
                     head.address, pc=head.pc, is_write=True, train_prefetcher=False
                 )

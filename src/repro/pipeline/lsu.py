@@ -166,7 +166,8 @@ class LoadStoreUnit:
 
         uop.val_pure = val_pure
         latency, _level = core.hierarchy.access(address, pc=uop.pc)
-        value = core.memory.get(address, 0)
+        memory = core.memory
+        value = memory.delta.get(address, memory.base.get(address, 0))
         core.schedule_load_complete(uop, cycle + latency, value)
         hit_latency = self._l1_latency
         uop.l1_miss = latency > hit_latency

@@ -35,6 +35,7 @@ from repro.harness.cluster import (
     send_frame,
     spec_from_wire,
 )
+from repro.harness.executor import PoolExecutor
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import MODEL_VERSION, ResultStore
 from repro.isa.registers import NUM_ARCH_REGS
@@ -193,6 +194,20 @@ def test_coordinator_kill_and_resume_completes_campaign(tmp_path):
     assert summary["from_store"] >= len(partial)
     assert summary["from_store"] + summary["simulated"] == 4
     assert store_bytes(chaos_root) == expected
+
+
+def test_healthy_pool_store_equals_serial(tmp_path):
+    """Pool workers send each result as the record the store holds; the
+    parent decodes it against its own copy of the program and stores
+    it again, to the bytes a serial campaign stores."""
+    expected = serial_store(tmp_path)
+    root = tmp_path / "pool"
+    runner = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
+                            store=ResultStore(root))
+    summary = runner.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
+                              executor=PoolExecutor(jobs=2))
+    assert summary["simulated"] == 4 and summary["failed"] == 0
+    assert store_bytes(root) == expected
 
 
 #: Runs a 4-cell grid on a 2-process pool into the store at argv[1],

@@ -4,12 +4,12 @@
 contiguous runs; given the program the result was simulated from, it
 packs only the words that differ from the program's initial image.
 ``from_dict`` (and the store's lazy decoder, through the same
-:func:`decode_memory`) rebuilds the image against that program only,
-and still reads whole images: packed, or the legacy
-``{"address": value}`` object every 1.1.0 store and the golden fixture
-hold.  The core loads ``.reg``/``.word`` values exactly as the
-reference interpreter does, so both start — and end — in the same
-architectural state.
+:func:`decode_memory`) decodes such a delta against that program only,
+to a :class:`MemoryImage` over the program's own image, and still
+reads whole images: packed, or the legacy ``{"address": value}`` object
+every 1.1.0 store and the golden fixture hold.  The core loads
+``.reg``/``.word`` values exactly as the reference interpreter does, so
+both start — and end — in the same architectural state.
 """
 
 import json
@@ -27,7 +27,12 @@ from repro.isa.interp import run_reference
 from repro.isa.program import Program
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.isa.trace import record_trace
-from repro.pipeline.core import SimulationResult, pack_memory, unpack_memory
+from repro.pipeline.core import (
+    MemoryImage,
+    SimulationResult,
+    pack_memory,
+    unpack_memory,
+)
 from repro.pipeline.stats import SimStats
 from repro.workloads.characteristics import SPEC_BENCHMARKS
 from repro.workloads.program_cache import cached_spec_program
@@ -102,17 +107,24 @@ def test_legacy_object_decodes_to_the_same_image():
 # ----------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(_IMAGES, _IMAGES, st.booleans())
-def test_delta_round_trip(base, writes, drop):
+@given(_IMAGES, _IMAGES, st.booleans(), _ADDRESS)
+def test_delta_round_trip(base, writes, drop, probe):
+    _check_view(base, writes, probe)
     # A final image is the initial one with some words written, and
     # (where the core normalised an address away) one word missing.
     memory = {**base, **writes}
     if drop and base:
         del memory[min(base)]
     program = Program([], initial_memory=base, name="base")
+    # A view over the program's own image codes in O(delta) to the
+    # record the full scan of its merged dict gives.
+    assert _result(MemoryImage(base, writes)).to_dict(program) == \
+        _result({**base, **writes}).to_dict(program)
     data = json.loads(json.dumps(_result(memory).to_dict(program)))
-    assert SimulationResult.from_dict(data, program).memory == memory
+    decoded = SimulationResult.from_dict(data, program).memory
+    assert decoded == memory and memory == decoded
     if base and base.keys() <= memory.keys():
+        assert decoded.base is base
         assert data["memory_base"] == program.image_digest
         assert unpack_memory(data["memory"]) == {
             addr: value for addr, value in memory.items()
@@ -122,6 +134,44 @@ def test_delta_round_trip(base, writes, drop):
         # codes the whole image.
         assert "memory_base" not in data
         assert unpack_memory(data["memory"]) == memory
+
+
+def _check_view(base, writes, probe):
+    # The view reads, iterates and compares as ``dict(base)`` updated
+    # by ``writes``, in that dict's order.
+    view = MemoryImage(base, writes)
+    legacy = dict(base)
+    legacy.update(writes)
+    assert list(view.items()) == list(legacy.items())
+    assert list(view) == list(legacy)
+    assert list(view.values()) == list(legacy.values())
+    assert len(view) == len(legacy)
+    for address in (probe, *list(base)[:3], *list(writes)[:3]):
+        assert (address in view) == (address in legacy)
+        assert view.get(address) == legacy.get(address)
+        assert view.get(address, "absent") == legacy.get(address, "absent")
+    # Equal to the merged dict, and to views over this base or another
+    # that hold the same words, both ways round.
+    for same in (legacy, MemoryImage(base, dict(writes)),
+                 MemoryImage(dict(base), writes), MemoryImage({}, legacy)):
+        assert view == same and same == view
+        assert not view != same and not same != view
+    # One word more (addresses are never negative), or one word
+    # changed, is unequal both ways round, over this base and another.
+    edits = [{-1: 0}]
+    if legacy:
+        address = next(iter(legacy))
+        edits.append({address: legacy[address] + 1})
+    for edit in edits:
+        changed = {**legacy, **edit}
+        for other in (changed, MemoryImage(base, {**writes, **edit}),
+                      MemoryImage({}, changed)):
+            assert view != other and other != view
+            assert not view == other and not other == view
+    # A pickle holds the plain dict: it names no program.
+    copied = pickle.loads(pickle.dumps(view))
+    assert type(copied) is dict
+    assert list(copied.items()) == list(legacy.items())
 
 
 def test_every_spec_proxy_codes_to_a_small_delta():
@@ -160,22 +210,32 @@ def _campaign_cell(name, scheme="baseline"):
     return result, cached_spec_program(name, scale=0.05, seed=2017)
 
 
+def _scanned(result):
+    """``result`` with its image as a plain dict: coded by the full scan."""
+    return replace(result, memory=dict(result.memory))
+
+
 def test_written_set_codes_what_the_full_scan_codes():
     for name in CAMPAIGN_PROXIES:
         for scheme in grid_scheme_names():
             result, program = _campaign_cell(name, scheme)
-            assert result.written[0] is program
-            scanned = replace(result)  # no written set: the full scan
-            assert scanned.written is None and scanned == result
+            # The core's result shares its program's image and holds
+            # the words it wrote as the view's delta.
+            assert result.memory.base is program.initial_memory
+            scanned = _scanned(result)
+            assert scanned == result and result == scanned
             data = result.to_dict(program)
             assert data == scanned.to_dict(program), (name, scheme)
             assert data["memory_base"] == program.image_digest
-            # A decoded delta names its own words, so the coordinator's
-            # decode-then-save codes it again without a scan.
+            assert unpack_memory(data["memory"]).keys() <= \
+                result.memory.delta.keys()
+            # A decoded delta is a view over the same image, so the
+            # coordinator's and the pool's decode-then-save codes it
+            # again without a scan.
             decoded = SimulationResult.from_dict(data, program)
-            assert decoded.written == (
-                program, frozenset(unpack_memory(data["memory"])))
-            assert decoded == result
+            assert decoded.memory.base is program.initial_memory
+            assert decoded.memory.delta == unpack_memory(data["memory"])
+            assert decoded == result and result == decoded
             assert decoded.to_dict(program) == data
 
 
@@ -188,28 +248,37 @@ def test_written_set_applies_to_its_own_program_only():
     other = cached_spec_program("548.exchange2", scale=0.05, seed=2017)
     for target in (twin, other, None):
         data = result.to_dict(target)
-        assert data == replace(result).to_dict(target)
+        assert data == _scanned(result).to_dict(target)
         assert SimulationResult.from_dict(data, target).memory == \
             result.memory
     assert result.to_dict(twin) == result.to_dict(program)
-    # A hand-built result carries no written set and is scanned whole.
+    # A hand-built result holds a plain dict and is scanned whole.
     hand = _result(dict(result.memory))
-    assert hand.written is None
     assert hand.to_dict(program)["memory"] == \
         result.to_dict(program)["memory"]
 
 
 def test_pickled_result_leaves_the_written_set_behind():
-    # The written set names its program, and through it the whole
-    # initial image: a pickle carries neither, so it is byte for byte
-    # the pickle of the same result without one.
+    # A pickle holds the image as a plain dict: it names no program,
+    # reads back equal, and codes to the same record by the full scan.
     result, program = _campaign_cell("554.roms", "nda")
     blob = pickle.dumps(result)
-    assert blob == pickle.dumps(replace(result))
-    assert b"repro.isa.program" not in blob
+    assert b"repro.isa.program" not in blob and b"MemoryImage" not in blob
     copied = pickle.loads(blob)
-    assert copied == result and copied.written is None
+    assert type(copied.memory) is dict
+    assert list(copied.memory.items()) == list(result.memory.items())
+    assert copied == result and result == copied
     assert copied.to_dict(program) == result.to_dict(program)
+
+
+def test_result_repr_leaves_the_image_out():
+    result, program = _campaign_cell("554.roms", "nda")
+    text = repr(result)
+    assert "MemoryImage" in text
+    assert len(text) < len(repr(dict(result.memory))) // 20
+    address = next(iter(program.initial_memory))
+    assert "%d: %d" % (address, program.initial_memory[address]) \
+        not in text
 
 
 # ----------------------------------------------------------------------
