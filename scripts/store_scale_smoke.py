@@ -1,15 +1,14 @@
 #!/usr/bin/env python
-"""Store-scale smoke: a 10^4-cell segment store end to end, on a clock.
+"""Store-scale smoke: a 10^4-cell result store end to end, on a clock.
 
 Builds a synthetic campaign store (the cells
 :mod:`repro.harness.storebench` generates), then drives every
-maintenance and analysis path a million-cell campaign depends on —
-``store verify``, ``store stats``, ``store gc``, ``compact``, bulk
-``load_many``, the statistics-only ``metrics`` scan — and asserts each
-answer is correct, not just alive.
-The whole run must finish inside a time budget so CI catches the exact
-failure segment files were introduced to prevent: store operations
-degrading from O(index) back toward O(cells x file-open).
+maintenance and analysis path a large campaign depends on —
+``store verify``, ``store stats``, ``store gc`` with its ``VACUUM``,
+bulk ``load_many``, the statistics-only ``metrics`` scan — and asserts
+each answer is correct, not just alive.
+The whole run must finish inside a time budget, so CI catches store
+operations degrading from an index scan toward a decode per cell.
 
 Usage::
 
@@ -71,10 +70,10 @@ def main(argv=None):
         lap("verify")
 
         stats = store.stats()
-        if stats["cells"] != args.cells or stats["legacy_cells"]:
+        if stats["cells"] != args.cells:
             return fail("stats() miscounts cells: %r" % (stats,))
         if stats["compression_ratio"] <= 1.0:
-            return fail("segment compression never engaged")
+            return fail("record compression never engaged")
         lap("stats")
 
         sample = keys[:: max(1, args.cells // 500)]
@@ -89,7 +88,7 @@ def main(argv=None):
         lap("load_many")
 
         # The metrics hot path: a full-store scan that reads only
-        # statistics, served from the manifest.
+        # statistics, served from the rows.
         cycles = 0
         rows = 0
         for row in store.iter_results():
@@ -111,7 +110,7 @@ def main(argv=None):
             return fail("post-gc len() %d != %d" % (len(store), len(keep)))
         if store.load(keep[0]) is None or store.load(keys[-1]) is not None:
             return fail("gc kept/dropped the wrong cells")
-        lap("gc+compact")
+        lap("gc+vacuum")
         store.close()
     finally:
         shutil.rmtree(root, ignore_errors=True)

@@ -14,18 +14,14 @@ Subcommands:
     ``grid pre-populated`` summary line), so the experiments
     themselves are served from cache.
 ``store``
-    Maintain the persistent result store: ``store verify`` quarantines
-    corrupt cells aside (``.corrupt``) and drops stale ones,
-    ``store gc`` evicts everything outside the standard campaign grid
-    for the given scale/seed and reports the bytes reclaimed,
-    ``store stats`` prints cell/segment counts, bytes on disk,
-    compression ratio, and the count of unmigrated JSON-per-cell files,
-    ``store compact`` folds live records into fresh sealed segments,
-    ``store migrate`` converts JSON-per-cell files from earlier
-    releases into segment records in place (the store reads nothing
-    else), and ``store failures`` lists recorded cell failures and
-    names any failure file it cannot read (exit 1 when either exists;
-    ``store stats`` names those files too).
+    Maintain the persistent result store: ``store verify`` decodes
+    every cell and drops corrupt and stale ones, ``store gc`` evicts
+    everything outside the standard campaign grid for the given
+    scale/seed and reports the bytes reclaimed, ``store stats`` prints
+    the format, cell count, bytes on disk, compression ratio and
+    failure count, and ``store failures`` lists recorded cell failures
+    and names any failure file it cannot read (exit 1 when either
+    exists; ``store stats`` names those files too).
 ``schemes``
     List every registered speculation scheme straight from the scheme
     registry: canonical name, grid membership, kwargs schema, and the
@@ -155,20 +151,14 @@ def build_parser():
     store = sub.add_parser(
         "store", help="maintain the persistent result store")
     store.add_argument("action",
-                       choices=("verify", "gc", "stats", "compact",
-                                "migrate", "failures"),
-                       help="verify: quarantine corrupt cells aside and"
-                            " drop stale ones; gc: evict cells outside"
-                            " the standard grid (reports bytes"
-                            " reclaimed); stats: cell/segment counts,"
-                            " bytes on disk, compression ratio,"
-                            " unmigrated JSON files; compact: fold live"
-                            " records into fresh sealed segments;"
-                            " migrate: convert JSON-per-cell files from"
-                            " earlier releases into segments in place"
-                            " (no other command reads them); failures:"
-                            " list recorded cell failures and unreadable"
-                            " failure files (exit 1 when any exist)")
+                       choices=("verify", "gc", "stats", "failures"),
+                       help="verify: drop corrupt and stale cells; gc:"
+                            " evict cells outside the standard grid"
+                            " (reports bytes reclaimed); stats: format,"
+                            " cells, bytes on disk, compression ratio,"
+                            " failures; failures: list recorded cell"
+                            " failures and unreadable failure files"
+                            " (exit 1 when any exist)")
     store.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help="persistent store root (default %(default)s)")
     store.add_argument("--scale", type=float, default=1.0,
@@ -339,50 +329,27 @@ def cmd_store(args):
     store = ResultStore(args.store_dir)
     if args.action == "verify":
         summary = store.verify()
-        print("store verify (%s): %d scanned, %d kept, %d corrupt set"
-              " aside, %d stale dropped"
+        print("store verify (%s): %d scanned, %d kept, %d corrupt dropped,"
+              " %d stale dropped"
               % (store.root, summary["scanned"], summary["kept"],
                  summary["corrupt"], summary["stale"]))
         return 0
     if args.action == "stats":
         stats = store.stats()
         print("store stats (%s): format %s" % (store.root, stats["format"]))
-        print("  cells: %d segment-backed, %d legacy JSON%s"
-              % (stats["cells"], stats["legacy_cells"],
-                 " — run 'store migrate' to convert"
-                 if stats["legacy"] else ""))
-        print("  segments: %d (%s; live %s of raw %s, ratio %s)"
-              % (stats["segments"], _format_bytes(stats["segment_bytes"]),
+        print("  cells: %d" % stats["cells"])
+        print("  disk: %s (live records %s of raw %s, ratio %s)"
+              % (_format_bytes(stats["disk_bytes"]),
                  _format_bytes(stats["live_bytes"]),
                  _format_bytes(stats["raw_bytes"]),
                  "%.2fx" % stats["compression_ratio"]
                  if stats["compression_ratio"] else "n/a"))
-        print("  disk: %s total (manifest %s, legacy %s)"
-              % (_format_bytes(stats["disk_bytes"]),
-                 _format_bytes(stats["manifest_bytes"]),
-                 _format_bytes(stats["legacy_bytes"])))
         unreadable = stats["unreadable_failures"]
         print("  failures recorded: %d%s"
               % (stats["failures"], ", %d unreadable (%s)"
                  % (len(unreadable), ", ".join(unreadable))
                  if unreadable else ""))
         return 0
-    if args.action == "compact":
-        summary = store.compact()
-        print("store compact (%s): %d cells, %d -> %d segment(s),"
-              " %s -> %s%s"
-              % (store.root, summary["cells"],
-                 summary["segments_before"], summary["segments_after"],
-                 _format_bytes(summary["bytes_before"]),
-                 _format_bytes(summary["bytes_after"]),
-                 ", %d corrupt dropped" % summary["corrupt_dropped"]
-                 if summary["corrupt_dropped"] else ""))
-        return 0
-    if args.action == "migrate":
-        summary = store.migrate()
-        print("store migrate (%s): %d cell(s) migrated, %d skipped"
-              % (store.root, summary["migrated"], summary["skipped"]))
-        return 0 if not summary["skipped"] else 1
     if args.action == "failures":
         failures, unreadable = store.read_failures()
         for record in failures:

@@ -75,8 +75,8 @@ def store_stall_breakdown(store):
     """:func:`cycle_account_breakdown` over a whole result store.
 
     ``store.iter_results()`` yields lazily-decoded results whose
-    statistics come from the manifest index, and the breakdown reads
-    nothing else, so no snapshot payload is ever read — the difference
+    statistics come from each cell's row, and the breakdown reads
+    nothing else, so no record is ever decompressed — the difference
     between an index scan and 10^4 decompress+parse round trips on a
     campaign-sized store.
     """

@@ -15,20 +15,19 @@ workload scale/seed, and a model version stamp.  Display names carry
 no identity, so same-named-but-different configurations can never
 alias.
 
-**Store layout** (format ``segments-v1``).  With a
-:class:`~repro.harness.store.ResultStore` attached, cells append into
-shared segment files indexed by a SQLite manifest::
+**Store layout** (format ``sqlite-v1``).  With a
+:class:`~repro.harness.store.ResultStore` attached, each cell is one
+row of a SQLite database::
 
     results/store/
-        manifest.db               # SQLite: full-key index + columns
-        segments/seg-NNNNNN.seg   # append-only record segments
+        manifest.db               # SQLite: one ``cells`` row per cell
         failures/*.json           # CellFailure records
 
-Each segment record is ``"SBR1" | u32 payload-length | u32 CRC32 |
-zlib(canonical JSON)`` where the JSON payload is the envelope
-``{"key", "model_version", "meta", "result"}``.  Inside ``result``
-the final memory image is packed as contiguous runs in ascending
-address order, ``[[base, [v0, v1, ...]], ...]`` (see
+A row's last column is its record: the envelope ``{"key",
+"model_version", "meta", "result"}`` as canonical JSON,
+zlib-compressed.  Inside ``result`` the final memory image is packed
+as contiguous runs in ascending address order,
+``[[base, [v0, v1, ...]], ...]`` (see
 :meth:`~repro.pipeline.core.SimulationResult.to_dict`).  A campaign
 cell packs only the words that differ from its program's initial
 image, and ``memory_base`` names that image by its digest; the
@@ -41,40 +40,34 @@ program's own image, shared rather than copied.  Records without
 ``memory_base`` hold the whole image: packed, or, if written by 1.1.0
 before the packed form, a ``{"address": value}`` object; both still
 load, so such stores stay valid under the same model version.  The
-manifest's ``cells`` table maps every *full* 64-hex key to its
-segment/offset/length and carries the benchmark/config/scheme
-columns, hot counters, and a per-cell statistics blob: ``keys()`` and
-``len()`` are pure index reads, and
+row's other columns are the *full* 64-hex key, the
+benchmark/config/scheme names, the halted flag and cycle count, the
+record's size before compression, and a per-cell statistics blob:
+``keys()`` and ``len()`` are pure index reads, and
 ``load_many`` and ``iter_results`` return lazily-decoded results —
-statistics come from the manifest, snapshot payloads decompress only
-when touched — so analysis passes that read statistics do zero segment
-I/O.  Writers append a record and flush *before* indexing it, so a
-crash leaves at worst an unindexed orphan tail — never an indexed cell
-without bytes; each writer instance owns its segment, so concurrent
-writers never interleave.
-``ResultStore.compact()`` folds live records into fresh sealed
-segments and reclaims dead bytes.
+statistics come from the row, records decompress only when touched —
+so analysis passes that read statistics decode no record.  A save is
+one INSERT, so a cell is stored whole or not at all, and concurrent
+writers, threads or processes, share the one WAL-mode database.
 
-**Legacy stores and migration.**  Segment files are the only format
-the store reads.  Earlier releases wrote one JSON envelope per cell,
-``<benchmark>__<config>__<scheme>__<digest12>.json`` in the store root;
-no read path serves those files.  ``python -m repro store migrate``
-folds them into segments in place, preserving each envelope verbatim
-(key, meta, and ``model_version`` stamp included), and ``python -m
-repro store stats`` reports cell/segment counts, bytes on disk,
-compression ratio, and how many unmigrated JSON files remain.
+**Stores of another format.**  The database's ``meta`` table names
+its format, and the store reads it before writing anything.  A
+directory of another format — such as ``segments-v1``, the segment
+files and manifest earlier releases wrote — is refused with an error
+naming both formats and the directory, and left as it was; its cells
+are simulated again in a fresh directory, as after a model-version
+bump.
 
 **Version invalidation and maintenance.**  The model version stamp
 (:data:`~repro.harness.store.MODEL_VERSION`, the package version)
 participates in every hash: bumping the version changes every key, so
 results computed by an older simulator are never reused — they simply
 stop being found.  Eviction is no longer all-or-nothing:
-``ResultStore.verify()`` quarantines corrupt records (healthy
-neighbours are salvaged, the damaged segment is set aside as
-``*.corrupt``) and drops version-stale cells, ``ResultStore.gc(
-keep_keys)`` evicts everything outside a caller-supplied key set and
-reports the bytes reclaimed, and all of it is scriptable as
-``python -m repro store {verify,gc,stats,compact,migrate}``.
+``ResultStore.verify()`` decodes every row and deletes corrupt and
+version-stale ones, ``ResultStore.gc(keep_keys)`` deletes everything
+outside a caller-supplied key set, runs ``VACUUM`` to shrink the file
+and reports the bytes reclaimed, and all of it is scriptable as
+``python -m repro store {verify,gc,stats,failures}``.
 Maintenance verbs are offline operations: run them without concurrent
 writers.
 
@@ -179,11 +172,9 @@ cells of one benchmark generate its program once per process.
     python -m repro run all --jobs 8             # everything, parallel
     python -m repro grid --executor cluster --local-workers 4
     python -m repro store failures               # recorded cell failures
-    python -m repro store verify                 # quarantine corrupt/stale
+    python -m repro store verify                 # drop corrupt/stale cells
     python -m repro store gc --scale 1.0         # evict off-grid cells
-    python -m repro store stats                  # cells/segments/bytes
-    python -m repro store compact                # fold + reclaim segments
-    python -m repro store migrate                # legacy JSON -> segments
+    python -m repro store stats                  # format/cells/bytes
 
 ``grid`` and ``run`` choose the backend with ``--executor
 {pool,cluster}``: the default ``pool`` runs ``--jobs N`` processes

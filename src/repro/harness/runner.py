@@ -18,9 +18,9 @@ Three layers cooperate:
 
 - the in-process dict cache (always on, per-runner);
 - an optional persistent :class:`~repro.harness.store.ResultStore`
-  (segment files + manifest index on disk — see
-  :mod:`repro.harness.segments`) consulted before simulating and updated
-  after, so repeated processes skip already-simulated cells;
+  (one SQLite file on disk — see :mod:`repro.harness.store`) consulted
+  before simulating and updated after, so repeated processes skip
+  already-simulated cells;
 - an :class:`~repro.harness.executor.Executor`, to which
   :meth:`CampaignRunner.run_cell_batch` hands the *uncached* cells of
   a batch: in-process by default, or a pool or cluster the caller

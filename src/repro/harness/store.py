@@ -18,21 +18,24 @@ distinct configurations that happen to share a name (two ad-hoc
 other's results.  Bumping the package version invalidates every stored
 cell at once, because the stamp participates in the hash.
 
-On disk the store is **segment-backed** (format ``segments-v1``, see
-:mod:`repro.harness.segments` for the byte-level contract)::
+On disk the store is one SQLite database (format ``sqlite-v1``)::
 
     results/store/
-        manifest.db            SQLite manifest + full-key index
-        segments/seg-NNNNNN.seg   append-only record segments
-        failures/*.json        CellFailure records (unchanged format)
+        manifest.db            one ``cells`` row per cell
+        failures/*.json        CellFailure records
 
-Results append as compressed records into segment files; the manifest
-maps every full 64-hex key to its record and carries the
-benchmark/config/scheme columns plus per-cell statistics, so
-``keys()``/``__len__`` are O(index) with zero file opens, and
-``load_many``/``iter_results`` return lazily-decoded results whose
-statistics come from the manifest — a pass that reads only statistics
-never decompresses a snapshot.
+A ``cells`` row holds the cell's full 64-hex key, its
+benchmark/config/scheme names, halted flag and cycle count, its
+pickled statistics, the size of its record before compression and,
+as the last column, the record: the envelope ``{"key",
+"model_version", "meta", "result"}`` as canonical JSON (sorted keys,
+compact separators), zlib-compressed.  ``keys()``/``__len__`` read
+only the key index, and ``load_many``/``iter_results`` return
+lazily-decoded results whose statistics come from the row — a pass
+that reads only statistics never decompresses a record.  A save is
+one INSERT, so a cell is stored whole or not at all, and WAL
+journaling lets any number of readers and writers, threads or
+processes, share one store.
 
 A campaign cell's record stores its final memory image as the few
 words that differ from its program's initial image (see
@@ -51,12 +54,10 @@ shares rather than copies — lazily, when ``memory`` is read.  Records
 whose meta names no SPEC proxy, and those written before deltas, hold
 the whole image and load unchanged.
 
-Segment files are the only format the store reads.  The JSON-file-per-
-cell layout of earlier releases (one ``<prefix>__<digest12>.json`` per
-cell in the store root) is invisible to every read path until
-``python -m repro store migrate`` (:meth:`ResultStore.migrate`, the one
-method that reads that layout) folds it into segments; ``store stats``
-counts such files and says so.
+A directory written in another store format, such as the segment
+files and manifest of format ``segments-v1``, is refused when the
+store first opens it, before anything is written there: its cells are
+simulated again, as after a model-version bump.
 
 Failures are first-class: a cell the campaign could not complete —
 quarantined after repeatedly killing workers, or a deterministic
@@ -74,25 +75,13 @@ import os
 import pathlib
 import pickle
 import re
-import shutil
+import sqlite3
 import tempfile
 import threading
+import zlib
 
 from repro import __version__
 from repro.core.registry import canonical_name
-from repro.harness.segments import (
-    CorruptRecord,
-    FORMAT_VERSION,
-    MANIFEST_NAME,
-    Manifest,
-    SEGMENT_BYTES,
-    SEGMENT_DIR,
-    SEGMENT_SUFFIX,
-    decode_envelope,
-    encode_envelope,
-    pack_record,
-    unpack_record,
-)
 from repro.pipeline.core import SimulationResult, decode_memory
 from repro.pipeline.stats import SimStats
 from repro.workloads.program_cache import cached_spec_program
@@ -103,6 +92,55 @@ MODEL_VERSION = __version__
 
 #: Default on-disk location, overridable via the environment.
 DEFAULT_STORE_DIR = os.environ.get("REPRO_STORE_DIR", "results/store")
+
+#: The store's database file under its root.
+MANIFEST_NAME = "manifest.db"
+
+#: Store format generation (``meta`` table, key ``format``).
+FORMAT_VERSION = "sqlite-v1"
+
+#: Database page size, set before the file's first write.  A row is
+#: about 2.3 KiB, most of it in overflow pages, and the last page of
+#: each row's chain is partly empty, so smaller pages waste less.
+#: Measured on perfbench's campaign-cluster and rerun-warm stores
+#: (SQLite 3.40): 2,405 and 2,341 B/cell on disk with 1 KiB pages;
+#: 3,041 and 2,870 with SQLite's default 4 KiB, which is 18% more than
+#: the 2,442 the segment files this format replaced took on rerun-warm.
+PAGE_SIZE = 1024
+
+#: zlib level for records: decompression speed over ratio — bulk reads
+#: decompress every record they touch.
+COMPRESS_LEVEL = 1
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS meta (
+    k TEXT PRIMARY KEY,
+    v TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS cells (
+    key TEXT PRIMARY KEY,
+    benchmark TEXT,
+    config TEXT,
+    scheme TEXT,
+    halted INTEGER,
+    result_cycles INTEGER,
+    raw_length INTEGER NOT NULL,
+    stats BLOB,
+    record BLOB NOT NULL
+);
+"""
+
+_INSERT = ("INSERT OR REPLACE INTO cells (key, benchmark, config, scheme,"
+           " halted, result_cycles, raw_length, stats, record)"
+           " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)")
+
+#: Every column a lazy result starts from: all but the record, which
+#: it reads only when its snapshot is touched.
+_SELECT_ROW = ("SELECT key, benchmark, config, scheme, halted,"
+               " result_cycles, stats FROM cells")
+
+#: SQLite limits ``IN (...)`` parameter lists; chunk batched lookups.
+_IN_CHUNK = 500
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -147,6 +185,31 @@ class CellFailure:
                    self.kind, self.attempts, self.error))
 
 
+def encode_envelope(envelope):
+    """Canonical JSON + zlib: the stored record of one envelope.
+
+    Returns ``(record, raw_length)`` — the compressed bytes and the
+    size before compression (kept in the row for compression-ratio
+    accounting).
+    """
+    raw = json.dumps(envelope, sort_keys=True,
+                     separators=(",", ":")).encode("utf-8")
+    return zlib.compress(raw, COMPRESS_LEVEL), len(raw)
+
+
+def decode_envelope(record):
+    """Inverse of :func:`encode_envelope`.
+
+    Raises :class:`ValueError` on damaged bytes; zlib's Adler-32
+    checksum covers the whole record.
+    """
+    try:
+        raw = zlib.decompress(record)
+    except zlib.error as exc:
+        raise ValueError("undecodable store record: %s" % exc) from None
+    return json.loads(raw.decode("utf-8"))
+
+
 def simulation_key(benchmark, config, scheme_name, scheme_kwargs=None,
                    scale=1.0, seed=2017, model_version=MODEL_VERSION):
     """Content hash identifying one grid cell; returns a hex digest.
@@ -182,13 +245,13 @@ def cell_filename(benchmark, config_name, scheme_name, key):
 
 
 class _StatsUnpickler(pickle.Unpickler):
-    """Unpickler restricted to the one class manifest blobs may hold."""
+    """Unpickler restricted to the one class stats blobs may hold."""
 
     def find_class(self, module, name):
         if module == "repro.pipeline.stats" and name == "SimStats":
             return SimStats
         raise pickle.UnpicklingError(
-            "manifest stats blob references %s.%s" % (module, name))
+            "stats blob references %s.%s" % (module, name))
 
 
 def _pickle_stats(stats):
@@ -199,9 +262,9 @@ def _pickle_stats(stats):
 
 
 def _unpickle_stats(blob):
-    """Decode a manifest stats blob, or ``None`` when it cannot be
+    """Decode a row's stats blob, or ``None`` when it cannot be
     trusted (missing, truncated, foreign class) — callers fall back to
-    the authoritative segment payload."""
+    the authoritative record."""
     if not blob:
         return None
     try:
@@ -222,18 +285,68 @@ def _cell_program(meta):
         return None
 
 
+def _connect(path):
+    """Open the store database at ``path``, creating it when new.
+
+    The format is read before anything is written, so a database of
+    another format is refused and left as it was.
+    """
+    conn = sqlite3.connect(str(path), timeout=30.0, check_same_thread=False)
+    conn.row_factory = sqlite3.Row
+    try:
+        row = conn.execute("SELECT v FROM meta WHERE k='format'").fetchone()
+    except sqlite3.OperationalError:  # no meta table: a new database
+        row = None
+    if row is None:
+        conn.execute("PRAGMA page_size=%d" % PAGE_SIZE)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.DatabaseError:
+            pass  # WAL unsupported (exotic fs): the default journal works
+        conn.executescript(_SCHEMA)
+        conn.execute("INSERT OR IGNORE INTO meta VALUES ('format', ?)",
+                     (FORMAT_VERSION,))
+        conn.commit()
+    elif row[0] != FORMAT_VERSION:
+        conn.close()
+        raise RuntimeError(
+            "store manifest %s was written in store format %r; this build"
+            " reads only %r.  Move the store directory %s aside (its cells"
+            " will be simulated again) or read it with the build that"
+            " wrote it" % (path, row[0], FORMAT_VERSION, path.parent))
+    conn.execute("PRAGMA synchronous=NORMAL")
+    return conn
+
+
+def _verdict(key, record):
+    """``"kept"``, ``"stale"`` or ``"corrupt"``: one row's record
+    decoded, its key matched and its result round-tripped (a delta
+    record against its cell's program)."""
+    try:
+        env = decode_envelope(record)
+        if env["key"] != key:
+            return "corrupt"
+        SimulationResult.from_dict(env["result"],
+                                   _cell_program(env.get("meta")))
+    except (ValueError, KeyError, TypeError):
+        return "corrupt"
+    return "kept" if env.get("model_version") == MODEL_VERSION else "stale"
+
+
 class _StoredResult(SimulationResult):
     """A stored result whose heavy fields decode on first access.
 
     Identity (names, halted, cycles) and statistics come straight from
-    the manifest row; the architectural snapshot (``regs``/``memory``/
-    ``extra``) is only read and decompressed from its segment when
-    actually touched.  This is what makes ``load_many`` and
+    the cell's row; the architectural snapshot (``regs``/``memory``/
+    ``extra``) is only read and decompressed from the row's record
+    when actually touched.  This is what makes ``load_many`` and
     ``iter_results`` over 10^4 cells an index scan instead of 10^4
     decompress+parse round trips.  ``memory`` decodes later still: a
     campaign cell's record holds only the words it changed, and its
     view over the program's image needs the cell's program, which
     reading ``regs``, ``extra`` or the statistics never generates.
+    The pickled statistics are dropped once decoded, so a result holds
+    its ``SimStats`` once.
     """
 
     @classmethod
@@ -248,18 +361,15 @@ class _StoredResult(SimulationResult):
         d["_key"] = row["key"]
         d["_store"] = store
         d["_stats_blob"] = row["stats"]
-        d["_segment_name"] = row["segment_name"]
-        d["_offset"] = row["offset"]
-        d["_length"] = row["length"]
         return self
 
     def _materialise(self):
-        env = self._store._read_cell(
-            self.__dict__["_key"], self.__dict__["_segment_name"],
-            self.__dict__["_offset"], self.__dict__["_length"])
-        data = env["result"]
         d = self.__dict__
-        d.setdefault("_stats", SimStats.from_dict(data["stats"]))
+        env = self._store._read_envelope(d["_key"])
+        data = env["result"]
+        if "_stats" not in d:
+            d["_stats"] = SimStats.from_dict(data["stats"])
+        d.pop("_stats_blob", None)
         d["_regs"] = list(data["regs"])
         d["_extra"] = dict(data.get("extra", {}))
         d["_envelope"] = env
@@ -268,7 +378,7 @@ class _StoredResult(SimulationResult):
     def stats(self):
         d = self.__dict__
         if "_stats" not in d:
-            cached = _unpickle_stats(d.get("_stats_blob"))
+            cached = _unpickle_stats(d.pop("_stats_blob", None))
             if cached is not None:
                 d["_stats"] = cached
             else:
@@ -278,6 +388,7 @@ class _StoredResult(SimulationResult):
     @stats.setter
     def stats(self, value):
         self.__dict__["_stats"] = value
+        self.__dict__.pop("_stats_blob", None)
 
     @property
     def regs(self):
@@ -316,96 +427,52 @@ class _StoredResult(SimulationResult):
 
 
 class ResultStore:
-    """Segment-backed result store rooted at one directory.
+    """SQLite-backed result store rooted at one directory.
 
     Surface: ``save``/``load``/``load_many``/``iter_results``/
-    ``keys``/``verify``/``gc``/``clear``, the failure-record API,
-    ``in``/``len``, the maintenance verbs (:meth:`compact`,
-    :meth:`migrate`, :meth:`stats`), and :meth:`load_envelope` for
-    format-level tooling.  Every read answers from the manifest and
-    its segments; JSON files in the root are input for
-    :meth:`migrate` only.
+    ``keys``/``verify``/``gc``/``stats``/``clear``, the failure-record
+    API, ``in``/``len``, and :meth:`load_envelope` for format-level
+    tooling.
 
-    Concurrency: any number of reader instances (threads or processes)
-    may overlap any number of writers — readers always consult the
-    manifest, and every writer instance appends to its *own* segment.
-    The maintenance verbs (``verify``/``gc``/``compact``/``migrate``)
-    rewrite shared state and are offline operations: run them without
-    concurrent writers.
+    Concurrency: an instance owns one connection, which its threads
+    share under its lock, and any number of instances, in threads or
+    processes, may read and write one store at once (WAL journaling
+    and a busy timeout).  ``verify`` and ``gc`` rewrite the store:
+    run them without concurrent writers.
     """
 
     def __init__(self, root=None):
         self.root = pathlib.Path(root or DEFAULT_STORE_DIR)
-        self._manifest = None
-        self._active = None  # this instance's open segment, grown lazily
+        self._conn = None
         self._lock = threading.RLock()
-
-    # -- manifest / segment plumbing --------------------------------------
 
     @property
     def manifest_path(self):
         return self.root / MANIFEST_NAME
 
-    @property
-    def segments_dir(self):
-        return self.root / SEGMENT_DIR
-
-    def _manifest_if_exists(self):
-        """The manifest, or ``None`` — never creates files on a read."""
-        if self._manifest is None and self.manifest_path.exists():
-            self._manifest = Manifest(self.manifest_path)
-        return self._manifest
-
-    def _manifest_rw(self):
-        if self._manifest is None:
+    def _db(self, create=False):
+        """The open connection, or ``None`` when no database exists and
+        ``create`` is false, so a read never creates files.  Call with
+        the lock held."""
+        if self._conn is None:
+            if not create and not self.manifest_path.exists():
+                return None
             self.root.mkdir(parents=True, exist_ok=True)
-            self._manifest = Manifest(self.manifest_path)
-        return self._manifest
+            self._conn = _connect(self.manifest_path)
+        return self._conn
 
-    def _legacy_files(self):
-        """Unmigrated JSON-per-cell files in the store root, sorted."""
-        return sorted(self.root.glob("*.json"))
-
-    def _active_segment(self, need):
-        """This instance's open segment, rolled when ``need`` more
-        bytes would push it past the seal threshold."""
-        active = self._active
-        if (active is not None and active["offset"] > 0
-                and active["offset"] + need > SEGMENT_BYTES):
-            self._seal_active()
-            active = None
-        if active is None:
-            manifest = self._manifest_rw()
-            segment_id, name = manifest.add_segment()
-            self.segments_dir.mkdir(parents=True, exist_ok=True)
-            path = self.segments_dir / name
-            handle = open(path, "ab")
-            active = self._active = {
-                "id": segment_id, "path": path,
-                "handle": handle, "offset": handle.tell(),
-            }
-        return active
-
-    def _seal_active(self):
-        active, self._active = self._active, None
-        if active is None:
-            return
-        try:
-            active["handle"].close()
-        except OSError:
-            pass
-        try:
-            self._manifest_rw().seal_segment(active["id"])
-        except Exception:
-            pass
+    def _query(self, sql, params=()):
+        """Every row of one read; none while no database exists."""
+        with self._lock:
+            db = self._db()
+            return [] if db is None else db.execute(sql, params).fetchall()
 
     def close(self):
-        """Release the open segment handle and manifest connection."""
+        """Close the connection; the next call opens it again."""
         with self._lock:
-            self._seal_active()
-            if self._manifest is not None:
-                self._manifest.close()
-                self._manifest = None
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     def __del__(self):
         try:
@@ -413,125 +480,97 @@ class ResultStore:
         except Exception:
             pass
 
-    def _append_envelope(self, envelope, stats=None):
-        """Append one envelope as a segment record + manifest row.
-
-        The record is flushed *before* the row commits, so a crash
-        between the two leaves an unindexed orphan (reclaimed by
-        :meth:`compact`), never an indexed cell without bytes.  The
-        envelope's own ``model_version`` is recorded — migration and
-        salvage preserve foreign stamps for :meth:`verify` to judge.
-        """
-        payload, raw_length = encode_envelope(envelope)
-        record = pack_record(payload)
-        data = envelope.get("result") or {}
-        if stats is None:
-            try:
-                stats = SimStats.from_dict(data["stats"])
-            except (ValueError, KeyError, TypeError):
-                stats = None
+    def _insert_envelope(self, envelope, stats=None):
+        """Store one envelope as its cell's row: one INSERT, replacing
+        any earlier row for the key.  Without ``stats`` the row holds
+        no stats blob, and lazy results decode statistics from the
+        record."""
+        record, raw_length = encode_envelope(envelope)
+        data = envelope["result"]
+        row = (envelope["key"], data.get("program_name"),
+               data.get("config_name"), data.get("scheme_name"),
+               1 if data.get("halted") else 0, data.get("cycles", 0),
+               raw_length, None if stats is None else _pickle_stats(stats),
+               record)
         with self._lock:
-            manifest = self._manifest_rw()
-            active = self._active_segment(len(record))
-            offset = active["offset"]
-            active["handle"].write(record)
-            active["handle"].flush()
-            active["offset"] = offset + len(record)
-            manifest.upsert_cell({
-                "key": envelope["key"],
-                "segment": active["id"],
-                "offset": offset,
-                "length": len(record),
-                "raw_length": raw_length,
-                "benchmark": data.get("program_name"),
-                "config": data.get("config_name"),
-                "scheme": data.get("scheme_name"),
-                "model_version": envelope.get("model_version"),
-                "halted": 1 if data.get("halted") else 0,
-                "result_cycles": data.get("cycles", 0),
-                "cycles": getattr(stats, "cycles", None),
-                "committed": getattr(stats, "committed_instructions", None),
-                "stats": _pickle_stats(stats) if stats is not None else None,
-            })
-            return active["path"]
+            db = self._db(create=True)
+            with db:
+                db.execute(_INSERT, row)
 
-    def _read_at(self, segment_name, offset, length):
-        path = self.segments_dir / segment_name
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            record = handle.read(length)
-        return decode_envelope(unpack_record(record))
-
-    def _read_cell(self, key, segment_name, offset, length):
-        """Read + validate one cell's envelope from its segment.
-
-        Retries through a fresh manifest lookup when the locator went
-        stale (the record was relocated by a concurrent ``compact``),
-        so lazily-decoded results survive store maintenance.
-        """
+    def _read_envelope(self, key):
+        """One cell's decoded envelope: :class:`KeyError` when the
+        store holds no row for ``key``, :class:`ValueError` naming
+        ``store verify`` when its record is damaged."""
+        rows = self._query("SELECT record FROM cells WHERE key=?", (key,))
+        if not rows:
+            raise KeyError("cell %s is not in the store" % key)
         try:
-            env = self._read_at(segment_name, offset, length)
-            if env.get("key") == key:
+            env = decode_envelope(rows[0][0])
+            if env["key"] == key:
                 return env
-        except (OSError, CorruptRecord, ValueError):
+        except (ValueError, KeyError, TypeError):
             pass
-        manifest = self._manifest_if_exists()
-        row = manifest.cell(key) if manifest is not None else None
-        if row is None:
-            raise KeyError("cell %s vanished from the store index" % key)
-        env = self._read_at(row["segment_name"], row["offset"], row["length"])
-        if env.get("key") != key:
-            raise CorruptRecord(
-                "segment record for %s holds key %r — run"
-                " 'python -m repro store verify'" % (key, env.get("key")))
-        return env
+        raise ValueError("the stored record of cell %s is damaged — run"
+                         " 'python -m repro store verify'" % key)
 
     # -- membership / keys ------------------------------------------------
 
     def __contains__(self, key):
-        manifest = self._manifest_if_exists()
-        return manifest is not None and manifest.has_key(key)
+        return bool(self._query("SELECT 1 FROM cells WHERE key=?", (key,)))
 
     def __len__(self):
-        manifest = self._manifest_if_exists()
-        return manifest.count() if manifest is not None else 0
+        rows = self._query("SELECT COUNT(*) FROM cells")
+        return rows[0][0] if rows else 0
 
     def keys(self):
         """Full keys of every stored cell — straight off the index."""
-        manifest = self._manifest_if_exists()
-        return manifest.keys() if manifest is not None else []
+        return [row[0] for row in self._query("SELECT key FROM cells")]
 
     # -- bulk reads -------------------------------------------------------
 
     def iter_results(self):
         """Yield every stored result (analysis bulk read).
 
-        One lazily-decoded result per manifest row, in record order:
-        identity and statistics come from the manifest, so a pass that
-        reads only statistics never opens a segment; the snapshot
-        decodes when touched, exactly as for :meth:`load_many`.
+        One lazily-decoded result per row: identity and statistics come
+        from the row, so a pass that reads only statistics never
+        decompresses a record; the snapshot decodes when touched,
+        exactly as for :meth:`load_many`.
         """
-        manifest = self._manifest_if_exists()
-        if manifest is None:
-            return
-        for row in manifest.iter_cells(with_stats=True):
-            yield _StoredResult._from_row(self, row)
+        with self._lock:
+            db = self._db()
+            if db is None:
+                return
+            cursor = db.execute(_SELECT_ROW)
+        while True:
+            with self._lock:
+                rows = cursor.fetchmany(1024)
+            if not rows:
+                return
+            for row in rows:
+                yield _StoredResult._from_row(self, row)
 
     def load_many(self, keys):
         """Bulk read: ``{key: SimulationResult}`` for every hit.
 
         Hits come back as lazily-decoded results: the identity and
-        statistics are served from the manifest, and the architectural
-        snapshot decompresses from its segment only when touched.
-        Keys the index does not hold are simply absent from the
+        statistics are served from the row, and the architectural
+        snapshot decompresses from its record only when touched.
+        Keys the store does not hold are simply absent from the
         returned dict (callers treat absence as "needs simulating").
         """
-        manifest = self._manifest_if_exists()
-        if manifest is None:
-            return {}
-        return {key: _StoredResult._from_row(self, row)
-                for key, row in manifest.cells_for(
-                    dict.fromkeys(keys)).items()}
+        keys = list(dict.fromkeys(keys))
+        found = {}
+        with self._lock:
+            db = self._db()
+            if db is None:
+                return found
+            for start in range(0, len(keys), _IN_CHUNK):
+                chunk = keys[start:start + _IN_CHUNK]
+                query = (_SELECT_ROW + " WHERE key IN (%s)"
+                         % ",".join("?" * len(chunk)))
+                for row in db.execute(query, chunk):
+                    found[row["key"]] = _StoredResult._from_row(self, row)
+        return found
 
     # -- round-tripping ---------------------------------------------------
 
@@ -550,27 +589,20 @@ class ResultStore:
         """The raw stored envelope (``{"key", "model_version", "meta",
         "result"}``) for ``key``, or ``None`` — format-level access for
         tooling and chaos equivalence checks."""
-        manifest = self._manifest_if_exists()
-        row = manifest.cell(key) if manifest is not None else None
-        if row is None:
-            return None
         try:
-            env = self._read_at(row["segment_name"], row["offset"],
-                                row["length"])
-        except (OSError, CorruptRecord, ValueError):
+            return self._read_envelope(key)
+        except (KeyError, ValueError):
             return None
-        return env if env.get("key") == key else None
 
     def save(self, key, result, meta=None):
-        """Persist one result; returns the segment path it landed in.
+        """Persist one result as its cell's row (one INSERT).
 
-        Appends a record to this instance's segment and indexes it in
-        the manifest.  When ``meta`` names the cell's benchmark, scale
-        and seed, as the runner's does, the memory image is stored as
-        the words that differ from the program's initial image, found
-        in O(words written) for a result whose memory is a view over
-        that image: one from a core, the pool or a decoded record (see
-        the module docstring).
+        When ``meta`` names the cell's benchmark, scale and seed, as
+        the runner's does, the memory image is stored as the words that
+        differ from the program's initial image, found in O(words
+        written) for a result whose memory is a view over that image:
+        one from a core, the pool or a decoded record (see the module
+        docstring).
         """
         meta = dict(meta or {})
         envelope = {
@@ -579,26 +611,17 @@ class ResultStore:
             "meta": meta,
             "result": result.to_dict(_cell_program(meta)),
         }
-        return self._append_envelope(envelope, stats=result.stats)
+        self._insert_envelope(envelope, stats=result.stats)
 
     def clear(self):
         """Delete every stored cell (keeps the directory)."""
         with self._lock:
-            active, self._active = self._active, None
-            if active is not None:
-                try:
-                    active["handle"].close()
-                except OSError:
-                    pass
-            if self._manifest is not None:
-                self._manifest.close()
-                self._manifest = None
+            self.close()
             for suffix in ("", "-wal", "-shm"):
                 try:
                     os.unlink(str(self.manifest_path) + suffix)
                 except OSError:
                     pass
-            shutil.rmtree(self.segments_dir, ignore_errors=True)
 
     # -- failure records --------------------------------------------------
 
@@ -690,113 +713,43 @@ class ResultStore:
     # -- eviction / integrity ---------------------------------------------
 
     def verify(self):
-        """Integrity sweep: quarantine corrupt cells, drop stale ones.
+        """Integrity sweep: delete corrupt and stale rows.
 
-        Every record is re-read and validated (frame + CRC + JSON + key
-        match + :meth:`SimulationResult.from_dict` round-trip, a delta
-        record against its cell's program).  A
-        segment holding any corrupt record has its healthy records
-        salvaged into a fresh segment, then the whole file is set aside
-        with a ``.corrupt`` suffix — out of the index, preserved for
-        post-mortem.  Cells whose ``model_version`` stamp differs from
-        the running :data:`MODEL_VERSION` are *stale*: unreachable
-        anyway (their keys can never be recomputed), their index rows
-        are dropped and their bytes reclaimed at the next
-        :meth:`compact`.  Unmigrated JSON files in the root are left
-        for :meth:`migrate`.  Offline operation.  Returns ``{"scanned",
-        "kept", "corrupt", "stale"}``.
+        Every row's record is decoded and checked: zlib's Adler-32
+        checksum, the JSON, the key match, and a
+        :meth:`SimulationResult.from_dict` round trip, a delta record
+        against its cell's program.  Corrupt rows are deleted, so the
+        next campaign simulates their cells again.  Rows whose
+        ``model_version`` stamp differs from the running
+        :data:`MODEL_VERSION` are *stale*: unreachable anyway (their
+        keys can never be recomputed), and deleted too.  Offline
+        operation.  Returns ``{"scanned", "kept", "corrupt",
+        "stale"}``.
         """
         summary = {"scanned": 0, "kept": 0, "corrupt": 0, "stale": 0}
+        drop = []
         with self._lock:
-            manifest = self._manifest_if_exists()
-            if manifest is not None:
-                self._verify_segments(manifest, summary)
+            db = self._db()
+            if db is None:
+                return summary
+            for key, record in db.execute("SELECT key, record FROM cells"):
+                verdict = _verdict(key, record)
+                summary["scanned"] += 1
+                summary[verdict] += 1
+                if verdict != "kept":
+                    drop.append((key,))
+            with db:
+                db.executemany("DELETE FROM cells WHERE key=?", drop)
         return summary
 
-    def _verify_segments(self, manifest, summary):
-        verdicts = {}  # segment_id -> [(key, verdict)]
-        names = {}
-        current_name, handle = None, None
-        try:
-            for row in manifest.iter_cells(with_stats=False):
-                if row["segment_name"] != current_name:
-                    if handle is not None:
-                        handle.close()
-                    current_name, handle = row["segment_name"], None
-                    try:
-                        handle = open(self.segments_dir / current_name, "rb")
-                    except OSError:
-                        pass
-                names[row["segment"]] = row["segment_name"]
-                summary["scanned"] += 1
-                verdict = "corrupt"
-                if handle is not None:
-                    try:
-                        handle.seek(row["offset"])
-                        env = decode_envelope(
-                            unpack_record(handle.read(row["length"])))
-                        key = env["key"]
-                        if (isinstance(key, str) and len(key) == 64
-                                and key == row["key"]):
-                            SimulationResult.from_dict(
-                                env["result"],
-                                _cell_program(env.get("meta")))
-                            verdict = (
-                                "kept" if env.get("model_version")
-                                == MODEL_VERSION else "stale")
-                    except (OSError, CorruptRecord, ValueError, KeyError,
-                            TypeError):
-                        verdict = "corrupt"
-                summary[verdict] += 1
-                verdicts.setdefault(row["segment"], []).append(
-                    (row["key"], verdict))
-        finally:
-            if handle is not None:
-                handle.close()
-
-        stale_keys = [key for cells in verdicts.values()
-                      for key, verdict in cells if verdict == "stale"]
-        if stale_keys:
-            manifest.delete_cells(stale_keys)
-        for segment_id, cells in verdicts.items():
-            if all(verdict != "corrupt" for _, verdict in cells):
-                continue
-            self._quarantine_segment(manifest, segment_id,
-                                     names[segment_id], cells)
-
-    def _quarantine_segment(self, manifest, segment_id, name, cells):
-        """Salvage healthy records out of a corrupt segment, then set
-        the whole file aside as ``<name>.corrupt``."""
-        if self._active is not None and self._active["id"] == segment_id:
-            self._seal_active()
-        for key, verdict in cells:
-            if verdict != "kept":
-                continue
-            row = manifest.cell(key)
-            if row is None or row["segment"] != segment_id:
-                continue  # already relocated
-            try:
-                env = self._read_at(name, row["offset"], row["length"])
-                self._append_envelope(env)
-            except (OSError, CorruptRecord, ValueError, KeyError):
-                continue
-        manifest.delete_cells(
-            [key for key, verdict in cells if verdict == "corrupt"])
-        path = self.segments_dir / name
-        try:
-            os.replace(path, str(path) + ".corrupt")
-        except OSError:
-            pass
-        manifest.delete_segment(segment_id)
-
-    def _segment_disk_bytes(self):
+    def _disk_bytes(self):
+        """The database's size on disk, WAL and shared memory included."""
         total = 0
-        if self.segments_dir.is_dir():
-            for path in self.segments_dir.glob("*" + SEGMENT_SUFFIX):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    pass
+        for suffix in ("", "-wal", "-shm"):
+            try:
+                total += os.stat(str(self.manifest_path) + suffix).st_size
+            except OSError:
+                pass
         return total
 
     def gc(self, keep_keys):
@@ -805,194 +758,45 @@ class ResultStore:
         The targeted counterpart of :meth:`clear`: callers compute the
         keys of the grid slices they still care about and every other
         cell — stale model versions, abandoned scales, ad-hoc configs —
-        is dropped from the index, then :meth:`compact` rewrites the
-        survivors and reclaims the dead bytes.  Offline operation.
-        Returns ``{"scanned", "kept", "dropped", "bytes_reclaimed"}``.
+        is deleted, then ``VACUUM`` rewrites the file without their
+        pages.  Offline operation.  Returns ``{"scanned", "kept",
+        "dropped", "bytes_reclaimed"}``.
         """
         keep = set(keep_keys)
-        summary = {"scanned": 0, "kept": 0, "dropped": 0,
-                   "bytes_reclaimed": 0}
         with self._lock:
-            manifest = self._manifest_if_exists()
-            if manifest is not None:
-                all_keys = manifest.keys()
-                drop = [key for key in all_keys if key not in keep]
-                summary["scanned"] = len(all_keys)
-                summary["kept"] = len(all_keys) - len(drop)
-                summary["dropped"] = len(drop)
-                if drop:
-                    manifest.delete_cells(drop)
-                    before = self._segment_disk_bytes()
-                    self.compact()
-                    summary["bytes_reclaimed"] = max(
-                        0, before - self._segment_disk_bytes())
-        return summary
-
-    def compact(self):
-        """Fold live records into fresh sealed segments.
-
-        Copies every indexed record verbatim (CRC-checked, never
-        re-encoded) into new segments in index order, then deletes all
-        old segment files — reclaiming dead bytes left by overwrites,
-        evictions, and orphaned appends, and folding the single-record
-        segments short-lived writer instances leave behind.  Records
-        whose CRC fails during the copy are dropped from the index and
-        counted.  Offline operation.  Returns a summary dict.
-        """
-        with self._lock:
-            manifest = self._manifest_if_exists()
-            summary = {"cells": 0, "segments_before": 0, "segments_after": 0,
-                       "bytes_before": 0, "bytes_after": 0,
-                       "corrupt_dropped": 0}
-            if manifest is None:
-                return summary
-            self._seal_active()
-            old_segments = manifest.segments()
-            summary["segments_before"] = len(old_segments)
-            summary["bytes_before"] = self._segment_disk_bytes()
-
-            moves = []  # (segment_id, offset, key)
-            dropped = []
-            writer = None  # {"id","path","handle","offset"}
-            new_ids = set()
-            current_name, handle = None, None
-            try:
-                for row in manifest.iter_cells(with_stats=False):
-                    if row["segment_name"] != current_name:
-                        if handle is not None:
-                            handle.close()
-                        current_name, handle = row["segment_name"], None
-                        try:
-                            handle = open(
-                                self.segments_dir / current_name, "rb")
-                        except OSError:
-                            pass
-                    record = b""
-                    if handle is not None:
-                        try:
-                            handle.seek(row["offset"])
-                            record = handle.read(row["length"])
-                            unpack_record(record)
-                        except (OSError, CorruptRecord):
-                            record = b""
-                    if not record:
-                        dropped.append(row["key"])
-                        continue
-                    if writer is not None and writer["offset"] > 0 and \
-                            writer["offset"] + len(record) > SEGMENT_BYTES:
-                        writer["handle"].close()
-                        manifest.seal_segment(writer["id"])
-                        writer = None
-                    if writer is None:
-                        segment_id, name = manifest.add_segment()
-                        new_ids.add(segment_id)
-                        self.segments_dir.mkdir(parents=True, exist_ok=True)
-                        path = self.segments_dir / name
-                        writer = {"id": segment_id, "path": path,
-                                  "handle": open(path, "ab"), "offset": 0}
-                    moves.append((writer["id"], writer["offset"], row["key"]))
-                    writer["handle"].write(record)
-                    writer["offset"] += len(record)
-                    summary["cells"] += 1
-            finally:
-                if handle is not None:
-                    handle.close()
-                if writer is not None:
-                    writer["handle"].flush()
-                    writer["handle"].close()
-                    manifest.seal_segment(writer["id"])
-
-            manifest.relocate_cells(moves)
-            if dropped:
-                manifest.delete_cells(dropped)
-                summary["corrupt_dropped"] = len(dropped)
-            for segment in old_segments:
-                if segment["id"] in new_ids:
-                    continue
-                try:
-                    os.unlink(self.segments_dir / segment["name"])
-                except OSError:
-                    pass
-                manifest.delete_segment(segment["id"])
-            summary["segments_after"] = len(new_ids)
-            summary["bytes_after"] = self._segment_disk_bytes()
-            return summary
-
-    def migrate(self):
-        """Convert JSON-per-cell files in the root into segment records.
-
-        This is the only code that reads the layout earlier releases
-        wrote: one ``<benchmark>__<config>__<scheme>__<digest12>.json``
-        envelope per cell.  Each envelope is appended verbatim — key,
-        meta, and ``model_version`` stamp preserved — then its file is
-        deleted.  Unreadable or non-round-tripping files are skipped and
-        left in place.  Offline operation.  Returns ``{"migrated",
-        "skipped"}``.
-        """
-        summary = {"migrated": 0, "skipped": 0}
-        with self._lock:
-            for path in self._legacy_files():
-                try:
-                    with open(path) as handle:
-                        data = json.load(handle)
-                    key = data["key"]
-                    if not isinstance(key, str) or len(key) != 64:
-                        raise ValueError("bad key")
-                    stats = SimStats.from_dict(data["result"]["stats"])
-                except (OSError, ValueError, KeyError, TypeError):
-                    summary["skipped"] += 1
-                    continue
-                self._append_envelope(data, stats=stats)
-                try:
-                    path.unlink()
-                except OSError:
-                    summary["skipped"] += 1
-                    continue
-                summary["migrated"] += 1
+            keys = self.keys()
+            drop = [(key,) for key in keys if key not in keep]
+            summary = {"scanned": len(keys), "kept": len(keys) - len(drop),
+                       "dropped": len(drop), "bytes_reclaimed": 0}
+            if drop:
+                db = self._db()
+                before = self._disk_bytes()
+                with db:
+                    db.executemany("DELETE FROM cells WHERE key=?", drop)
+                db.execute("VACUUM")
+                # In WAL mode the vacuumed pages land in the WAL; the
+                # file shrinks only once they are checkpointed back.
+                db.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+                summary["bytes_reclaimed"] = max(
+                    0, before - self._disk_bytes())
         return summary
 
     def stats(self):
-        """Store-level accounting for ``python -m repro store stats``.
-
-        ``legacy_cells``/``legacy_bytes`` count the unmigrated JSON
-        files in the root, which no read path serves.
-        """
-        manifest = self._manifest_if_exists()
-        legacy_files = self._legacy_files()
-        legacy_bytes = 0
-        for path in legacy_files:
-            try:
-                legacy_bytes += path.stat().st_size
-            except OSError:
-                pass
-        manifest_bytes = 0
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                manifest_bytes += os.stat(
-                    str(self.manifest_path) + suffix).st_size
-            except OSError:
-                pass
-        segment_count = 0
-        if self.segments_dir.is_dir():
-            segment_count = sum(
-                1 for _ in self.segments_dir.glob("*" + SEGMENT_SUFFIX))
-        live, raw = manifest.totals() if manifest is not None else (0, 0)
-        segment_bytes = self._segment_disk_bytes()
+        """Store-level accounting for ``python -m repro store stats``:
+        ``live_bytes`` sums the compressed records, ``raw_bytes`` their
+        sizes before compression."""
+        rows = self._query("SELECT COUNT(*), COALESCE(SUM(LENGTH(record)), 0),"
+                           " COALESCE(SUM(raw_length), 0) FROM cells")
+        cells, live, raw = rows[0] if rows else (0, 0, 0)
         failures, unreadable = self.read_failures()
         return {
             "root": str(self.root),
             "format": FORMAT_VERSION,
-            "cells": manifest.count() if manifest is not None else 0,
-            "legacy_cells": len(legacy_files),
-            "segments": segment_count,
-            "segment_bytes": segment_bytes,
-            "manifest_bytes": manifest_bytes,
-            "legacy_bytes": legacy_bytes,
-            "disk_bytes": segment_bytes + manifest_bytes + legacy_bytes,
+            "cells": cells,
+            "disk_bytes": self._disk_bytes(),
             "live_bytes": live,
             "raw_bytes": raw,
             "compression_ratio": (raw / live) if live else None,
-            "legacy": bool(legacy_files),
             "failures": len(failures),
             "unreadable_failures": unreadable,
         }

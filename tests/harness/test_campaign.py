@@ -260,54 +260,42 @@ def test_runner_preload_from_store(tmp_path):
 
 
 def test_store_verify_drops_corrupt_and_stale(tmp_path):
-    import json
+    import sqlite3
 
-    from repro.harness.segments import SEGMENT_DIR
+    from repro.harness.store import MANIFEST_NAME
 
     store = ResultStore(tmp_path)
-    runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
-    key = runner.cell_key(BENCH, SMALL, "baseline")
-    result = runner.run(BENCH, SMALL, "baseline")
-    # One segment: a record to damage, the healthy cell, a stale stamp.
-    store.save("c" * 64, result)
-    store.save(key, result)
+    runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,), store=store)
+    cells = [(BENCH, SMALL, "baseline"), (BENCH, SMALL, "nda")]
+    runner.run_cell_batch(cells)
+    key, damaged = (runner.cell_key(*cell) for cell in cells)
+    # A stale stamp beside the two grid cells.
     stale_data = dict(store.load_envelope(key))
     stale_data["model_version"] = "0.0.0-ancient"
     stale_data["key"] = "d" * 64
-    store._append_envelope(stale_data)
-    store.close()
-    (segment,) = (tmp_path / SEGMENT_DIR).glob("*.seg")
-    blob = bytearray(segment.read_bytes())
-    blob[16:20] = b"\xff\xff\xff\xff"  # inside the first record
-    segment.write_bytes(bytes(blob))
+    store._insert_envelope(stale_data)
+    # Damage one row's record in place.
+    conn = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    (record,) = conn.execute("SELECT record FROM cells WHERE key=?",
+                             (damaged,)).fetchone()
+    with conn:
+        conn.execute("UPDATE cells SET record=? WHERE key=?",
+                     (record[:10] + b"\xff" * 4 + record[14:], damaged))
+    conn.close()
 
-    # JSON files in the root, readable or not, are input for migrate
-    # only: verify judges segment records and leaves them untouched.
-    corrupt = tmp_path / ("corrupt__x__y__%s.json" % ("b" * 12))
-    corrupt.write_text("{not json")
-    legacy = tmp_path / ("stale__x__y__%s.json" % ("d" * 12))
-    legacy.write_text(json.dumps(stale_data, sort_keys=True))
-    before = {path.name: path.read_bytes()
-              for path in tmp_path.glob("*.json")}
-
+    assert store.load(damaged) is None
+    with pytest.raises(ValueError, match="store verify"):
+        store.load_many([damaged])[damaged].regs
     summary = store.verify()
     assert summary == {"scanned": 3, "kept": 1, "corrupt": 1, "stale": 1}
-    # The damaged segment is set aside (forensics), the healthy cell
-    # salvaged, the stale row dropped.
-    assert segment.with_name(segment.name + ".corrupt").exists()
-    assert store.load(key) is not None
-    assert len(store) == 1
+    assert store.keys() == [key]
     assert store.verify() == {"scanned": 1, "kept": 1, "corrupt": 0,
                               "stale": 0}
-    assert {path.name: path.read_bytes()
-            for path in tmp_path.glob("*.json")} == before
-    assert store.stats()["legacy_cells"] == 2
-
-    # migrate takes the readable file (stamp preserved) and leaves the
-    # unreadable one where it was.
-    assert store.migrate() == {"migrated": 1, "skipped": 1}
-    assert corrupt.exists() and not legacy.exists()
-    assert store.load_envelope("d" * 64) == stale_data
+    # The next campaign simulates exactly the dropped cell.
+    rerun = CampaignRunner(scale=0.05, benchmarks=(BENCH,), store=store)
+    summary = rerun.run_cell_batch(cells)
+    assert (summary["from_store"], summary["simulated"]) == (1, 1)
+    assert store.load(damaged) is not None
 
 
 def test_store_failure_records_round_trip(tmp_path):
@@ -355,7 +343,7 @@ def test_store_gc_keeps_only_requested_keys(tmp_path):
     assert summary["scanned"] == 2
     assert summary["kept"] == 1
     assert summary["dropped"] == 1
-    assert summary["bytes_reclaimed"] > 0  # dead bytes compacted away
+    assert summary["bytes_reclaimed"] > 0  # VACUUM shrank the file
     assert store.load(keep_key) is not None
     assert store.load(drop_key) is None
 

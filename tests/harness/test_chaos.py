@@ -6,9 +6,10 @@ end with a :class:`~repro.harness.store.ResultStore` logically
 identical to a fault-free serial run — every cell's stored envelope
 (key, model version, meta, full result payload) byte-for-byte equal
 once canonicalised — whatever crashed, hung, or got eaten by the
-network along the way.  (Segment *files* are append logs whose record
-order depends on the interleaving, so equivalence is asserted at the
-envelope level, where the store contract actually lives.)  The pool
+network along the way.  (The database's pages depend on the order
+rows were written, which depends on the interleaving, so equivalence
+is asserted at the envelope level, where the store contract actually
+lives.)  The pool
 backend's chaos case, a worker process that dies, lives here too.
 """
 

@@ -66,27 +66,30 @@ def test_cli_cluster_needs_a_local_worker(tmp_path, capsys):
 
 
 def test_cli_store_verify_and_gc(tmp_path, capsys):
-    from repro.harness.segments import SEGMENT_DIR
+    import sqlite3
+
+    from repro.harness.store import MANIFEST_NAME
 
     store = ResultStore(tmp_path)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     # One off-grid cell whose record gets damaged, then one healthy
     # in-grid cell (default scale 1.0 for gc, so save one at scale 1.0
-    # identity), both in the same segment.
+    # identity).
     result = runner.run(BENCH, SMALL, "baseline")
     store.save("e" * 64, result)
     grid_runner = CampaignRunner(scale=1.0, benchmarks=(BENCH,))
     key = grid_runner.cell_key(BENCH, SMALL, "baseline")
     store.save(key, result)
     store.close()
-    (segment,) = (tmp_path / SEGMENT_DIR).glob("*.seg")
-    blob = bytearray(segment.read_bytes())
-    blob[16:20] = b"\xff\xff\xff\xff"  # inside the first record
-    segment.write_bytes(bytes(blob))
+    conn = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    with conn:
+        conn.execute("UPDATE cells SET record=? WHERE key=?",
+                     (b"\xff" * 16, "e" * 64))
+    conn.close()
 
     assert main(["store", "verify", "--store-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "2 scanned" in out and "1 corrupt set aside" in out
+    assert "2 scanned" in out and "1 corrupt dropped" in out
 
     assert main(["store", "gc", "--store-dir", str(tmp_path),
                  "--benchmarks", BENCH]) == 0

@@ -1,33 +1,29 @@
-"""Segment-backed ResultStore: format, concurrency, and recovery.
+"""SQLite ResultStore: format, concurrency, and recovery.
 
 Complements the API-contract tests in ``test_campaign.py`` with the
-format-level guarantees the segment store introduces: full-key
-indexing (no digest-prefix ambiguity), O(index) key listing,
-writer/reader interleaving, torn-record crash recovery, corrupt
-segment quarantine, migrating JSON-per-cell stores from earlier
-releases, which no read path serves until then, and campaign cells
-whose memory is stored as the words they changed.
+format-level guarantees of the one-file store: full-key indexing (no
+digest-prefix ambiguity), key listing and statistics scans that decode
+no record, writer/reader interleaving, damaged records found and
+dropped, stores of another format refused and left untouched, and
+campaign cells whose memory is stored as the words they changed.
 """
 
-import json
-import shutil
 import sqlite3
+import struct
+import sys
 import threading
+import zlib
 
 import pytest
 
 from repro.harness import store as store_module
-from repro.harness.segments import (
-    MANIFEST_NAME,
-    SEGMENT_DIR,
-    SEGMENT_SUFFIX,
-    Manifest,
-)
 from repro.harness.store import (
+    FORMAT_VERSION,
+    MANIFEST_NAME,
     MODEL_VERSION,
     ResultStore,
     _StoredResult,
-    cell_filename,
+    encode_envelope,
 )
 from repro.harness.storebench import synthetic_key, synthetic_result
 from repro.pipeline.core import SimulationResult
@@ -44,17 +40,30 @@ def populate(root, count, start=0):
     return keys
 
 
-def segment_files(root):
-    return sorted((root / SEGMENT_DIR).glob("*" + SEGMENT_SUFFIX))
+def damage(root, key):
+    """Flip four bytes inside one row's record, in place."""
+    conn = sqlite3.connect(str(root / MANIFEST_NAME))
+    (record,) = conn.execute("SELECT record FROM cells WHERE key=?",
+                             (key,)).fetchone()
+    with conn:
+        conn.execute("UPDATE cells SET record=? WHERE key=?",
+                     (record[:10] + b"\xff" * 4 + record[14:], key))
+    conn.close()
+
+
+def snapshot(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 # ----------------------------------------------------------------------
-# Indexing: full keys, zero file opens, no prefix ambiguity.
+# Indexing: full keys, no record decoding, no prefix ambiguity.
 # ----------------------------------------------------------------------
 
 def test_digest_prefix_collisions_are_not_ambiguous(tmp_path):
-    # Two keys sharing the legacy 12-hex filename prefix: the legacy
-    # index could only hold one; the manifest keys on the full digest.
+    # Two keys sharing the 12-hex prefix that file names carry: the
+    # store keys on the full digest.
     key_a = "ab" * 6 + "0" * 52
     key_b = "ab" * 6 + "f" * 52
     store = ResultStore(tmp_path)
@@ -69,19 +78,30 @@ def test_digest_prefix_collisions_are_not_ambiguous(tmp_path):
     assert loaded[key_b].stats.cycles == synthetic_result(2).stats.cycles
 
 
-def test_keys_and_len_never_open_segment_files(tmp_path):
+def test_keys_len_and_stats_scan_never_decode_records(tmp_path,
+                                                     monkeypatch):
     keys = populate(tmp_path, 25)
     store = ResultStore(tmp_path)
-    # Deleting every segment file cannot hide cells from the index:
-    # keys()/len()/contains answer from the manifest alone.
-    shutil.rmtree(tmp_path / SEGMENT_DIR)
+
+    def refuse(record):
+        raise AssertionError("a record was decoded")
+
+    # keys()/len()/contains answer from the key index alone...
+    monkeypatch.setattr(store_module, "decode_envelope", refuse)
     assert sorted(store.keys()) == sorted(keys)
     assert len(store) == 25
     assert keys[0] in store
-    # Nor a statistics-only scan (the metrics pass): iter_results
-    # serves every cell's statistics from the manifest.
-    assert (sorted(row.stats.cycles for row in store.iter_results())
+    # ...and so does a statistics-only scan (the metrics pass):
+    # iter_results serves every cell's statistics from its row, and a
+    # result keeps them once, not also as the pickled blob.
+    rows = list(store.iter_results())
+    assert (sorted(row.stats.cycles for row in rows)
             == sorted(synthetic_result(i).stats.cycles for i in range(25)))
+    lazy = store.load_many(keys[:3])
+    assert all(cell.stats.cycles > 0 for cell in lazy.values())
+    for cell in rows + list(lazy.values()):
+        assert "_stats_blob" not in cell.__dict__
+    assert store.stats()["cells"] == 25
 
 
 def test_save_load_round_trip_bit_identical(tmp_path):
@@ -97,6 +117,12 @@ def test_save_load_round_trip_bit_identical(tmp_path):
     assert isinstance(row, _StoredResult)
     assert row.stats.to_dict() == result.stats.to_dict()
     assert row.to_dict() == result.to_dict()
+    # Decoding the record first sets the statistics from it and drops
+    # the pickled copy too.
+    lazy = store.load_many([key])[key]
+    assert lazy.regs == result.regs
+    assert "_stats_blob" not in lazy.__dict__
+    assert lazy.stats.to_dict() == result.stats.to_dict()
 
 
 def test_dict_form_memory_from_1_1_0_envelopes_still_loads(tmp_path):
@@ -109,7 +135,7 @@ def test_dict_form_memory_from_1_1_0_envelopes_still_loads(tmp_path):
     data["memory"] = {str(addr): value
                       for addr, value in result.memory.items()}
     store = ResultStore(tmp_path)
-    store._append_envelope({"key": key, "model_version": MODEL_VERSION,
+    store._insert_envelope({"key": key, "model_version": MODEL_VERSION,
                             "meta": {}, "result": data})
     want = SimulationResult.from_dict(data).memory
     assert want == result.memory
@@ -121,7 +147,7 @@ def test_dict_form_memory_from_1_1_0_envelopes_still_loads(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Concurrency: a streaming writer interleaved with a reader.
+# Concurrency: writers and readers, threads and instances, interleaved.
 # ----------------------------------------------------------------------
 
 def test_concurrent_writer_and_reader(tmp_path):
@@ -147,7 +173,7 @@ def test_concurrent_writer_and_reader(tmp_path):
                 store = ResultStore(tmp_path)
                 loaded = store.load_many(keys)
                 # Every hit must already be fully readable (no torn
-                # reads): records flush before their index row lands.
+                # reads): a save is one INSERT.
                 for result in loaded.values():
                     assert result.stats.cycles > 0
                 len(store), store.keys()
@@ -169,68 +195,72 @@ def test_concurrent_writer_and_reader(tmp_path):
         assert loaded[key].to_dict() == synthetic_result(index).to_dict()
 
 
+def test_concurrent_writers_lose_no_cell(tmp_path):
+    # Four writer threads race to create one store and fill it: two
+    # share an instance (its lock), two own one each (SQLite's).
+    per_writer = 25
+    shared = ResultStore(tmp_path)
+    stores = [shared, shared, ResultStore(tmp_path), ResultStore(tmp_path)]
+    errors = []
+
+    def writer(store, first):
+        try:
+            for index in range(first, first + per_writer):
+                store.save(synthetic_key(index), synthetic_result(index))
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(store, n * per_writer))
+               for n, store in enumerate(stores)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    count = per_writer * len(stores)
+    assert sorted(ResultStore(tmp_path).keys()) == sorted(
+        synthetic_key(index) for index in range(count))
+    assert ResultStore(tmp_path).verify()["kept"] == count
+
+
 def test_external_writer_instance_is_visible_immediately(tmp_path):
-    # Two instances, interleaved writes: each appends to its own
-    # segment, both land in the shared manifest.
+    # Two instances, interleaved writes, one database file.
     a, b = ResultStore(tmp_path), ResultStore(tmp_path)
     a.save(synthetic_key(1), synthetic_result(1))
     b.save(synthetic_key(2), synthetic_result(2))
     a.save(synthetic_key(3), synthetic_result(3))
-    assert len(segment_files(tmp_path)) == 2
+    assert all(path.name.startswith(MANIFEST_NAME)
+               for path in tmp_path.iterdir())
     reader = ResultStore(tmp_path)
     assert len(reader) == 3
     assert reader.load(synthetic_key(2)) is not None
 
 
 # ----------------------------------------------------------------------
-# Crash recovery: torn appends, corrupt records, quarantine.
+# Recovery: damaged records, stale stamps, eviction.
 # ----------------------------------------------------------------------
 
-def test_torn_tail_append_is_invisible_and_reclaimed(tmp_path):
-    keys = populate(tmp_path, 5)
-    (segment,) = segment_files(tmp_path)
-    intact = segment.stat().st_size
-    # Simulate a crash mid-append: a half-written record at the tail,
-    # never indexed (the row only commits after the record flushes).
-    with open(segment, "ab") as handle:
-        handle.write(b"SBR1\x00\x00\xff\xff\xe5\x8dtorn")
-    torn = segment.stat().st_size - intact
-    store = ResultStore(tmp_path)
-    assert len(store) == 5
-    for index, key in enumerate(keys):
-        assert store.load(key).to_dict() == synthetic_result(index).to_dict()
-    assert store.verify() == {"scanned": 5, "kept": 5, "corrupt": 0,
-                              "stale": 0}
-    # New writers never append to an existing segment, so the torn
-    # tail can never corrupt a later record; compaction drops it.
-    store.save(synthetic_key(99), synthetic_result(99))
-    assert len(segment_files(tmp_path)) == 2
-    summary = store.compact()
-    assert summary["cells"] == 6
-    assert summary["bytes_after"] == summary["bytes_before"] - torn
-    final = ResultStore(tmp_path)
-    assert len(final) == 6
-    assert final.load(keys[3]).to_dict() == synthetic_result(3).to_dict()
-
-
-def test_verify_quarantines_corrupt_segment_and_salvages_rest(tmp_path):
+def test_verify_drops_a_corrupt_row_and_keeps_the_rest(tmp_path):
     keys = populate(tmp_path, 4)
-    (segment,) = segment_files(tmp_path)
-    # Flip bytes inside the first record's payload: its CRC dies, the
-    # other three records in the same segment stay healthy.
-    blob = bytearray(segment.read_bytes())
-    blob[16:20] = b"\xff\xff\xff\xff"
-    segment.write_bytes(bytes(blob))
+    damage(tmp_path, keys[0])
 
     store = ResultStore(tmp_path)
     assert store.load(keys[0]) is None  # corrupt: absent, not wrong
-    summary = store.verify()
-    assert summary == {"scanned": 4, "kept": 3, "corrupt": 1, "stale": 0}
-    # The damaged segment is set aside for post-mortem, not destroyed;
-    # healthy records were salvaged into a fresh segment.
-    assert not segment.exists()
-    assert segment.with_name(segment.name + ".corrupt").exists()
-    assert len(store) == 3
+    assert store.load_envelope(keys[0]) is None
+    lazy = store.load_many(keys)[keys[0]]
+    # Statistics come from the row; the snapshot needs the record.
+    assert lazy.stats.cycles == synthetic_result(0).stats.cycles
+    with pytest.raises(ValueError, match="store verify"):
+        lazy.regs
+    assert store.verify() == {"scanned": 4, "kept": 3, "corrupt": 1,
+                              "stale": 0}
+    assert len(store) == 3 and keys[0] not in store
     for index in (1, 2, 3):
         assert (store.load(keys[index]).to_dict()
                 == synthetic_result(index).to_dict())
@@ -245,63 +275,12 @@ def test_verify_drops_stale_model_versions(tmp_path):
     stale = dict(store.load_envelope(synthetic_key(1)))
     stale["key"] = "e" * 64
     stale["model_version"] = "0.0.0-ancient"
-    store._append_envelope(stale)
+    store._insert_envelope(stale)
     assert len(store) == 2
     summary = store.verify()
     assert summary == {"scanned": 2, "kept": 1, "corrupt": 0, "stale": 1}
     assert len(store) == 1
     assert store.load(synthetic_key(1)) is not None
-
-
-def test_compact_folds_single_cell_segments(tmp_path):
-    # One writer instance per cell — the crash-resume worst case —
-    # leaves one segment per cell; compact folds them into one.
-    for index in range(8):
-        store = ResultStore(tmp_path)
-        store.save(synthetic_key(index), synthetic_result(index))
-        store.close()
-    assert len(segment_files(tmp_path)) == 8
-    store = ResultStore(tmp_path)
-    summary = store.compact()
-    assert summary["segments_before"] == 8
-    assert summary["segments_after"] == 1
-    assert summary["cells"] == 8
-    assert len(segment_files(tmp_path)) == 1
-    reloaded = ResultStore(tmp_path)
-    for index in range(8):
-        assert (reloaded.load(synthetic_key(index)).to_dict()
-                == synthetic_result(index).to_dict())
-
-
-def test_segments_roll_at_the_seal_threshold(tmp_path, monkeypatch):
-    # A synthetic record is about 2.7 kB compressed: a threshold of a
-    # few records makes saving, then compacting, cross it many times.
-    monkeypatch.setattr(store_module, "SEGMENT_BYTES", 8 * 1024)
-    keys = populate(tmp_path, 20)
-    saved = segment_files(tmp_path)
-    assert len(saved) >= 3
-    assert all(path.stat().st_size <= 8 * 1024 for path in saved)
-    store = ResultStore(tmp_path)
-    for index, key in enumerate(keys):
-        assert store.load(key).to_dict() == synthetic_result(index).to_dict()
-    assert store.verify() == {"scanned": 20, "kept": 20, "corrupt": 0,
-                              "stale": 0}
-
-    # Compaction packs fuller segments but still rolls at the threshold.
-    monkeypatch.setattr(store_module, "SEGMENT_BYTES", 20 * 1024)
-    summary = store.compact()
-    assert summary["cells"] == 20
-    assert 1 < summary["segments_after"] < len(saved)
-    compacted = segment_files(tmp_path)
-    assert len(compacted) == summary["segments_after"]
-    assert all(path.stat().st_size <= 20 * 1024 for path in compacted)
-    manifest = Manifest(tmp_path / MANIFEST_NAME)
-    assert [row[2] for row in manifest.segments()] == [1] * len(compacted)
-    manifest.close()
-    reloaded = ResultStore(tmp_path)
-    for index, key in enumerate(keys):
-        assert (reloaded.load(key).to_dict()
-                == synthetic_result(index).to_dict())
 
 
 def test_gc_reports_bytes_reclaimed(tmp_path):
@@ -313,140 +292,117 @@ def test_gc_reports_bytes_reclaimed(tmp_path):
     assert summary["dropped"] == 7
     assert summary["bytes_reclaimed"] > 0
     assert len(store) == 3
-    stats = store.stats()
-    assert stats["cells"] == 3 and stats["segments"] == 1
+    assert store.stats()["cells"] == 3
+
+
+def test_lazy_results_survive_gc(tmp_path):
+    keys = populate(tmp_path, 5)
+    store = ResultStore(tmp_path)
+    loaded = store.load_many(keys[:3])
+    # VACUUM rewrites the file while lazy results are outstanding...
+    assert store.gc(keys[:3])["dropped"] == 2
+    # ...and they still decode: each reads its record by key.
+    for index, key in enumerate(keys[:3]):
+        assert loaded[key].to_dict() == synthetic_result(index).to_dict()
 
 
 def test_store_stats_accounting(tmp_path):
     populate(tmp_path, 12)
     stats = ResultStore(tmp_path).stats()
-    assert stats["format"] == "segments-v1"
+    assert stats["format"] == FORMAT_VERSION
     assert stats["cells"] == 12
-    assert stats["legacy_cells"] == 0 and not stats["legacy"]
-    assert stats["segments"] == 1
-    assert stats["segment_bytes"] == stats["live_bytes"]  # no dead bytes
     assert stats["raw_bytes"] > stats["live_bytes"]  # compression won
     assert stats["compression_ratio"] > 1.0
-    assert stats["disk_bytes"] >= stats["segment_bytes"]
+    assert stats["disk_bytes"] >= stats["live_bytes"]
 
 
-def test_clear_removes_manifest_and_segments(tmp_path):
+def test_clear_removes_the_database(tmp_path):
     keys = populate(tmp_path, 4)
     store = ResultStore(tmp_path)
     store.clear()
     assert len(store) == 0
     assert store.load(keys[0]) is None
-    assert not segment_files(tmp_path)
+    assert not any(tmp_path.iterdir())  # and reads created nothing
     # The store stays usable after a clear.
     store.save(keys[0], synthetic_result(0))
     assert len(store) == 1
 
 
 # ----------------------------------------------------------------------
-# Format errors and JSON-per-cell stores from earlier releases.
+# Stores of another format.
 # ----------------------------------------------------------------------
 
-def test_foreign_manifest_format_names_formats_and_path(tmp_path):
-    populate(tmp_path, 1)
-    conn = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
-    conn.execute("UPDATE meta SET v='segments-v0' WHERE k='format'")
-    conn.commit()
+#: The manifest schema of format ``segments-v1``, which earlier
+#: releases wrote beside append-only segment files.
+SEGMENTS_V1_SCHEMA = """
+CREATE TABLE meta (k TEXT PRIMARY KEY, v TEXT NOT NULL);
+CREATE TABLE segments (
+    id INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT UNIQUE NOT NULL,
+    sealed INTEGER NOT NULL DEFAULT 0);
+CREATE TABLE cells (
+    key TEXT PRIMARY KEY, segment INTEGER NOT NULL, offset INTEGER NOT NULL,
+    length INTEGER NOT NULL, raw_length INTEGER NOT NULL, benchmark TEXT,
+    config TEXT, scheme TEXT, model_version TEXT, halted INTEGER,
+    result_cycles INTEGER, cycles INTEGER, committed INTEGER, stats BLOB);
+CREATE INDEX cells_by_segment ON cells(segment, offset);
+CREATE INDEX cells_by_scheme ON cells(scheme);
+CREATE INDEX cells_by_benchmark ON cells(benchmark);
+"""
+
+
+def write_segments_v1_store(root):
+    """One cell in the ``segments-v1`` layout: a WAL-mode manifest
+    indexing a record framed as ``"SBR1" | u32 length | u32 CRC32 |
+    payload`` in ``segments/seg-000001.seg``."""
+    key = synthetic_key(0)
+    result = synthetic_result(0)
+    payload, raw_length = encode_envelope(
+        {"key": key, "model_version": MODEL_VERSION, "meta": {},
+         "result": result.to_dict()})
+    record = struct.pack(">4sII", b"SBR1", len(payload),
+                         zlib.crc32(payload)) + payload
+    (root / "segments").mkdir()
+    (root / "segments" / "seg-000001.seg").write_bytes(record)
+    conn = sqlite3.connect(str(root / MANIFEST_NAME), isolation_level=None)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.executescript(SEGMENTS_V1_SCHEMA)
+    conn.execute("INSERT INTO meta VALUES ('format', 'segments-v1')")
+    conn.execute("INSERT INTO segments (name, sealed)"
+                 " VALUES ('seg-000001.seg', 1)")
+    conn.execute(
+        "INSERT INTO cells VALUES (?, 1, 0, ?, ?, ?, ?, ?, ?, 1, ?, ?, ?,"
+        " NULL)",
+        (key, len(record), raw_length, result.program_name,
+         result.config_name, result.scheme_name, MODEL_VERSION,
+         result.cycles, result.stats.cycles,
+         result.stats.committed_instructions))
     conn.close()
-    with pytest.raises(RuntimeError) as info:
-        len(ResultStore(tmp_path))
-    message = str(info.value)
-    assert "'segments-v0'" in message and "'segments-v1'" in message
-    assert str(tmp_path) in message
-    # migrate converts root JSON files only; it cannot rebuild this.
-    assert "migrate" not in message
 
 
-def legacy_populate(root, count):
-    """Write ``count`` cells in the JSON-per-cell layout of earlier
-    releases: one sorted-key envelope per file in the store root."""
-    keys = []
-    for index in range(count):
-        key = synthetic_key(index)
-        result = synthetic_result(index)
-        envelope = {"key": key, "model_version": MODEL_VERSION,
-                    "meta": {"index": index}, "result": result.to_dict()}
-        name = cell_filename(result.program_name, result.config_name,
-                             result.scheme_name, key)
-        with open(root / name, "w") as handle:
-            json.dump(envelope, handle, sort_keys=True)
-        keys.append(key)
-    return keys
+def test_foreign_manifest_format_names_formats_and_path(tmp_path):
+    older = tmp_path / "older-format"
+    older.mkdir()
+    populate(older, 1)
+    conn = sqlite3.connect(str(older / MANIFEST_NAME))
+    with conn:
+        conn.execute("UPDATE meta SET v='sqlite-v0' WHERE k='format'")
+    conn.close()
+    segments = tmp_path / "segments-v1"
+    segments.mkdir()
+    write_segments_v1_store(segments)
 
-
-def test_legacy_files_are_invisible_until_migrated(tmp_path):
-    keys = legacy_populate(tmp_path, 5)
-    store = ResultStore(tmp_path)
-    assert len(store) == 0
-    assert store.keys() == []
-    assert store.load(keys[2]) is None
-    assert store.load_many(keys) == {}
-    assert keys[0] not in store
-    stats = store.stats()
-    assert stats["legacy_cells"] == 5 and stats["legacy"]
-    assert stats["legacy_bytes"] > 0
-
-    assert store.migrate() == {"migrated": 5, "skipped": 0}
-    assert len(store) == 5
-    loaded = store.load_many(keys)
-    for index, key in enumerate(keys):
-        assert store.load(key).to_dict() == synthetic_result(index).to_dict()
-        assert loaded[key].to_dict() == synthetic_result(index).to_dict()
-    assert store.stats()["legacy_cells"] == 0
-
-
-def test_migrate_round_trip_preserves_envelopes(tmp_path):
-    keys = legacy_populate(tmp_path, 6)
-    originals = {}
-    for path in tmp_path.glob("*.json"):
-        with open(path) as handle:
-            data = json.load(handle)
-        originals[data["key"]] = data
-    assert len(originals) == 6
-
-    store = ResultStore(tmp_path)
-    summary = store.migrate()
-    assert summary == {"migrated": 6, "skipped": 0}
-    assert not list(tmp_path.glob("*.json"))
-
-    reloaded = ResultStore(tmp_path)
-    assert len(reloaded) == 6
-    for key in keys:
-        # The migrated envelope — key, meta, model_version stamp, full
-        # result payload — is byte-for-byte the legacy one once both
-        # are canonicalised.
-        assert (json.dumps(reloaded.load_envelope(key), sort_keys=True)
-                == json.dumps(originals[key], sort_keys=True))
-        assert reloaded.load(key).to_dict() == originals[key]["result"]
-    assert not reloaded.stats()["legacy"]
-
-
-def test_migrate_skips_unreadable_files(tmp_path):
-    legacy_populate(tmp_path, 2)
-    bad = tmp_path / ("broken__x__y__%s.json" % ("9" * 12))
-    bad.write_text("{not json")
-    store = ResultStore(tmp_path)
-    summary = store.migrate()
-    assert summary == {"migrated": 2, "skipped": 1}
-    assert bad.exists()  # left in place for verify to judge
-    assert len(store) == 2
-
-
-def test_lazy_results_survive_compaction(tmp_path):
-    keys = populate(tmp_path, 3)
-    store = ResultStore(tmp_path)
-    loaded = store.load_many(keys)
-    # Relocate every record while lazy results are outstanding...
-    store.save(synthetic_key(50), synthetic_result(50))
-    store.compact()
-    # ...then touch their snapshots: the stale locators re-resolve
-    # through the manifest instead of failing.
-    for index, key in enumerate(keys):
-        assert loaded[key].to_dict() == synthetic_result(index).to_dict()
+    for root, found in ((older, "sqlite-v0"), (segments, "segments-v1")):
+        before = snapshot(root)
+        with pytest.raises(RuntimeError) as info:
+            len(ResultStore(root))
+        message = str(info.value)
+        assert "%r" % found in message and "%r" % FORMAT_VERSION in message
+        assert str(root) in message
+        with pytest.raises(RuntimeError):
+            ResultStore(root).save(synthetic_key(1), synthetic_result(1))
+        # Refused before anything is written: the store is left as it
+        # was, to be moved aside or read by the build that wrote it.
+        assert snapshot(root) == before
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +449,7 @@ def test_whole_image_envelope_of_a_campaign_cell_still_loads(
     envelope["result"] = result.to_dict()
     assert "memory_base" not in envelope["result"]
     store = ResultStore(tmp_path)
-    store._append_envelope(envelope)
+    store._insert_envelope(envelope)
     assert store.load(key).memory == result.memory
     assert store.load_many([key])[key].memory == result.memory
     assert store.verify()["kept"] == 1
@@ -505,7 +461,7 @@ def test_delta_named_against_another_program_does_not_load(
     envelope = ResultStore(root).load_envelope(key)
     envelope["meta"]["benchmark"] = "505.mcf"
     store = ResultStore(tmp_path)
-    store._append_envelope(envelope)
+    store._insert_envelope(envelope)
     assert store.load(key) is None  # a miss: the runner re-simulates
     with pytest.raises(ValueError, match="delta against image"):
         store.load_many([key])[key].memory
