@@ -74,7 +74,11 @@ from repro.harness.experiments import (
 )
 from repro.harness.progress import make_progress
 from repro.harness.runner import CampaignRunner
-from repro.harness.store import DEFAULT_STORE_DIR, ResultStore
+from repro.harness.store import (
+    DEFAULT_STORE_DIR,
+    ResultStore,
+    StoreFormatError,
+)
 from repro.pipeline.config import boom_config
 from repro.workloads.characteristics import SPEC_BENCHMARKS
 
@@ -475,6 +479,11 @@ def main(argv=None):
     previous = disk_cache_dir()
     try:
         return handler(args)
+    except StoreFormatError as exc:
+        # The message says what to do with the directory; a stack
+        # trace would only bury it.
+        print(exc, file=sys.stderr)
+        return 1
     finally:
         configure_disk_cache(previous)
 

@@ -91,73 +91,51 @@ feed one :class:`~repro.harness.progress.ProgressReporter` (cells
 done/total, cells/sec, ETA, per-worker attribution).
 
 **Cluster protocol** (:mod:`repro.harness.cluster`, stdlib-only).  A
-loopback TCP coordinator owns the campaign's pending cells; in-process
-worker threads *pull* (work stealing), simulate via the same
+coordinator owns the campaign's pending cells; in-process worker
+threads *pull* them (work stealing), simulate via the same
 :func:`~repro.harness.parallel.simulate_cell` every backend uses, and
 report back.  The contract:
 
+- *Transport*: each worker talks to its coordinator serve thread over
+  its own ``socket.socketpair()``.  No other process can reach a
+  socket pair, so every frame comes from this process: there is no
+  handshake and no version check.
 - *Framing*: each frame is a 4-byte big-endian payload length plus
   UTF-8 JSON encoding one ``{"kind": ...}`` object; frames above 64
-  MiB are rejected.  Strict request/response per connection.
-- *Message kinds*: worker sends ``hello`` (names itself, states
-  protocol and model versions) and receives ``welcome`` (or
-  ``reject``); then
-  loops ``steal`` -> ``cell`` (cell id + full wire spec) / ``wait``
-  (queue empty, grid live) / ``done`` (drained or failed);
-  ``result``/``error`` report a cell and are ``ack``'d; ``bye`` ends
-  cleanly.
+  MiB are rejected.
+- *Message kinds*: the worker sends ``steal`` first, then ``result``
+  or ``error`` for the cell it holds; the coordinator answers every
+  frame with the next ``cell`` (the full wire spec) or with ``done``
+  (queue empty or campaign aborted).  A cell costs two frames.
 - *Wire specs*: the complete ``CoreConfig`` record travels with every
   cell (``spec_to_wire``/``spec_from_wire``), so workers simulate
   exactly the configuration that was hashed — never a same-named
   approximation.
-- *Telemetry frames*: a ``result`` frame may carry an optional
-  ``telemetry`` sibling object (wall-clock seconds, replay counters,
-  fast-forward engagement, peak worker RSS; see
-  :func:`repro.obs.cell_telemetry`).  It rides *beside* the result —
-  never inside it, stored results stay byte-identical across backends
-  — and is unversioned: coordinators tolerate its absence.  The
-  coordinator aggregates frames into per-worker / per-scheme rollups
-  (:class:`repro.obs.TelemetryAggregate`) surfaced through
-  ``coordinator.stats()["telemetry"]``.
-- *Requeue semantics*: a stolen cell is in-flight against its worker;
-  if the worker's socket reaches EOF or errors, the cell returns to
-  the *front* of the queue and the campaign continues.  Determinism
-  makes the race benign: a late result for a requeued cell is
-  bit-identical to the rerun, the first result per cell wins,
-  duplicates are dropped.  Reported ``error`` frames are
-  deterministic failures and are *not* requeued.  Once every worker
-  thread has exited with cells unsettled, the executor raises rather
-  than wait for a worker that cannot come.
 
 **Failure model** (the crash-safety contract, end to end):
 
-- *Retried*: a socket EOF or error requeues the worker's in-flight
-  cells at the front of the queue — a crash costs one cell's work,
-  never the campaign.  An explicit coordinator *rejection* (another
-  protocol or model version) ends the worker.
-- *Quarantined*: a cell that kills its worker ``max_cell_attempts``
-  times (default 3) is poisoned — it is settled as a
-  :class:`~repro.harness.store.CellFailure` (kind ``poisoned``) and
-  never requeued, so one pathological cell cannot starve the grid.
-  Deterministic ``error`` frames settle the same way with kind
-  ``deterministic``.  Settled failures are persisted as records under
-  ``<store>/failures/`` (``python -m repro store failures`` lists
-  them; a later first result wins and clears the record).
+- *Deterministic failures*: a cell whose simulation raises settles as
+  a :class:`~repro.harness.store.CellFailure` of kind
+  ``deterministic`` on the cluster (its ``error`` frame carries the
+  message and traceback), yields ``None`` at its index, and the rest
+  of the campaign completes.  Settled failures are persisted as
+  records under ``<store>/failures/`` (``python -m repro store
+  failures`` lists them; a later result for the cell clears its
+  record).  Serial and pool backends raise on a cell exception.
 - *Hung cells*: no wall-clock timeout is needed.  The kernel's
   watchdog (no commit for ``watchdog_cycles``) and ``max_cycles``
   raise inside the cell, so a hung cell settles as ``deterministic``
   on the cluster and raises on the serial and pool backends.
-- *Aborts*: only ``fail_fast`` restores abort-on-first-error on the
-  cluster; otherwise failed cells yield ``None`` results and the rest
-  of the campaign completes (graceful degradation).  Serial and pool
-  backends raise on a cell exception; a pool worker process that dies
-  raises ``BrokenProcessPool`` instead of hanging the campaign.
+- *Aborts*: on the cluster, a worker connection that ends any other
+  way before the coordinator sent it ``done`` — a worker thread that
+  died, a result that does not decode, an ``on_result`` that raised —
+  aborts the campaign: ``run`` raises ``RuntimeError`` naming the
+  worker and the cell it held, once every thread has ended.  A pool
+  worker process that dies raises ``BrokenProcessPool`` instead of
+  hanging the campaign.
 - *Resumes*: results stream into the store as each cell finishes, so
   re-running the same command against the same store simulates only
-  the missing cells, and retries the failed ones.  A seeded
-  :class:`~repro.harness.cluster.FaultPlan` injects crashes, frame
-  faults, slow cells, and coordinator kills at the protocol seam to
-  test all of the above deterministically.
+  the missing cells, and retries the failed ones.
 
 **Program cache.**  Workload generation is memoised content-addressed
 (:mod:`repro.workloads.program_cache`: profile content + seed +

@@ -1,63 +1,43 @@
-"""Loopback campaign execution over sockets (stdlib-only).
+"""Loopback campaign execution over socket pairs (stdlib-only).
 
-The cluster subsystem serves a campaign's cells over TCP to in-process
-worker threads, behind the same
-:class:`~repro.harness.executor.Executor` seam the serial loop and the
-multiprocessing pool share:
+The cluster subsystem serves a campaign's cells to in-process worker
+threads, behind the same :class:`~repro.harness.executor.Executor`
+seam the serial loop and the process pool share:
 
 - :mod:`~repro.harness.cluster.protocol` — length-prefixed JSON
-  frames, the steal/result/error message kinds, and the wire form of
-  cell specs (full ``CoreConfig`` travels with every cell);
-- :mod:`~repro.harness.cluster.coordinator` — the TCP service owning
-  the work-stealing queue, requeue of a dead worker's in-flight cells
-  (a worker is dead on socket EOF or error), quarantine, and result
-  collection;
+  frames, the conversation (two frames per cell), and the wire form
+  of cell specs (the full ``CoreConfig`` travels with every cell);
+- :mod:`~repro.harness.cluster.coordinator` — the work-stealing
+  queue, result collection, and the failure rule: an ``error`` frame
+  settles a ``deterministic`` failure, any other early end of a
+  connection aborts the campaign;
 - :mod:`~repro.harness.cluster.worker` — the pull/simulate/report
-  client;
+  loop;
 - :mod:`~repro.harness.cluster.executor` — the
   :class:`~repro.harness.executor.Executor` adapter
-  (``--executor cluster --local-workers N``);
-- :mod:`~repro.harness.cluster.faults` — the seeded chaos harness:
-  :class:`~repro.harness.cluster.faults.FaultPlan` schedules worker
-  crashes, poison cells, frame drops/delays/corruption, slow cells,
-  late duplicate results, and coordinator kills, all injected at the
-  protocol seam.
+  (``--executor cluster --local-workers N``), one
+  ``socket.socketpair()`` per worker.
 
-Everything is standard-library Python: one coordinator thread per
-connection, blocking sockets, JSON frames.  Determinism and
-content-addressing make the fault story simple — any cell may run
-twice (a requeue races a late result) and the first result wins,
-bit-identical either way.  The failure-model contract (what is
-retried, quarantined, aborts, resumes) is documented in
-:mod:`repro.harness`.
+Everything is standard-library Python: one serve thread and one
+worker thread per connection, blocking sockets, JSON frames.  No
+other process can reach a socket pair, so every frame comes from this
+process.  The failure model (what settles, what aborts, how a
+campaign resumes) is documented in :mod:`repro.harness`.
 """
 
 from repro.harness.cluster.coordinator import ClusterCoordinator
 from repro.harness.cluster.executor import ClusterExecutor
-from repro.harness.cluster.faults import Fault, FaultPlan
 from repro.harness.cluster.protocol import (
-    PROTOCOL_VERSION,
     ProtocolError,
     recv_frame,
     send_frame,
     spec_from_wire,
     spec_to_wire,
 )
-from repro.harness.cluster.worker import (
-    ClusterWorker,
-    CoordinatorRejected,
-    WorkerCrash,
-)
 
 __all__ = [
     "ClusterCoordinator",
     "ClusterExecutor",
-    "ClusterWorker",
-    "CoordinatorRejected",
-    "WorkerCrash",
-    "Fault",
-    "FaultPlan",
-    "PROTOCOL_VERSION",
     "ProtocolError",
     "send_frame",
     "recv_frame",

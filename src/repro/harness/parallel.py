@@ -20,7 +20,6 @@ benchmark generates its program once.
 """
 
 import os
-import threading
 
 from repro.core.factory import make_scheme
 from repro.obs import CycleAccount
@@ -31,20 +30,6 @@ from repro.workloads.program_cache import cached_spec_program, cached_spec_trace
 def default_jobs():
     """Worker count when the caller does not specify one."""
     return max(1, os.cpu_count() or 1)
-
-
-#: Per-thread out-of-band diagnostics of the last simulate_cell() call
-#: (cluster executor workers are threads sharing one process, so a
-#: module global would race).  Deliberately NOT part of the result:
-#: results must stay byte-identical across backends.
-_cell_diag = threading.local()
-
-
-def last_cell_diagnostics():
-    """Executor-side extras of this thread's last cell (or ``None``):
-    telemetry that has no business inside the stored result, e.g.
-    fast-forward engagement."""
-    return getattr(_cell_diag, "data", None)
 
 
 def simulate_cell(spec):
@@ -74,9 +59,7 @@ def simulate_cell(spec):
         trace=trace,
         account=CycleAccount(),
     )
-    result = core.run()
-    _cell_diag.data = {"ff_skipped_cycles": core.ff_skipped_cycles}
-    return result
+    return core.run()
 
 
 def _simulate_indexed(indexed_spec):

@@ -185,10 +185,11 @@ class CampaignRunner:
 
         Graceful degradation: a backend that settles cells as
         :class:`~repro.harness.store.CellFailure` instead of raising
-        (the cluster, unless ``fail_fast``) reports them through
-        ``on_failure`` — each is persisted as a failure record in the
-        store, counted in the summary's ``failed``, and its ``None``
-        result is simply not cached, so a later campaign retries it.
+        (the cluster, for a cell whose simulation raised) reports them
+        through ``on_failure`` — each is persisted as a failure record
+        in the store, counted in the summary's ``failed``, and its
+        ``None`` result is simply not cached, so a later campaign
+        retries it.
         """
         # Dedup within the batch (identical cells hash identically), so
         # repeated entries never reach the backend twice.
@@ -230,8 +231,7 @@ class CampaignRunner:
             # from a pool/coordinator thread): results reach the store
             # while the campaign is still running, so an interruption
             # keeps every cell already simulated.  A result also clears
-            # any failure record left by an earlier attempt — first
-            # result wins over quarantine.
+            # any failure record left by an earlier attempt.
             key, benchmark, config, scheme = pending[index]
             self._persist(key, result, benchmark, config, scheme, {})
             self.store.clear_failure(key)

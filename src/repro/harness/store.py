@@ -59,13 +59,11 @@ files and manifest of format ``segments-v1``, is refused when the
 store first opens it, before anything is written there: its cells are
 simulated again, as after a model-version bump.
 
-Failures are first-class: a cell the campaign could not complete —
-quarantined after repeatedly killing workers, or a deterministic
-exception — persists as a :class:`CellFailure`
-record under ``failures/`` beside the results, written with the same
-atomic discipline as before.  A later successful result for the cell
-clears its failure record (first-result-wins), and ``python -m repro
-store failures`` lists whatever remains.
+Failures are first-class: a cell the campaign could not complete — its
+simulation raised — persists as a :class:`CellFailure` record under
+``failures/`` beside the results, each file written atomically.  A
+later successful result for the cell clears its failure record, and
+``python -m repro store failures`` lists whatever remains.
 """
 
 import hashlib
@@ -145,8 +143,10 @@ _IN_CHUNK = 500
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 #: Recognised failure classes (see the failure-model contract in
-#: :mod:`repro.harness`): ``poisoned`` — the cell killed workers until
-#: it was quarantined; ``deterministic`` — the simulation raised.
+#: :mod:`repro.harness`): ``deterministic`` — the simulation raised;
+#: ``poisoned`` — the cell killed every worker that ran it.  No backend
+#: settles ``poisoned`` today, but stores written by earlier builds
+#: hold such records.
 FAILURE_KINDS = ("poisoned", "deterministic")
 
 
@@ -285,11 +285,16 @@ def _cell_program(meta):
         return None
 
 
+class StoreFormatError(RuntimeError):
+    """The store directory was written in another store format."""
+
+
 def _connect(path):
     """Open the store database at ``path``, creating it when new.
 
     The format is read before anything is written, so a database of
-    another format is refused and left as it was.
+    another format is refused with :class:`StoreFormatError` and left
+    as it was.
     """
     conn = sqlite3.connect(str(path), timeout=30.0, check_same_thread=False)
     conn.row_factory = sqlite3.Row
@@ -309,7 +314,7 @@ def _connect(path):
         conn.commit()
     elif row[0] != FORMAT_VERSION:
         conn.close()
-        raise RuntimeError(
+        raise StoreFormatError(
             "store manifest %s was written in store format %r; this build"
             " reads only %r.  Move the store directory %s aside (its cells"
             " will be simulated again) or read it with the build that"
@@ -588,7 +593,7 @@ class ResultStore:
     def load_envelope(self, key):
         """The raw stored envelope (``{"key", "model_version", "meta",
         "result"}``) for ``key``, or ``None`` — format-level access for
-        tooling and chaos equivalence checks."""
+        tooling and store equivalence checks."""
         try:
             return self._read_envelope(key)
         except (KeyError, ValueError):
@@ -694,12 +699,11 @@ class ResultStore:
         return records, unreadable
 
     def clear_failure(self, key):
-        """Drop the failure record for ``key`` (first-result-wins).
+        """Drop the failure record for ``key``.
 
-        Called whenever a result for the cell lands — a late result
-        from a presumed-dead worker, or a retry that succeeded — so a
-        cell is never simultaneously a result and a failure.  Returns
-        True when a record was removed.
+        Called whenever a result for the cell lands, such as a retry
+        that succeeded, so a cell is never simultaneously a result and
+        a failure.  Returns True when a record was removed.
         """
         path = self._failure_path(key)
         if path is None:
@@ -743,9 +747,13 @@ class ResultStore:
         return summary
 
     def _disk_bytes(self):
-        """The database's size on disk, WAL and shared memory included."""
+        """The database's size on disk, its write-ahead log included.
+
+        The ``-shm`` file is left out: it is the WAL's index, which an
+        open connection creates and which holds no cell data.
+        """
         total = 0
-        for suffix in ("", "-wal", "-shm"):
+        for suffix in ("", "-wal"):
             try:
                 total += os.stat(str(self.manifest_path) + suffix).st_size
             except OSError:

@@ -1,6 +1,6 @@
 """Cycle-attribution observability: where every pipeline slot went.
 
-Three layers, all strictly opt-in and zero-cost when disabled — the
+Two sinks, both strictly opt-in and zero-cost when disabled — the
 core takes observability sinks at construction and devirtualises them
 exactly like the scheme hooks (``None`` = no-op, never called):
 
@@ -9,14 +9,11 @@ exactly like the scheme hooks (``None`` = no-op, never called):
   exactly one cause: a committed instruction, or one leaf stall
   cause.  The conservation property (``sum(leaf slots) +
   committed_instructions == width x cycles``) is tested and is the
-  contract every consumer may rely on.
+  contract every consumer may rely on.  Campaign cells always carry
+  one; ``python -m repro metrics`` reads the persisted accounts.
 * :class:`~repro.obs.pipeview.PipeTracer` — per-uop pipeline event
   traces in gem5 O3PipeView format, viewable in Konata
   (``python -m repro pipeview``).
-* :mod:`repro.obs.telemetry` — cluster telemetry: workers stamp each
-  result frame with wall time / peak RSS / replay engagement, the
-  coordinator aggregates per-worker and per-scheme rollups
-  (``python -m repro metrics`` reads the persisted cycle accounts).
 
 Attribution taxonomy
 --------------------
@@ -117,13 +114,10 @@ cycles, not with issue events:
 
 from repro.obs.account import CycleAccount, LEAF_CAUSES
 from repro.obs.pipeview import PipeTracer, trace_pipeline
-from repro.obs.telemetry import TelemetryAggregate, cell_telemetry
 
 __all__ = [
     "CycleAccount",
     "LEAF_CAUSES",
     "PipeTracer",
     "trace_pipeline",
-    "TelemetryAggregate",
-    "cell_telemetry",
 ]

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import threading
 
 import pytest
 
@@ -84,3 +85,24 @@ def small_profile(name="test", **overrides):
 
 def small_program(name="test", seed=1, **overrides):
     return generate_program(small_profile(name, **overrides), seed=seed)
+
+
+def bounded(call, seconds=120):
+    """``call()``'s value, or the exception it raised, on a thread the
+    test waits at most ``seconds`` for: a call that hangs fails the
+    test instead of blocking it."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "still running after %ss" % seconds
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]

@@ -65,6 +65,28 @@ def test_cli_cluster_needs_a_local_worker(tmp_path, capsys):
     assert "--local-workers" in capsys.readouterr().err
 
 
+def test_cli_store_of_another_format_is_one_line_not_a_traceback(
+        tmp_path, capsys):
+    from tests.harness.test_store_segments import (
+        snapshot,
+        write_segments_v1_store,
+    )
+
+    write_segments_v1_store(tmp_path)
+    before = snapshot(tmp_path)
+    code = main(["grid", "--scale", "0.05", "--benchmarks", BENCH,
+                 "--configs", "small", "--schemes", "baseline",
+                 "--store-dir", str(tmp_path)])
+    assert code != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "Traceback" not in captured.err
+    assert "'segments-v1'" in line and "'sqlite-v1'" in line
+    assert str(tmp_path) in line
+    assert snapshot(tmp_path) == before
+
+
 def test_cli_store_verify_and_gc(tmp_path, capsys):
     import sqlite3
 

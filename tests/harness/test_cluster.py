@@ -1,34 +1,33 @@
-"""Cluster backend tests: protocol, loopback equivalence, fault injection.
+"""Cluster backend tests: framing, loopback equivalence, failure rule.
 
-Everything runs in-process on 127.0.0.1 — a coordinator plus worker
-threads — so the full socket path (framing, stealing, requeue) is
-exercised without any external orchestration.
+Everything runs in-process: a coordinator serve thread and a worker
+thread per ``socket.socketpair()``, so the full socket path (framing,
+stealing, settling, aborting) is exercised without any external
+orchestration.  Every wait is bounded, so a regression to a hang
+fails the test instead of blocking it.
 """
 
 import socket
 import threading
-import time
 
 import pytest
 
 from repro.harness.cluster import (
     ClusterCoordinator,
     ClusterExecutor,
-    ClusterWorker,
-    Fault,
-    FaultPlan,
-    PROTOCOL_VERSION,
     ProtocolError,
     recv_frame,
     send_frame,
     spec_from_wire,
     spec_to_wire,
 )
+from repro.harness.cluster import worker
 from repro.harness.executor import PoolExecutor, SerialExecutor
 from repro.harness.progress import ProgressReporter
 from repro.harness.runner import CampaignRunner
-from repro.harness.store import MODEL_VERSION, ResultStore
+from repro.harness.store import ResultStore
 from repro.pipeline.config import MEDIUM, SMALL
+from tests.conftest import bounded
 
 SUBSET = ("503.bwaves", "548.exchange2")
 
@@ -42,13 +41,6 @@ def small_specs(schemes=("baseline", "nda"), configs=(SMALL,)):
     ]
 
 
-def start_worker(host, port, **kwargs):
-    worker = ClusterWorker(host, port, **kwargs)
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
-    return worker, thread
-
-
 # ----------------------------------------------------------------------
 # Protocol: framing and wire specs.
 # ----------------------------------------------------------------------
@@ -56,7 +48,7 @@ def start_worker(host, port, **kwargs):
 def test_frame_round_trip():
     a, b = socket.socketpair()
     try:
-        message = {"kind": "cell", "cell_id": 7, "spec": {"nested": [1, 2]}}
+        message = {"kind": "cell", "spec": {"nested": [1, 2]}}
         send_frame(a, message)
         assert recv_frame(b) == message
         a.close()
@@ -116,188 +108,62 @@ def test_loopback_cluster_matches_serial():
     specs = small_specs(configs=(SMALL, MEDIUM))
     serial = SerialExecutor().run(specs)
 
-    executor = ClusterExecutor(local_workers=2, wait_timeout=120)
     progress = ProgressReporter(label="test").begin(len(specs))
-    clustered = executor.run(specs, progress=progress)
+    clustered = bounded(lambda: ClusterExecutor(local_workers=2).run(
+        specs, progress=progress))
 
     assert len(clustered) == len(serial)
     for mine, theirs in zip(serial, clustered):
         assert mine.stats.to_dict() == theirs.stats.to_dict()
         assert mine.regs == theirs.regs
         assert mine.memory == theirs.memory
-    stats = executor.last_stats
-    assert stats["completed"] == len(specs)
-    assert stats["failed"] == 0
-    # Both workers participated and attribution adds up.
-    assert sum(stats["workers"].values()) == len(specs)
-    assert progress.done == len(specs)
+    # Attribution adds up, and names only the local workers.
+    assert progress.done == len(specs) and progress.failed == 0
     assert sum(progress.per_worker.values()) == len(specs)
+    assert set(progress.per_worker) <= {"local-1", "local-2"}
 
 
 def test_cluster_runner_batch_streams_into_store(tmp_path):
     store = ResultStore(tmp_path)
     runner = CampaignRunner(scale=0.05, benchmarks=SUBSET, store=store)
-    executor = ClusterExecutor(local_workers=2, wait_timeout=120)
-    summary = runner.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
-                              executor=executor)
+    summary = bounded(lambda: runner.run_grid(
+        configs=(SMALL,), schemes=("baseline", "nda"),
+        executor=ClusterExecutor(local_workers=2)))
     assert summary["simulated"] == 4
     assert len(store) == 4  # streamed via on_result, not post-hoc
 
     # A fresh runner over the same store simulates nothing.
     warm = CampaignRunner(scale=0.05, benchmarks=SUBSET,
                           store=ResultStore(tmp_path))
-    again = warm.run_grid(configs=(SMALL,), schemes=("baseline", "nda"),
-                          executor=ClusterExecutor(local_workers=2,
-                                                   wait_timeout=120))
+    again = bounded(lambda: warm.run_grid(
+        configs=(SMALL,), schemes=("baseline", "nda"),
+        executor=ClusterExecutor(local_workers=2)))
     assert again["simulated"] == 0
     assert again["from_store"] == 4
 
 
 # ----------------------------------------------------------------------
-# Fault injection: dead workers must not lose cells.
+# The failure rule: an error frame settles, any other end aborts.
 # ----------------------------------------------------------------------
 
-def test_crashed_worker_cells_are_requeued():
-    specs = small_specs()
-    serial = SerialExecutor().run(specs)
-
-    coordinator = ClusterCoordinator(specs)
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        # The crasher steals one cell and dies without reporting it.
-        crasher, crasher_thread = start_worker(
-            host, port, name="crasher",
-            fault_plan=FaultPlan([Fault("crash", worker="crasher", at=1)]))
-        crasher_thread.join(timeout=30)
-        assert not crasher_thread.is_alive()
-        assert crasher.cells_completed == 0
-
-        survivor, survivor_thread = start_worker(host, port, name="survivor")
-        assert coordinator.wait(timeout=120)
-        results = coordinator.results()
-        stats = coordinator.stats()
-        survivor_thread.join(timeout=10)
-    finally:
-        coordinator.close()
-
-    assert stats["requeues"] >= 1
-    assert stats["completed"] == len(specs)
-    assert stats["workers"] == {"survivor": len(specs)}
-    for mine, theirs in zip(serial, results):
-        assert mine.stats.to_dict() == theirs.stats.to_dict()
-
-
 def test_deterministic_worker_error_records_and_continues():
-    # Default: a deterministic failure settles the cell as a
-    # CellFailure, yields None at its index, and the rest of the grid
-    # still completes (graceful degradation).
+    # A cell whose simulation raises settles as a CellFailure, yields
+    # None at its index, and the rest of the grid still completes.
     bad = ("no.such.benchmark", SMALL, "baseline", (), 0.05, 2017)
     good = ("503.bwaves", SMALL, "baseline", (), 0.05, 2017)
-    executor = ClusterExecutor(local_workers=1, wait_timeout=60)
     failures = {}
-    results = executor.run([bad, good],
-                           on_failure=lambda i, f: failures.__setitem__(i, f))
+    progress = ProgressReporter(label="test").begin(2)
+    results = bounded(lambda: ClusterExecutor(local_workers=1).run(
+        [bad, good], progress=progress,
+        on_failure=lambda i, f: failures.__setitem__(i, f)))
     assert results[0] is None
     assert results[1] is not None
     assert list(failures) == [0]
     assert failures[0].kind == "deterministic"
+    assert failures[0].worker == "local-1"
     assert "no.such.benchmark" in failures[0].error
-    assert failures[0].traceback  # wire carries the remote traceback
-    stats = executor.last_stats
-    assert stats["failed"] == 1 and stats["quarantined"] == 0
-    assert 0 in executor.last_failures
-
-
-def test_deterministic_worker_error_fails_fast_when_asked():
-    specs = [("no.such.benchmark", SMALL, "baseline", (), 0.05, 2017)]
-    executor = ClusterExecutor(local_workers=1, wait_timeout=60,
-                               fail_fast=True)
-    with pytest.raises(RuntimeError, match="no.such.benchmark|errored"):
-        executor.run(specs)
-
-
-def test_late_duplicate_error_does_not_end_campaign():
-    specs = small_specs(schemes=("baseline",))
-    coordinator = ClusterCoordinator(specs)
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        # A real worker completes the whole grid first.
-        _worker, thread = start_worker(host, port, name="winner")
-        assert coordinator.wait(timeout=120)
-        thread.join(timeout=10)
-        # A straggler now reports an error for an already-done cell:
-        # it must be ack'd and ignored, not recorded as a failure.
-        conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "straggler",
-                          "protocol": PROTOCOL_VERSION,
-                          "model_version": MODEL_VERSION})
-        recv_frame(conn)
-        send_frame(conn, {"kind": "error", "cell_id": 0,
-                          "error": "MemoryError: host-specific"})
-        assert recv_frame(conn)["kind"] == "ack"
-        conn.close()
-        assert coordinator.stats()["failed"] == 0
-        assert len(coordinator.results()) == len(specs)  # does not raise
-    finally:
-        coordinator.close()
-
-
-def test_poison_cell_is_quarantined_and_grid_completes():
-    # One cell crashes every worker that steals it; after
-    # max_cell_attempts deaths it is quarantined and the rest of the
-    # grid still completes — one poisoned cell costs one cell, not the
-    # campaign.
-    from repro.harness.cluster import Fault, FaultPlan
-
-    specs = small_specs(schemes=("baseline",))  # 2 cells, 2 benchmarks
-    poison = specs[0][0]
-    plan = FaultPlan([Fault("poison_cell", arg=poison)])
-    executor = ClusterExecutor(local_workers=3, wait_timeout=120,
-                               max_cell_attempts=2, fault_plan=plan)
-    failures = {}
-    results = executor.run(
-        specs, on_failure=lambda i, f: failures.__setitem__(i, f))
-    assert results[0] is None  # the poisoned cell
-    assert results[1] is not None  # the healthy one completed
-    assert failures[0].kind == "poisoned"
-    assert failures[0].attempts == 2
-    assert "died" in failures[0].error
-    stats = executor.last_stats
-    assert stats["quarantined"] == 1 and stats["failed"] == 0
-    assert stats["requeues"] >= 1  # the first death requeued it once
-
-
-def test_campaign_raises_once_every_local_worker_exits():
-    # Only the local threads can simulate cells: when the only one
-    # crashes, the campaign raises promptly instead of waiting for a
-    # worker that cannot come.  (wait_timeout only bounds a regression.)
-    specs = small_specs(schemes=("baseline",))
-    plan = FaultPlan([Fault("crash", worker="local-1", at=1)])
-    executor = ClusterExecutor(local_workers=1, wait_timeout=30,
-                               fault_plan=plan)
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="every local worker exited"):
-        executor.run(specs)
-    assert time.monotonic() - start < 10
-    assert executor.last_stats["requeues"] == 1
-    assert executor.last_stats["completed"] == 0
-
-
-def test_last_worker_death_that_settles_the_grid_is_not_a_stall():
-    # The only worker dies holding the only cell, and that death
-    # quarantines the cell: the grid is settled, not stalled, however
-    # the worker thread's exit races the coordinator's drop.
-    spec = ("503.bwaves", SMALL, "baseline", (), 0.05, 2017)
-    plan = FaultPlan([Fault("poison_cell", arg=spec[0])])
-    executor = ClusterExecutor(local_workers=1, wait_timeout=30,
-                               max_cell_attempts=1, fault_plan=plan)
-    failures = {}
-    results = executor.run(
-        [spec], on_failure=lambda i, f: failures.__setitem__(i, f))
-    assert results == [None]
-    assert failures[0].kind == "poisoned"
+    assert failures[0].traceback  # the frame carries the traceback
+    assert progress.failed == 1 and progress.done == 1
 
 
 def test_cluster_executor_needs_a_local_worker():
@@ -305,70 +171,33 @@ def test_cluster_executor_needs_a_local_worker():
         ClusterExecutor(local_workers=0)
 
 
-def test_late_result_clears_quarantine_first_result_wins():
-    # A cell is quarantined (its worker presumed dead), then the
-    # presumed-dead worker's result arrives after all: determinism says
-    # it is the result any rerun would produce, so it wins and the
-    # quarantine dissolves.
-    spec = ("503.bwaves", SMALL, "baseline", (), 0.05, 2017)
-    serial = SerialExecutor().run([spec])[0]
+def test_campaign_raises_once_every_local_worker_exits(monkeypatch):
+    # The only worker thread dies holding its first cell: run raises
+    # naming it, once its threads have ended, instead of waiting for a
+    # result that cannot come.
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
 
-    cleared = []
-    progress = ProgressReporter(label="test").begin(1)
-    coordinator = ClusterCoordinator([spec], max_cell_attempts=1,
-                                     progress=progress)
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        # Steal the cell, then vanish: with max_cell_attempts=1 the
-        # death quarantines the cell immediately.
-        doomed = socket.create_connection((host, port), timeout=5)
-        send_frame(doomed, {"kind": "hello", "worker": "doomed",
-                            "protocol": PROTOCOL_VERSION,
-                            "model_version": MODEL_VERSION})
-        assert recv_frame(doomed)["kind"] == "welcome"
-        send_frame(doomed, {"kind": "steal"})
-        assert recv_frame(doomed)["kind"] == "cell"
-        doomed.close()
+    def dying(spec):
+        raise SystemExit("worker thread ends")
 
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if coordinator.stats()["quarantined"] == 1:
-                break
-            time.sleep(0.02)
-        assert coordinator.stats()["quarantined"] == 1
-        assert coordinator.wait(timeout=5)  # settled (by quarantine)
-        assert progress.quarantined == 1
-        assert coordinator.results() == [None]
-
-        # The "dead" worker was merely slow: its result lands late.
-        straggler = socket.create_connection((host, port), timeout=5)
-        send_frame(straggler, {"kind": "hello", "worker": "doomed",
-                               "protocol": PROTOCOL_VERSION,
-                               "model_version": MODEL_VERSION})
-        assert recv_frame(straggler)["kind"] == "welcome"
-        send_frame(straggler, {"kind": "result", "cell_id": 0,
-                               "result": serial.to_dict()})
-        assert recv_frame(straggler)["kind"] == "ack"
-        straggler.close()
-
-        stats = coordinator.stats()
-        assert stats["quarantined"] == 0 and stats["completed"] == 1
-        assert progress.quarantined == 0 and progress.done == 1
-        results = coordinator.results()
-        assert results[0].stats.to_dict() == serial.stats.to_dict()
-        assert coordinator.failures() == {}
-    finally:
-        coordinator.close()
+    monkeypatch.setattr(worker, "simulate_cell", dying)
+    settled = []
+    with pytest.raises(RuntimeError) as info:
+        bounded(lambda: ClusterExecutor(local_workers=1).run(
+            small_specs(schemes=("baseline",)),
+            on_result=lambda i, r: settled.append(i),
+            on_failure=lambda i, f: settled.append(i)), seconds=30)
+    assert ("worker local-1 ended holding cell 0 (503.bwaves/small/"
+            "baseline)") in str(info.value)
+    assert settled == []
+    assert [type(args.exc_value) for args in died] == [SystemExit]
 
 
-def test_undecodable_result_drops_its_worker_and_requeues_the_cell(
-        monkeypatch):
-    # A result frame the coordinator cannot decode (a malformed memory
-    # image, or a delta against another program's image) is the
-    # worker's fault: the worker is dropped and its cell requeued, as
-    # for a corrupt frame.  No serve thread dies, and the cell still
-    # completes with the serial result.
+def test_undecodable_result_aborts_the_campaign(monkeypatch):
+    # A result frame the coordinator cannot decode — a malformed memory
+    # image, or a delta against another program's image — aborts the
+    # campaign, naming the worker and its cell; no serve thread dies.
     from repro.workloads.program_cache import cached_spec_program
 
     raised = []
@@ -382,145 +211,90 @@ def test_undecodable_result_drops_its_worker_and_requeues_the_cell(
     foreign["memory_base"] = cached_spec_program(
         "548.exchange2", scale=0.05, seed=2017).image_digest
 
-    coordinator = ClusterCoordinator([spec])
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        for bad in (malformed, foreign):
-            conn = socket.create_connection((host, port), timeout=5)
-            try:
-                send_frame(conn, {"kind": "hello", "worker": "garbled",
-                                  "protocol": PROTOCOL_VERSION,
-                                  "model_version": MODEL_VERSION})
-                assert recv_frame(conn)["kind"] == "welcome"
-                send_frame(conn, {"kind": "steal"})
-                assert recv_frame(conn)["cell_id"] == 0
-                send_frame(conn, {"kind": "result", "cell_id": 0,
-                                  "result": bad})
-                assert recv_frame(conn) is None  # dropped, never ack'd
-            finally:
-                conn.close()
-        assert coordinator.stats()["requeues"] == 2
+    for bad, reason in ((malformed, "undecodable result: "),
+                        (foreign, "delta against image")):
+        coordinator = ClusterCoordinator([spec])
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(30)
+        serve = threading.Thread(target=coordinator.serve,
+                                 args=(ours, "garbled"), daemon=True)
+        serve.start()
+        try:
+            send_frame(theirs, {"kind": "steal"})
+            assert recv_frame(theirs)["kind"] == "cell"
+            send_frame(theirs, {"kind": "result", "result": bad})
+            assert recv_frame(theirs) is None  # ended, never answered
+            serve.join(30)
+            assert not serve.is_alive()
+        finally:
+            ours.close()
+            theirs.close()
+        assert coordinator.wait(0)
+        with pytest.raises(RuntimeError) as info:
+            coordinator.results()
+        message = str(info.value)
+        assert "worker garbled ended holding cell 0" in message
+        assert reason in message
+    assert raised == []
 
-        _worker, thread = start_worker(host, port, name="honest")
-        assert coordinator.wait(timeout=60)
-        thread.join(timeout=30)
-        (result,) = coordinator.results()
-        assert result.to_dict() == serial.to_dict()
-    finally:
-        coordinator.close()
-        for thread in coordinator._threads:
-            thread.join(timeout=30)
+    # The same through the executor: run raises instead of hanging.
+    send = worker.send_frame
+
+    def garbling(sock, message):
+        if message["kind"] == "result":
+            message = dict(message, result=malformed)
+        send(sock, message)
+
+    monkeypatch.setattr(worker, "send_frame", garbling)
+    with pytest.raises(RuntimeError, match="worker local-[12] ended"
+                                           " holding cell .*undecodable"):
+        bounded(lambda: ClusterExecutor(local_workers=2).run(small_specs()),
+                seconds=60)
     assert raised == []
 
 
-def test_protocol_version_mismatch_is_rejected():
-    coordinator = ClusterCoordinator(small_specs())
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "new",
-                          "protocol": PROTOCOL_VERSION + 1})
-        assert recv_frame(conn)["kind"] == "reject"
-        conn.close()
-        # A generation-2 worker (dict-form memory images) is refused,
-        # and the reason names both versions.
-        conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "old", "protocol": 2,
-                          "model_version": MODEL_VERSION})
-        reply = recv_frame(conn)
-        assert reply["kind"] == "reject"
-        assert reply["error"] == (
-            "protocol version mismatch: coordinator v%d, worker v2"
-            % PROTOCOL_VERSION)
-        conn.close()
-        # A full ClusterWorker against the same mismatch surfaces the
-        # rejection instead of pretending a clean drain.
-        rejected = ClusterWorker(host, port, name="newer")
-        rejected_run = {}
-        orig = PROTOCOL_VERSION
+def test_on_result_that_raises_aborts_the_campaign():
+    # A store write that fails must not leave the campaign waiting or
+    # finish it without the cell: run raises, naming the worker, and
+    # chains the callback's exception.
+    calls = []
 
-        def run_with_wrong_version():
-            import repro.harness.cluster.worker as worker_module
+    def on_result(index, result):
+        calls.append(index)
+        if len(calls) == 2:
+            raise OSError("disk full")
 
-            worker_module.PROTOCOL_VERSION = orig + 1
-            try:
-                rejected_run["count"] = rejected.run()
-            finally:
-                worker_module.PROTOCOL_VERSION = orig
-
-        run_with_wrong_version()
-        assert rejected_run["count"] == 0
-        assert rejected.rejected
-        assert "rejected" in rejected.last_error
-        # Stealing without hello is rejected too.
-        conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "steal"})
-        assert recv_frame(conn)["kind"] == "reject"
-        conn.close()
-    finally:
-        coordinator.close()
+    with pytest.raises(RuntimeError, match=r"worker local-1 ended holding"
+                                           r" cell \d \(.*disk full") as info:
+        bounded(lambda: ClusterExecutor(local_workers=1).run(
+            small_specs(), on_result=on_result), seconds=60)
+    assert isinstance(info.value.__cause__, OSError)
+    # No cell is handed out after the abort.
+    assert len(calls) == 2
 
 
-def test_model_version_mismatch_is_rejected():
-    """A worker running another model must be refused at hello: the
-    coordinator stores each result under a key hashed with its own
-    model version, which would vouch for the other model's results."""
-    coordinator = ClusterCoordinator(small_specs())
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-
-        # Another model version -> reject naming both.
-        conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "stale",
-                          "protocol": PROTOCOL_VERSION,
-                          "model_version": "0.0.0-stale"})
-        reply = recv_frame(conn)
-        assert reply["kind"] == "reject"
-        assert reply["error"] == (
-            "model version mismatch: coordinator %s, worker 0.0.0-stale"
-            % MODEL_VERSION)
-        conn.close()
-
-        # No model version at all -> reject.
-        conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "unstamped",
-                          "protocol": PROTOCOL_VERSION})
-        reply = recv_frame(conn)
-        assert reply["kind"] == "reject"
-        assert "model version mismatch" in reply["error"]
-        conn.close()
-
-        # The coordinator's own version is welcomed.
-        conn = socket.create_connection((host, port), timeout=5)
-        send_frame(conn, {"kind": "hello", "worker": "current",
-                          "protocol": PROTOCOL_VERSION,
-                          "model_version": MODEL_VERSION})
-        assert recv_frame(conn)["kind"] == "welcome"
-        conn.close()
-    finally:
-        coordinator.close()
-
-
-def test_cluster_worker_surfaces_model_version_rejection(monkeypatch):
-    """A full ClusterWorker built from another model reports the
-    rejection instead of simulating cells into this model's keys."""
-    import repro.harness.cluster.worker as worker_module
-
-    coordinator = ClusterCoordinator(small_specs())
-    coordinator.start()
-    try:
-        host, port = coordinator.address
-        monkeypatch.setattr(worker_module, "MODEL_VERSION", "0.0.0-stale")
-        worker = ClusterWorker(host, port, name="stale-build")
-        assert worker.run() == 0
-        assert worker.rejected
-        assert "model version mismatch" in worker.last_error
-        assert coordinator.stats()["completed"] == 0
-    finally:
-        coordinator.close()
+def test_out_of_protocol_frame_aborts_the_campaign():
+    # A worker that reports before it stole, or steals while it holds a
+    # cell, is out of protocol: the campaign aborts.
+    for frames in ([{"kind": "result", "result": {}}],
+                   [{"kind": "steal"}, {"kind": "steal"}]):
+        coordinator = ClusterCoordinator(small_specs())
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(30)
+        serve = threading.Thread(target=coordinator.serve,
+                                 args=(ours, "confused"), daemon=True)
+        serve.start()
+        try:
+            for frame in frames:
+                send_frame(theirs, frame)
+            serve.join(30)
+            assert not serve.is_alive()
+        finally:
+            ours.close()
+            theirs.close()
+        with pytest.raises(RuntimeError, match="unexpected 'steal'|"
+                                               "unexpected 'result'"):
+            coordinator.results()
 
 
 # ----------------------------------------------------------------------
@@ -553,26 +327,19 @@ def test_progress_reporter_counters_and_render():
     line = progress.render()
     assert "4/4" in line and "w1:3" in line and "w2:1" in line
     # A clean campaign's line carries no failure noise.
-    assert "failed" not in line and "quarantined" not in line
+    assert "failed" not in line
 
 
 def test_progress_reporter_failure_counters():
     progress = ProgressReporter(label="grid").begin(4)
     progress.cell_done(worker="w1")
-    progress.cell_failed(worker="w1", kind="deterministic")
-    progress.cell_failed(worker="w2", kind="poisoned")
-    progress.requeued()
-    progress.requeued()
+    progress.cell_failed(worker="w1")
+    progress.cell_failed(worker="w2")
     snap = progress.snapshot()
-    assert snap["failed"] == 1 and snap["quarantined"] == 1
-    assert snap["requeues"] == 2
+    assert snap["failed"] == 2 and snap["done"] == 1
     # Failures settle cells: 1 done + 2 failed of 4 -> 1 remaining.
     line = progress.render()
-    assert "1/4" in line
-    assert "1 failed" in line and "1 quarantined" in line
-    assert "2 requeued" in line
-    # A late first result un-settles the matching failure class.
-    progress.failure_cleared("poisoned")
+    assert "1/4" in line and "2 failed" in line
     progress.cell_done(worker="w2")
-    snap = progress.snapshot()
-    assert snap["quarantined"] == 0 and snap["failed"] == 1
+    line = progress.render()
+    assert "2/4" in line and "done in" in line

@@ -316,6 +316,19 @@ def test_store_stats_accounting(tmp_path):
     assert stats["disk_bytes"] >= stats["live_bytes"]
 
 
+def test_disk_bytes_are_the_database_at_rest(tmp_path):
+    # The connection that reads the totals creates the WAL index
+    # (``-shm``, 32 KiB), which holds no cell data: a closed store
+    # reports the size its database file has at rest.
+    populate(tmp_path, 4)
+    at_rest = (tmp_path / MANIFEST_NAME).stat().st_size
+    store = ResultStore(tmp_path)
+    try:
+        assert store.stats()["disk_bytes"] == at_rest
+    finally:
+        store.close()
+
+
 def test_clear_removes_the_database(tmp_path):
     keys = populate(tmp_path, 4)
     store = ResultStore(tmp_path)
