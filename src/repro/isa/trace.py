@@ -98,7 +98,7 @@ def _as_flags(values):
     return values if isinstance(values, bytes) else bytes(values)
 
 
-def _encode_words(column):
+def encode_words(column):
     """Base64 text over a word column's raw little-endian buffer."""
     if sys.byteorder != _PAYLOAD_ENDIAN:  # pragma: no cover - BE host
         column = array(column.typecode, column)
@@ -111,15 +111,17 @@ def _decode_b64(text, what):
     try:
         return base64.b64decode(text, validate=True)
     except (binascii.Error, TypeError, ValueError) as exc:
-        raise ValueError("trace column %r is not valid base64: %s"
+        raise ValueError("column %r is not valid base64: %s"
                          % (what, exc)) from None
 
 
-def _decode_words(text, typecode, what):
+def decode_words(text, typecode, what):
+    """The word column :func:`encode_words` wrote; ``ValueError`` names
+    column ``what`` when ``text`` is not base64 or not whole words."""
     raw = _decode_b64(text, what)
     if len(raw) % _ITEMSIZE:
         raise ValueError(
-            "trace column %r is truncated (%d bytes, not a multiple of %d)"
+            "column %r is truncated (%d bytes, not a multiple of %d)"
             % (what, len(raw), _ITEMSIZE))
     column = array(typecode)
     column.frombytes(raw)
@@ -212,10 +214,10 @@ class DynamicTrace:
             "program_name": self.program_name,
             "program_len": self.program_len,
             "entry": self.entry,
-            "pcs": _encode_words(self.pcs),
-            "next_pcs": _encode_words(self.next_pcs),
-            "results": _encode_words(self.results),
-            "addrs": _encode_words(self.addrs),
+            "pcs": encode_words(self.pcs),
+            "next_pcs": encode_words(self.next_pcs),
+            "results": encode_words(self.results),
+            "addrs": encode_words(self.addrs),
             "taken": base64.b64encode(self.taken).decode("ascii"),
         }
 
@@ -245,10 +247,10 @@ class DynamicTrace:
             program_name=payload["program_name"],
             program_len=payload["program_len"],
             entry=payload["entry"],
-            pcs=_decode_words(payload["pcs"], "Q", "pcs"),
-            next_pcs=_decode_words(payload["next_pcs"], "Q", "next_pcs"),
-            results=_decode_words(payload["results"], "q", "results"),
-            addrs=_decode_words(payload["addrs"], "Q", "addrs"),
+            pcs=decode_words(payload["pcs"], "Q", "pcs"),
+            next_pcs=decode_words(payload["next_pcs"], "Q", "next_pcs"),
+            results=decode_words(payload["results"], "q", "results"),
+            addrs=decode_words(payload["addrs"], "Q", "addrs"),
             taken=taken,
         )
         n = len(trace.pcs)

@@ -167,6 +167,7 @@ from repro.isa.interp import (
     to_signed64,
     to_unsigned64,
 )
+from repro.isa.program import address_runs
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MEGA
@@ -210,30 +211,8 @@ def pack_memory(memory):
     ``base + i``.  The inverse is :func:`unpack_memory`."""
     addresses = sorted(memory)
     values = list(map(memory.__getitem__, addresses))
-    count = len(addresses)
-    runs = []
-    start = 0
-    while start < count:
-        base = addresses[start]
-        end = start + 1
-        if end < count and addresses[end] == base + 1:
-            # address - index is constant along a run and grows at
-            # every gap: gallop past the run's end, then bisect back to
-            # it, so a run costs O(log length) steps.
-            offset = base - start
-            hi, step = end + 1, 2
-            while hi <= count and addresses[hi - 1] - (hi - 1) == offset:
-                end, hi, step = hi, hi + step, step * 2
-            hi = min(hi - 1, count)
-            while end < hi:
-                mid = (end + hi) // 2
-                if addresses[mid] - mid == offset:
-                    end = mid + 1
-                else:
-                    hi = mid
-        runs.append([base, values[start:end]])
-        start = end
-    return runs
+    return [[addresses[start], values[start:end]]
+            for start, end in address_runs(addresses)]
 
 
 def unpack_memory(data):
@@ -257,8 +236,10 @@ class MemoryImage(Mapping):
 
     ``base`` is a program's initial image, shared by every core and
     result of that program and never written through the view
-    (programs are read-only once built); ``delta`` holds the words a
-    core wrote.  Reads check ``delta``, then ``base``.  Iteration yields
+    (programs are read-only once built): a dict, or the program cache's
+    :class:`~repro.isa.program.PackedImage`, read only through the
+    ``Mapping`` protocol.  ``delta`` is the dict of the words a core
+    wrote.  Reads check ``delta``, then ``base``.  Iteration yields
     ``base``'s addresses in its own order, then the addresses only
     ``delta`` holds: the order of ``dict(base)`` updated by ``delta``.
     Neither iteration nor :meth:`items` builds a whole-image dict.  Two
@@ -315,7 +296,8 @@ class MemoryImage(Mapping):
 
 
 class _ImageItems(ItemsView):
-    """:meth:`MemoryImage.items`, iterated in C over both dicts."""
+    """:meth:`MemoryImage.items`, iterated in C over the base's
+    iterators and the delta."""
 
     __slots__ = ()
 
@@ -505,10 +487,11 @@ class OoOCore:
                 self.prf.values[reg] = to_signed64(value)
         image = program.initial_memory
         facts = program.start_state
-        in_range_key = ("image-in-range", len(image))
+        length = len(image)
+        in_range_key = ("image-in-range", length)
         in_range = facts.get(in_range_key)
         if in_range is None:
-            in_range = facts[in_range_key] = not image or (
+            in_range = facts[in_range_key] = not length or (
                 0 <= min(image) and max(image) <= _MAX_ADDRESS
                 and _MIN_WORD <= min(image.values())
                 and max(image.values()) <= _MAX_WORD)
@@ -517,10 +500,10 @@ class OoOCore:
             for addr, value in image.items()
         }, {})
         self.hierarchy = MemoryHierarchy(cfg.mem)
-        if warm_caches and image:
+        if warm_caches and length:
             l2 = self.hierarchy.l2
             warm_key = ("warm-l2", l2.num_sets, l2.ways, l2.line_words,
-                        len(image))
+                        length)
             warmed = facts.get(warm_key)
             if warmed is None:
                 self.hierarchy.warm(self.memory.base, level="l2")
@@ -646,7 +629,21 @@ class OoOCore:
             self.step()
             if not self.halted:
                 self._fast_forward()
+        self._unlink()
         return self.result()
+
+    def _unlink(self):
+        """Drop the references back to this halted core: its units', its
+        scheme's and its event handlers'.  A finished core is then no
+        cyclic garbage, and reference counting frees it with its
+        predictor tables, micro-op pool and event buckets as soon as its
+        last reference goes, instead of at a later cyclic collection.
+        :meth:`result` needs none of them.  (The scheme-hook bound
+        methods and the register file's listener close no cycle once
+        the scheme and the issue queue let go of the core.)"""
+        self._event_dispatch = None
+        self.scheme.core = self.iq.core = self.lsu.core = None
+        self.fetch.core = None
 
     def step(self):
         """Advance the machine by one clock cycle."""

@@ -23,9 +23,15 @@ Two layers:
 * **In-process dict** — always on.  ``fork``-based pool workers
   inherit the parent's entries, cluster worker threads share one
   cache, and a worker looping over many cells of one benchmark
-  generates it once.  Programs are safe to share — simulation copies
-  the initial memory image and never mutates the instruction list.
-  Cores record per-program facts on a shared program
+  generates it once.  Programs are safe to share: cores and results
+  read the initial image through
+  :class:`~repro.pipeline.core.MemoryImage` and write only their own
+  delta, and nothing mutates the instruction list.  Each cached
+  program's image is a read-only
+  :class:`~repro.isa.program.PackedImage`, packed once when the
+  program is generated: ``array('q')`` columns of 16 bytes a word
+  (24 in its shuffled pointer ring), where a dict of Python ints costs
+  about 90.  Cores record per-program facts on a shared program
   (:attr:`~repro.isa.program.Program.start_state`, such as its warmed
   L2), so :func:`clear_cache` drops those with the programs.
 * **Disk (optional)** — :func:`configure_disk_cache` points the cache
@@ -41,13 +47,18 @@ Two layers:
   A program file is ``<key>.<PROGRAM_FORMAT_VERSION>.json``, one JSON
   object holding ``name``, ``entry``, ``instructions`` (one
   ``[op, rd, rs1, rs2, imm, label]`` row each), ``initial_regs``
-  (``{"reg": value}``) and ``initial_memory`` as two columns,
-  ``[addresses, values]``, in the image's own order (a cache warm-up
-  installs lines in first-touch order).  The columns load through one
-  ``dict(zip(...))`` instead of an ``int()`` per word.  The version in
-  the name means a file in another layout — the ``{"address": value}``
-  image of ``<key>.json`` files — is never opened: it misses, and the
-  program is regenerated.
+  (``{"reg": value}``) and ``initial_memory``, the packed image's
+  :meth:`~repro.isa.program.PackedImage.columns`: ``runs`` as
+  ``[start, length, first]`` triples, and ``addresses``, ``values``
+  and ``slots`` as base64 over little-endian 64-bit words.  Addresses
+  and values are in the image's own order (a cache warm-up installs
+  lines in first-touch order).  Loading decodes the columns straight
+  into arrays, with no Python int per word; text that is not base64,
+  is not whole words or disagrees with ``runs`` raises ``ValueError``,
+  and the file misses.  The version in the name means a file in
+  another layout — the two JSON columns of ``<key>.program-v2.json``
+  files, the ``{"address": value}`` image of ``<key>.json`` files — is
+  never opened: it misses, and the program is regenerated.
 
 **Dynamic traces** live here too, through the same two layers and the
 same directory: :func:`cached_trace` / :func:`cached_spec_trace` resolve
@@ -78,14 +89,21 @@ import threading
 from dataclasses import asdict, replace
 
 from repro.isa.instructions import Instruction, Opcode
-from repro.isa.program import Program
-from repro.isa.trace import TRACE_FORMAT_VERSION, DynamicTrace, record_trace
+from repro.isa.program import PackedImage, Program
+from repro.isa.trace import (
+    TRACE_FORMAT_VERSION,
+    DynamicTrace,
+    decode_words,
+    encode_words,
+    record_trace,
+)
 from repro.workloads.characteristics import SPEC_PROFILES
 from repro.workloads.generator import GENERATOR_VERSION, generate_program
 
 #: Layout of a program file on disk, part of its name: bump it when
-#: the layout changes, so files in the old one miss.
-PROGRAM_FORMAT_VERSION = "program-v2"
+#: the layout changes, so files in the old one miss.  program-v3: the
+#: image as packed columns.
+PROGRAM_FORMAT_VERSION = "program-v3"
 
 _CACHE = {}
 _TRACE_CACHE = {}
@@ -184,8 +202,16 @@ def _program_path(key):
     return _DISK_DIR / ("%s.%s.json" % (key, PROGRAM_FORMAT_VERSION))
 
 
+#: The image's word columns in a program file, in
+#: :meth:`~repro.isa.program.PackedImage.columns` order after ``runs``.
+_IMAGE_COLUMNS = ("addresses", "values", "slots")
+
+
 def _program_to_payload(program):
-    memory = program.initial_memory
+    """A cached program (its image a :class:`PackedImage`) as JSON."""
+    runs, *columns = program.initial_memory.columns()
+    image = {"runs": runs}
+    image.update(zip(_IMAGE_COLUMNS, map(encode_words, columns)))
     return {
         "name": program.name,
         "entry": program.entry,
@@ -193,20 +219,21 @@ def _program_to_payload(program):
             [i.op.value, i.rd, i.rs1, i.rs2, i.imm, i.label]
             for i in program.instructions
         ],
-        "initial_memory": [list(memory), list(memory.values())],
+        "initial_memory": image,
         "initial_regs": {str(r): v for r, v in program.initial_regs.items()},
     }
 
 
 def _program_from_payload(payload):
-    addresses, values = payload["initial_memory"]
+    image = payload["initial_memory"]
     return Program(
         instructions=[
             Instruction(op=Opcode(op), rd=rd, rs1=rs1, rs2=rs2, imm=imm,
                         label=label)
             for op, rd, rs1, rs2, imm, label in payload["instructions"]
         ],
-        initial_memory=dict(zip(addresses, values, strict=True)),
+        initial_memory=PackedImage(image["runs"], *(
+            decode_words(image[name], "q", name) for name in _IMAGE_COLUMNS)),
         initial_regs={int(r): v for r, v in payload["initial_regs"].items()},
         name=payload["name"],
         entry=payload["entry"],
@@ -277,7 +304,12 @@ def _trace_disk_store(key, trace):
 
 
 def cached_program(profile, seed=2017):
-    """Generate ``profile``'s program, memoised by content."""
+    """Generate ``profile``'s program, memoised by content.
+
+    The program is :func:`~repro.workloads.generator.generate_program`'s
+    with its image packed into a :class:`PackedImage`: the same words,
+    order and :attr:`~repro.isa.program.Program.image_digest`.
+    """
     return _cached_program(program_key(profile, seed), profile, seed)
 
 
@@ -297,6 +329,9 @@ def _cached_program(key, profile, seed):
             _STATS["disk_hits"] += 1
             return _CACHE.setdefault(key, program)
     program = generate_program(profile, seed=seed)
+    # Finish the build before anything else sees the program: pack its
+    # image.  The validation generate_program recorded still holds.
+    program.initial_memory = PackedImage.pack(program.initial_memory)
     _disk_store(key, program)
     with _LOCK:
         return _CACHE.setdefault(key, program)

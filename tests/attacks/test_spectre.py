@@ -11,6 +11,7 @@ from repro import MEGA, LARGE
 from repro.attacks import build_spectre_program, run_spectre_v1
 from repro.attacks.covert_channel import CacheProbe
 from repro.attacks.spectre_v1 import DUMMY_VALUE
+from repro.core.registry import secure_scheme_names
 
 
 def test_baseline_leaks_the_secret():
@@ -19,9 +20,24 @@ def test_baseline_leaks_the_secret():
     assert outcome.observed == (42,)
 
 
-@pytest.mark.parametrize("scheme", ["stt-rename", "stt-issue", "nda"])
-def test_schemes_block_the_leak(scheme):
-    outcome = run_spectre_v1(scheme, secret=42)
+#: delay-on-miss leaks every secret: the transient secret load hits L1
+#: (the secret shares a line with the gadget's index table), so the
+#: scheme broadcasts it at once, and ``LoadStoreUnit.load_agen`` fills
+#: L1 and L2 for the dependent transmitter through
+#: ``hierarchy.access()`` before the scheme defers anything.  The
+#: design it cites delays the speculative miss request itself.  Strict,
+#: so this test fails once the model stops the leak.
+_LEAKS = {"delay-on-miss": pytest.mark.xfail(
+    strict=True, reason="the LSU fills the caches for a speculative miss"
+    " before delay-on-miss defers it")}
+
+
+@pytest.mark.parametrize("secret", [42, 7, 55])
+@pytest.mark.parametrize("scheme", [
+    pytest.param(name, marks=_LEAKS.get(name, ()))
+    for name in secure_scheme_names()])
+def test_schemes_block_the_leak(scheme, secret):
+    outcome = run_spectre_v1(scheme, secret=secret)
     assert not outcome.leaked, "%s leaked %s" % (scheme, outcome.observed)
     assert outcome.observed == ()
 

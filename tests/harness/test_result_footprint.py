@@ -7,21 +7,31 @@ eager and lazy reads, or the process pool, whose workers send the
 record the store holds.  The gate counts what the kept results retain
 with tracemalloc, which sees exactly the bytes Python allocates, so it
 repeats where resident-set figures do not.
+
+The core that made a result is not kept either: once it halts it holds
+no reference cycle, so it is freed as its last reference goes, without
+waiting for the cyclic collector.
 """
 
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
+from repro.core.factory import make_scheme
 from repro.core.registry import grid_scheme_names
 from repro.harness.executor import PoolExecutor
 from repro.harness.parallel import simulate_cell
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore
+from repro.obs import CycleAccount
 from repro.pipeline.config import MEGA
-from repro.pipeline.core import SimulationResult
-from repro.workloads.program_cache import cached_spec_program
+from repro.pipeline.core import OoOCore, SimulationResult
+from repro.workloads.program_cache import (
+    cached_spec_program,
+    cached_spec_trace,
+)
 
 #: The SPEC proxy with the largest image at this scale: 16,704 words.
 BENCHMARK = "554.roms"
@@ -99,3 +109,24 @@ def test_stored_results_share_their_program_image(cells, tmp_path):
         for loaded in (store.load(key), lazy[key]):
             assert loaded.memory.base is program.initial_memory
             assert loaded.memory == result.memory
+
+
+@pytest.mark.parametrize("scheme", grid_scheme_names())
+def test_a_finished_core_is_not_cyclic_garbage(scheme, cells):
+    program, expected, _records = cells
+    trace = cached_spec_trace(BENCHMARK, scale=SCALE, seed=SEED)
+    gc.collect()
+    gc.disable()
+    try:
+        # As simulate_cell builds it.
+        core = OoOCore(program, config=MEGA, scheme=make_scheme(scheme),
+                       warm_caches=True, trace=trace, account=CycleAccount())
+        result = core.run()
+        assert core.result() == result  # still callable once halted
+        finished = weakref.ref(core)
+        del core
+        assert finished() is None, "a finished %s core outlived its last" \
+            " reference" % scheme
+    finally:
+        gc.enable()
+    assert result == expected[grid_scheme_names().index(scheme)]

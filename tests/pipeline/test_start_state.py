@@ -5,8 +5,9 @@ The warmed L2 is a :meth:`CacheModel.snapshot` on the program; later
 cores restore it instead of re-installing every image line.  The
 contract: a restored L2 equals a fresh ``MemoryHierarchy.warm()``, no
 run alters the snapshot, a grown image re-warms, and the snapshots die
-with the program.  A deterministic gate counts what building
-``campaign-cluster``'s cores costs.
+with the program.  A program that passed validation is not validated
+again.  A deterministic gate counts what building ``campaign-cluster``'s
+cores costs.
 """
 
 import cProfile
@@ -20,6 +21,8 @@ import pytest
 import repro
 from repro.core.factory import make_scheme
 from repro.core.registry import grid_scheme_names
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.program import Program
 from repro.memsys.hierarchy import MemConfig, MemoryHierarchy
 from repro.obs import CycleAccount
 from repro.pipeline.config import MEGA
@@ -38,12 +41,13 @@ TINY_L2 = MEGA.scaled(name="tiny-l2",
                                     l1_ways=2))
 
 #: Python calls into ``repro/`` per core while building
-#: ``campaign-cluster``'s 66 cores from a cleared program cache: 354.7
-#: on CPython 3.11 (23,409 calls; 1,556 per core when every core
-#: installed its program's image into its L2 line by line).  A ceiling
-#: rather than an equality, since CPython 3.12 inlines comprehensions.
-#: Lower it as core set-up gets cheaper.
-BUILD_CALLS_PER_CORE_CEILING = 356
+#: ``campaign-cluster``'s 66 cores from a cleared program cache: 281.9
+#: on CPython 3.11 (18,605 calls).  It was 1,556 per core when every
+#: core installed its program's image into its L2 line by line, and
+#: 354.7 when every core validated its program.  A ceiling rather than
+#: an equality, since CPython 3.12 inlines comprehensions.  Lower it as
+#: core set-up gets cheaper.
+BUILD_CALLS_PER_CORE_CEILING = 282
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
@@ -136,6 +140,34 @@ def test_a_word_added_between_builds_rewarms():
     assert not program.start_state[("image-in-range", lengths[-1])]
 
 
+def test_a_program_is_validated_once(monkeypatch):
+    # Only validation reads is_branch while a core is built.
+    checked = []
+    is_branch = Instruction.is_branch
+    monkeypatch.setattr(Instruction, "is_branch", property(
+        lambda instr: checked.append(instr) or is_branch.fget(instr)))
+    program = small_program(working_set_words=64)
+    verdict = ("valid", program.entry, len(program.instructions))
+    assert program.start_state == {verdict: True}  # generate_program's
+    assert len(checked) == len(program.instructions)
+    OoOCore(program)
+    OoOCore(program, config=TINY_L2, warm_caches=True)
+    program.validate()
+    assert len(checked) == len(program.instructions)
+    # A program nothing has validated is checked by its first core.
+    unchecked = Program(list(program.instructions), name="unchecked")
+    OoOCore(unchecked)
+    OoOCore(unchecked)
+    assert len(checked) == 2 * len(program.instructions)
+    assert unchecked.start_state[verdict] is True
+    # A failure records nothing, so every core raises.
+    no_halt = Program([Instruction(Opcode.ADDI, rd=1, imm=1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no halt"):
+            OoOCore(no_halt)
+    assert no_halt.start_state == {}
+
+
 def test_clear_cache_drops_the_snapshots():
     clear_cache()
     program = cached_spec_program("548.exchange2", scale=0.05)
@@ -147,7 +179,9 @@ def test_clear_cache_drops_the_snapshots():
     gc.collect()
     assert program_ref() is None
     fresh = cached_spec_program("548.exchange2", scale=0.05)
-    assert fresh.start_state == {}
+    # Only generate_program's validation verdict, no core's facts.
+    assert fresh.start_state == {
+        ("valid", fresh.entry, len(fresh.instructions)): True}
     clear_cache()
 
 

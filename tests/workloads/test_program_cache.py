@@ -1,11 +1,15 @@
 """Content-addressed program cache: identity, reuse, invalidation,
 and the persistent (disk) layer."""
 
+import gc
 import io
 import json
+import pathlib
+import tracemalloc
 
 import pytest
 
+from repro.isa.program import PackedImage
 from repro.workloads.characteristics import SPEC_PROFILES
 from repro.workloads.program_cache import (
     PROGRAM_FORMAT_VERSION,
@@ -165,62 +169,153 @@ def test_disk_cached_program_simulates_identically(tmp_path):
     assert a.to_dict() == b.to_dict()
 
 
-def test_old_format_file_is_ignored(tmp_path):
-    """A program file in the layout before PROGRAM_FORMAT_VERSION (the
-    image as a ``{"address": value}`` object, at ``<key>.json``) is
-    never opened: the program is regenerated, identically, beside it."""
+def test_old_format_file_is_ignored(tmp_path, monkeypatch):
+    """Program files in the layouts before PROGRAM_FORMAT_VERSION (the
+    image as two JSON columns at ``<key>.program-v2.json``, and as a
+    ``{"address": value}`` object at ``<key>.json``) are never opened:
+    the program is regenerated, identically, and its current file
+    written beside the old ones, which are never opened either."""
+    from repro.workloads import program_cache
     from repro.workloads.generator import generate_program
 
     profile = scaled_profile(SPEC_PROFILES["503.bwaves"], 0.05)
     key = program_key(profile, 2017)
     direct = generate_program(profile, seed=2017)
-    # The old layout, with one word changed so a misread would show.
-    old = {
+    # The old layouts, each word changed so a misread would show.
+    memory = direct.initial_memory
+    program_fields = {
         "name": direct.name,
         "entry": direct.entry,
         "instructions": [[i.op.value, i.rd, i.rs1, i.rs2, i.imm, i.label]
                          for i in direct.instructions],
-        "initial_memory": {str(a): v + 1
-                           for a, v in direct.initial_memory.items()},
         "initial_regs": {str(r): v for r, v in direct.initial_regs.items()},
     }
-    old_path = tmp_path / ("%s.json" % key)
-    old_path.write_text(json.dumps(old))
+    old = {
+        tmp_path / ("%s.program-v2.json" % key): dict(
+            program_fields, initial_memory=[
+                list(memory), [v + 1 for v in memory.values()]]),
+        tmp_path / ("%s.json" % key): dict(
+            program_fields, initial_memory={
+                str(a): v + 1 for a, v in memory.items()}),
+    }
+    for path, payload in old.items():
+        path.write_text(json.dumps(payload))
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(pathlib.Path(path).name)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(program_cache, "open", recording_open, raising=False)
     configure_disk_cache(tmp_path)
     program = cached_spec_program("503.bwaves", scale=0.05)
     stats = cache_stats()
     assert stats["disk_hits"] == 0 and stats["misses"] == 1
     assert [str(i) for i in program.instructions] == [
         str(i) for i in direct.instructions]
-    assert list(program.initial_memory.items()) == list(
-        direct.initial_memory.items())
+    assert list(program.initial_memory.items()) == list(memory.items())
     assert program.image_digest == direct.image_digest
-    assert json.loads(old_path.read_text()) == old
-    # The regeneration wrote the current layout, which loads back in
-    # the image's own order.
-    (new_path,) = set(tmp_path.glob("*.json")) - {old_path}
-    assert new_path.name == "%s.%s.json" % (key, PROGRAM_FORMAT_VERSION)
-    addresses, values = json.loads(new_path.read_text())["initial_memory"]
-    assert addresses == list(direct.initial_memory)
+    # The regeneration wrote the current layout beside the old file,
+    # and a fresh process reads it back in the image's own order.
+    new_path = tmp_path / ("%s.%s.json" % (key, PROGRAM_FORMAT_VERSION))
+    assert set(tmp_path.glob("*.json")) == set(old) | {new_path}
     clear_cache()
     reloaded = cached_spec_program("503.bwaves", scale=0.05)
     assert cache_stats()["disk_hits"] == 1
-    assert list(reloaded.initial_memory.items()) == list(
-        direct.initial_memory.items())
+    assert list(reloaded.initial_memory.items()) == list(memory.items())
+    assert set(opened) == {new_path.name}
+    for path, payload in old.items():
+        assert json.loads(path.read_text()) == payload
 
 
 def test_program_file_with_ragged_columns_is_a_miss(tmp_path):
     configure_disk_cache(tmp_path)
-    cached_spec_program("503.bwaves", scale=0.05)
+    program = cached_spec_program("503.bwaves", scale=0.05)
     (path,) = tmp_path.glob("*.json")
-    payload = json.loads(path.read_text())
-    payload["initial_memory"][1].pop()
+    whole = path.read_text()
+    payload = json.loads(whole)
+    # 16,704 words are 133,632 bytes, a multiple of 3: the base64 text
+    # has no padding, and dropping whole quanta drops three values.
+    payload["initial_memory"]["values"] = \
+        payload["initial_memory"]["values"][:-32]
     path.write_text(json.dumps(payload))
     clear_cache()
-    cached_spec_program("503.bwaves", scale=0.05)
+    reloaded = cached_spec_program("503.bwaves", scale=0.05)
     assert cache_stats()["disk_hits"] == 0
-    addresses, values = json.loads(path.read_text())["initial_memory"]
-    assert len(addresses) == len(values)  # rewritten whole
+    assert list(reloaded.initial_memory.items()) == list(
+        program.initial_memory.items())
+    assert path.read_text() == whole  # rewritten whole
+
+
+def warmed_l2(program):
+    """The L2 snapshot the first warm core of ``program`` records."""
+    from repro.pipeline.config import MEGA
+    from repro.pipeline.core import OoOCore
+
+    OoOCore(program, config=MEGA, warm_caches=True)
+    (snapshot,) = [value for key, value in program.start_state.items()
+                   if key[0] == "warm-l2"]
+    return [list(cache_set) for cache_set in snapshot[0]], snapshot[1]
+
+
+@pytest.mark.parametrize("disk", [False, True], ids=["generated", "loaded"])
+def test_cached_images_are_the_generated_ones(disk, tmp_path):
+    """Packing changes no word, no order, no digest and no warm-up."""
+    from repro.workloads.generator import generate_program
+
+    if disk:
+        configure_disk_cache(tmp_path)
+        for name in SPEC_PROFILES:
+            cached_spec_program(name, scale=0.05)
+        clear_cache()
+    for name, profile in SPEC_PROFILES.items():
+        cached = cached_spec_program(name, scale=0.05)
+        direct = generate_program(scaled_profile(profile, 0.05), seed=2017)
+        assert isinstance(cached.initial_memory, PackedImage), name
+        assert type(direct.initial_memory) is dict
+        assert list(cached.initial_memory.items()) == list(
+            direct.initial_memory.items()), name
+        assert cached.image_digest == direct.image_digest, name
+        assert warmed_l2(cached) == warmed_l2(direct), name
+    assert cache_stats()["disk_hits"] == (len(SPEC_PROFILES) if disk else 0)
+
+
+#: Bytes a loaded program may retain per image word: two 8-byte columns,
+#: 8 more bytes a word in its shuffled pointer ring, and the
+#: instructions (18.4 for this program).  A dict of Python ints retains
+#: about 90.
+MAX_BYTES_PER_IMAGE_WORD = 32
+
+
+def test_loaded_program_retains_its_image_packed(tmp_path):
+    configure_disk_cache(tmp_path)
+    cached_spec_program("503.bwaves", scale=0.05)
+    clear_cache()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program = cached_spec_program("503.bwaves", scale=0.05)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cache_stats()["disk_hits"] == 1
+    words = len(program.initial_memory)
+    assert words == 16_704
+    assert retained / words <= MAX_BYTES_PER_IMAGE_WORD, (
+        "the loaded program retains %.1f bytes per image word"
+        % (retained / words))
+
+
+def test_cached_image_is_read_only():
+    program = cached_spec_program("548.exchange2", scale=0.05)
+    address = next(iter(program.initial_memory))
+    with pytest.raises(TypeError):
+        program.initial_memory[address] = 1
+    with pytest.raises(TypeError):
+        program.initial_memory[-1] = 1
+    assert -1 not in program.initial_memory
 
 
 def test_corrupt_disk_entry_falls_back_to_regeneration(tmp_path):
