@@ -20,8 +20,7 @@ Subcommands:
     scale/seed and reports the bytes reclaimed, ``store stats`` prints
     the format, cell count, bytes on disk, compression ratio and
     failure count, and ``store failures`` lists recorded cell failures
-    and names any failure file it cannot read (exit 1 when either
-    exists; ``store stats`` names those files too).
+    (exit 1 when any exists).
 ``schemes``
     List every registered speculation scheme straight from the scheme
     registry: canonical name, grid membership, kwargs schema, and the
@@ -161,8 +160,7 @@ def build_parser():
                             " (reports bytes reclaimed); stats: format,"
                             " cells, bytes on disk, compression ratio,"
                             " failures; failures: list recorded cell"
-                            " failures and unreadable failure files"
-                            " (exit 1 when any exist)")
+                            " failures (exit 1 when any exist)")
     store.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help="persistent store root (default %(default)s)")
     store.add_argument("--scale", type=float, default=1.0,
@@ -348,25 +346,19 @@ def cmd_store(args):
                  _format_bytes(stats["raw_bytes"]),
                  "%.2fx" % stats["compression_ratio"]
                  if stats["compression_ratio"] else "n/a"))
-        unreadable = stats["unreadable_failures"]
-        print("  failures recorded: %d%s"
-              % (stats["failures"], ", %d unreadable (%s)"
-                 % (len(unreadable), ", ".join(unreadable))
-                 if unreadable else ""))
+        print("  failures recorded: %d" % stats["failures"])
         return 0
     if args.action == "failures":
-        failures, unreadable = store.read_failures()
+        failures = store.failures()
         for record in failures:
             print("%s  %s/%s/%s  %s x%d (worker %s): %s"
                   % (record.key[:12], record.benchmark,
                      record.config_name or "-", record.scheme_name,
                      record.kind, record.attempts,
                      record.worker or "?", record.error))
-        for name in unreadable:
-            print("unreadable failure record: %s" % name)
-        print("store failures (%s): %d recorded, %d unreadable"
-              % (store.root, len(failures), len(unreadable)))
-        return 1 if failures or unreadable else 0
+        print("store failures (%s): %d recorded"
+              % (store.root, len(failures)))
+        return 1 if failures else 0
     runner = CampaignRunner(scale=args.scale, seed=args.seed,
                             benchmarks=args.benchmarks)
     from repro.pipeline.config import named_configs

@@ -15,13 +15,13 @@ workload scale/seed, and a model version stamp.  Display names carry
 no identity, so same-named-but-different configurations can never
 alias.
 
-**Store layout** (format ``sqlite-v1``).  With a
-:class:`~repro.harness.store.ResultStore` attached, each cell is one
-row of a SQLite database::
+**Store layout** (format ``sqlite-v2``).  With a
+:class:`~repro.harness.store.ResultStore` attached, a store is one
+SQLite database file, and each cell is one row of it::
 
     results/store/
-        manifest.db               # SQLite: one ``cells`` row per cell
-        failures/*.json           # CellFailure records
+        manifest.db               # one ``cells`` row per cell, one
+                                  # ``failures`` row per failed cell
 
 A row's last column is its record: the envelope ``{"key",
 "model_version", "meta", "result"}`` as canonical JSON,
@@ -47,16 +47,18 @@ record's size before compression, and a per-cell statistics blob:
 ``load_many`` and ``iter_results`` return lazily-decoded results —
 statistics come from the row, records decompress only when touched —
 so analysis passes that read statistics decode no record.  A save is
-one INSERT, so a cell is stored whole or not at all, and concurrent
-writers, threads or processes, share the one WAL-mode database.
+one transaction — the cell's INSERT and the DELETE of its failure row
+— so a cell is stored whole or not at all, and concurrent writers,
+threads or processes, share the one WAL-mode database.
 
 **Stores of another format.**  The database's ``meta`` table names
 its format, and the store reads it before writing anything.  A
-directory of another format — such as ``segments-v1``, the segment
-files and manifest earlier releases wrote — is refused with an error
-naming both formats and the directory, and left as it was; its cells
-are simulated again in a fresh directory, as after a model-version
-bump.
+directory of another format — such as ``sqlite-v1``, whose failure
+records were JSON files under ``failures/``, or ``segments-v1``, the
+segment files and manifest earlier releases wrote — is refused with an
+error naming both formats and the directory, and left as it was; its
+cells are simulated again in a fresh directory, as after a
+model-version bump.  There is no migration.
 
 **Version invalidation and maintenance.**  The model version stamp
 (:data:`~repro.harness.store.MODEL_VERSION`, the package version)
@@ -119,9 +121,11 @@ report back.  The contract:
   ``deterministic`` on the cluster (its ``error`` frame carries the
   message and traceback), yields ``None`` at its index, and the rest
   of the campaign completes.  Settled failures are persisted as
-  records under ``<store>/failures/`` (``python -m repro store
-  failures`` lists them; a later result for the cell clears its
-  record).  Serial and pool backends raise on a cell exception.
+  ``failures`` rows of the store (``python -m repro store failures``
+  lists them).  A result saved for the cell deletes its failure row in
+  the transaction that inserts the result, whichever runner path
+  produced it, so a cell is never both.  Serial and pool backends
+  raise on a cell exception.
 - *Hung cells*: no wall-clock timeout is needed.  The kernel's
   watchdog (no commit for ``watchdog_cycles``) and ``max_cycles``
   raise inside the cell, so a hung cell settles as ``deterministic``

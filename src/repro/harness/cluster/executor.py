@@ -27,8 +27,6 @@ from repro.harness.executor import Executor
 class ClusterExecutor(Executor):
     """Serve a batch of cell specs to local cluster worker threads."""
 
-    kind = "cluster"
-
     def __init__(self, local_workers=1):
         self.local_workers = int(local_workers)
         if self.local_workers < 1:

@@ -58,8 +58,6 @@ from repro.workloads.program_cache import cached_spec_program
 class Executor:
     """Base of the executor protocol (duck-typed; subclassing optional)."""
 
-    kind = "abstract"
-
     def run(self, specs, progress=None, on_result=None, on_failure=None):
         """Simulate every spec; return results in spec order."""
         raise NotImplementedError
@@ -67,8 +65,6 @@ class Executor:
 
 class SerialExecutor(Executor):
     """In-process, one cell at a time."""
-
-    kind = "serial"
 
     def run(self, specs, progress=None, on_result=None, on_failure=None):
         results = []
@@ -102,8 +98,6 @@ class PoolExecutor(Executor):
     waiting for its cell.  Either way the cells still queued are
     dropped, not simulated.
     """
-
-    kind = "pool"
 
     def __init__(self, jobs=None):
         self.jobs = jobs

@@ -24,16 +24,19 @@ Three layers cooperate:
 - an :class:`~repro.harness.executor.Executor`, to which
   :meth:`CampaignRunner.run_cell_batch` hands the *uncached* cells of
   a batch: in-process by default, or a pool or cluster the caller
-  chose.  :meth:`CampaignRunner.run` simulates one cell through the
-  same :func:`~repro.harness.parallel.simulate_cell` every backend
-  calls.
+  chose.
+
+Every cell takes that one path: :meth:`CampaignRunner.run` (on a
+cache miss), :meth:`CampaignRunner.suite_results` and
+:meth:`CampaignRunner.run_grid` are batches through
+:meth:`CampaignRunner.run_cell_batch`, and every result reaches the
+store through :meth:`~repro.harness.store.ResultStore.save`.
 
 ``python -m repro`` exposes all of this on the command line.
 """
 
 from repro.core.registry import grid_scheme_names
 from repro.harness.executor import SerialExecutor
-from repro.harness.parallel import simulate_cell
 from repro.harness.store import simulation_key
 from repro.pipeline.config import named_configs
 
@@ -83,74 +86,30 @@ class CampaignRunner:
     def run(self, benchmark, config, scheme_name, **scheme_kwargs):
         """Result for one cell of the grid (cached, store-backed)."""
         key = self.cell_key(benchmark, config, scheme_name, scheme_kwargs)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self.store.load(key) if self.store is not None else None
+        result = self._cache.get(key)
         if result is None:
-            # The one cell path every executor uses, so a cell's result
-            # and stored bytes are identical however it was produced.
-            result = simulate_cell(self._cell_spec(
-                benchmark, config, scheme_name, scheme_kwargs))
-            self._persist(key, result, benchmark, config, scheme_name,
-                          scheme_kwargs)
-        self._cache[key] = result
+            self.run_cell_batch(
+                [(benchmark, config, scheme_name, scheme_kwargs)])
+            result = self._cache[key]
         return result
-
-    def _persist(self, key, result, benchmark, config, scheme_name,
-                 scheme_kwargs):
-        if self.store is None:
-            return
-        self.store.save(key, result, meta={
-            "benchmark": benchmark,
-            "config": config.name,
-            "scheme": scheme_name,
-            "scheme_kwargs": dict(scheme_kwargs or {}),
-            "scale": self.scale,
-            "seed": self.seed,
-        })
-
-    def preload_from_store(self, cells):
-        """Bulk-load already-stored cells into the in-process cache.
-
-        One :meth:`~repro.harness.store.ResultStore.load_many` call
-        replaces a per-cell ``load`` (and its per-miss index check)
-        for every ``(benchmark, config, scheme_name)`` in ``cells`` —
-        the figure loaders' dominant cost once a campaign has run.
-        Returns the number of cells newly cached; cells absent from
-        the store are left for :meth:`run` to simulate.
-        """
-        if self.store is None:
-            return 0
-        wanted = {}
-        for benchmark, config, scheme_name in cells:
-            key = self.cell_key(benchmark, config, scheme_name)
-            if key not in self._cache:
-                wanted[key] = True
-        if not wanted:
-            return 0
-        loaded = self.store.load_many(wanted)
-        self._cache.update(loaded)
-        return len(loaded)
 
     def suite_results(self, config, scheme_name, benchmarks=None):
         """Results for all benchmarks under (config, scheme), in order.
 
-        The whole suite is preloaded from the store in one bulk read
-        before any per-cell work, so a fully-populated campaign costs
-        one batched index lookup per suite instead of one store lookup
-        per benchmark.
+        One batch: the cells the in-process cache lacks are read from
+        the store in one bulk read, and only the rest are simulated.
         """
         selected = benchmarks or self.benchmarks
-        self.preload_from_store(
-            [(name, config, scheme_name) for name in selected])
+        self.run_cell_batch([(name, config, scheme_name)
+                             for name in selected])
         return [self.run(name, config, scheme_name) for name in selected]
 
     # -- grid execution ----------------------------------------------------
 
-    def run_grid(self, configs=None, schemes=None, benchmarks=None,
-                 executor=None, progress=None):
-        """Populate a (benchmark x config x scheme) grid.
+    def run_grid(self, configs=None, schemes=None, executor=None,
+                 progress=None):
+        """Populate a (benchmark x config x scheme) grid over the
+        runner's benchmarks.
 
         Cells already in the in-process cache or the persistent store
         are skipped; the remainder goes to ``executor`` (any
@@ -161,18 +120,18 @@ class CampaignRunner:
         """
         configs = list(configs or named_configs())
         schemes = tuple(schemes or grid_scheme_names())
-        benchmarks = tuple(benchmarks or self.benchmarks)
         cells = [
             (benchmark, config, scheme)
             for config in configs
             for scheme in schemes
-            for benchmark in benchmarks
+            for benchmark in self.benchmarks
         ]
         return self.run_cell_batch(cells, executor=executor,
                                    progress=progress)
 
     def run_cell_batch(self, cells, executor=None, progress=None):
-        """Populate arbitrary ``(benchmark, config, scheme)`` cells.
+        """Populate arbitrary ``(benchmark, config, scheme[, kwargs])``
+        cells; ``kwargs`` are the scheme's constructor arguments.
 
         The sparse counterpart of :meth:`run_grid`, for callers that
         know exactly which cells they need (e.g. the CLI pre-populating
@@ -193,36 +152,24 @@ class CampaignRunner:
         """
         # Dedup within the batch (identical cells hash identically), so
         # repeated entries never reach the backend twice.
-        unique, seen = [], set()
-        for benchmark, config, scheme in cells:
-            key = self.cell_key(benchmark, config, scheme)
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append((key, benchmark, config, scheme))
+        unique = {}
+        for benchmark, config, scheme, *rest in cells:
+            kwargs = rest[0] if rest else {}
+            key = self.cell_key(benchmark, config, scheme, kwargs)
+            unique.setdefault(key, (benchmark, config, scheme, kwargs))
 
         summary = {"total": len(unique), "cached": 0, "from_store": 0,
                    "simulated": 0, "failed": 0}
-        # One bulk store read for the whole batch instead of a
-        # per-cell load (each of which can re-stat the directory).
-        stored = {}
-        if self.store is not None:
-            stored = self.store.load_many(
-                key for key, _b, _c, _s in unique
-                if key not in self._cache)
-        pending = []
-        for key, benchmark, config, scheme in unique:
-            if key in self._cache:
-                summary["cached"] += 1
-                continue
-            if key in stored:
-                self._cache[key] = stored[key]
-                summary["from_store"] += 1
-                continue
-            pending.append((key, benchmark, config, scheme))
+        pending = [key for key in unique if key not in self._cache]
+        summary["cached"] = len(unique) - len(pending)
+        if pending and self.store is not None:
+            # One bulk store read for the whole batch.
+            stored = self.store.load_many(pending)
+            self._cache.update(stored)
+            summary["from_store"] = len(stored)
+            pending = [key for key in pending if key not in stored]
 
-        specs = [self._cell_spec(benchmark, config, scheme)
-                 for _key, benchmark, config, scheme in pending]
+        specs = [self._cell_spec(*unique[key]) for key in pending]
         if progress is not None:
             progress.begin(len(specs))
 
@@ -230,11 +177,18 @@ class CampaignRunner:
             # Fired by the backend as each cell completes (possibly
             # from a pool/coordinator thread): results reach the store
             # while the campaign is still running, so an interruption
-            # keeps every cell already simulated.  A result also clears
+            # keeps every cell already simulated.  The save also drops
             # any failure record left by an earlier attempt.
-            key, benchmark, config, scheme = pending[index]
-            self._persist(key, result, benchmark, config, scheme, {})
-            self.store.clear_failure(key)
+            key = pending[index]
+            benchmark, config, scheme, kwargs = unique[key]
+            self.store.save(key, result, meta={
+                "benchmark": benchmark,
+                "config": config.name,
+                "scheme": scheme,
+                "scheme_kwargs": dict(kwargs),
+                "scale": self.scale,
+                "seed": self.seed,
+            })
 
         def persist_failure(index, failure):
             # Failure-side twin: settle the cell's CellFailure record
@@ -249,8 +203,7 @@ class CampaignRunner:
                                if self.store is not None else None,
                                on_failure=persist_failure
                                if self.store is not None else None)
-        for (key, _benchmark, _config, _scheme), result in zip(pending,
-                                                               results):
+        for key, result in zip(pending, results):
             if result is None:
                 summary["failed"] += 1
                 continue
@@ -259,4 +212,3 @@ class CampaignRunner:
         if progress is not None:
             progress.finish()
         return summary
-

@@ -18,11 +18,11 @@ distinct configurations that happen to share a name (two ad-hoc
 other's results.  Bumping the package version invalidates every stored
 cell at once, because the stamp participates in the hash.
 
-On disk the store is one SQLite database (format ``sqlite-v1``)::
+On disk the store is one SQLite database (format ``sqlite-v2``)::
 
     results/store/
-        manifest.db            one ``cells`` row per cell
-        failures/*.json        CellFailure records
+        manifest.db            one ``cells`` row per cell, one
+                               ``failures`` row per failed cell
 
 A ``cells`` row holds the cell's full 64-hex key, its
 benchmark/config/scheme names, halted flag and cycle count, its
@@ -33,7 +33,7 @@ compact separators), zlib-compressed.  ``keys()``/``__len__`` read
 only the key index, and ``load_many``/``iter_results`` return
 lazily-decoded results whose statistics come from the row — a pass
 that reads only statistics never decompresses a record.  A save is
-one INSERT, so a cell is stored whole or not at all, and WAL
+one transaction, so a cell is stored whole or not at all, and WAL
 journaling lets any number of readers and writers, threads or
 processes, share one store.
 
@@ -54,15 +54,17 @@ shares rather than copies — lazily, when ``memory`` is read.  Records
 whose meta names no SPEC proxy, and those written before deltas, hold
 the whole image and load unchanged.
 
-A directory written in another store format, such as the segment
-files and manifest of format ``segments-v1``, is refused when the
-store first opens it, before anything is written there: its cells are
-simulated again, as after a model-version bump.
+A directory written in another store format, such as a ``sqlite-v1``
+database with its ``failures/*.json`` files or the segment files and
+manifest of format ``segments-v1``, is refused when the store first
+opens it, before anything is written there: its cells are simulated
+again, as after a model-version bump.
 
 Failures are first-class: a cell the campaign could not complete — its
-simulation raised — persists as a :class:`CellFailure` record under
-``failures/`` beside the results, each file written atomically.  A
-later successful result for the cell clears its failure record, and
+simulation raised — persists as a :class:`CellFailure`, one row of the
+``failures`` table beside the results.  :meth:`ResultStore.save`
+deletes the cell's failure row in the transaction that inserts its
+result, so a cell is never both a result and a failure, and
 ``python -m repro store failures`` lists whatever remains.
 """
 
@@ -74,9 +76,9 @@ import pathlib
 import pickle
 import re
 import sqlite3
-import tempfile
 import threading
 import zlib
+from dataclasses import astuple, dataclass
 
 from repro import __version__
 from repro.core.registry import canonical_name
@@ -95,7 +97,7 @@ DEFAULT_STORE_DIR = os.environ.get("REPRO_STORE_DIR", "results/store")
 MANIFEST_NAME = "manifest.db"
 
 #: Store format generation (``meta`` table, key ``format``).
-FORMAT_VERSION = "sqlite-v1"
+FORMAT_VERSION = "sqlite-v2"
 
 #: Database page size, set before the file's first write.  A row is
 #: about 2.3 KiB, most of it in overflow pages, and the last page of
@@ -114,7 +116,7 @@ _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     k TEXT PRIMARY KEY,
     v TEXT NOT NULL
-);
+) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS cells (
     key TEXT PRIMARY KEY,
     benchmark TEXT,
@@ -126,6 +128,17 @@ CREATE TABLE IF NOT EXISTS cells (
     stats BLOB,
     record BLOB NOT NULL
 );
+CREATE TABLE IF NOT EXISTS failures (
+    key TEXT PRIMARY KEY,
+    benchmark TEXT,
+    config TEXT,
+    scheme TEXT,
+    kind TEXT NOT NULL,
+    attempts INTEGER,
+    worker TEXT,
+    error TEXT,
+    traceback TEXT
+) WITHOUT ROWID;
 """
 
 _INSERT = ("INSERT OR REPLACE INTO cells (key, benchmark, config, scheme,"
@@ -137,6 +150,13 @@ _INSERT = ("INSERT OR REPLACE INTO cells (key, benchmark, config, scheme,"
 _SELECT_ROW = ("SELECT key, benchmark, config, scheme, halted,"
                " result_cycles, stats FROM cells")
 
+#: A saved result deletes its cell's failure row in the same transaction.
+_DELETE_FAILURE = "DELETE FROM failures WHERE key=?"
+
+#: A failure row's columns, in :class:`CellFailure` field order.
+_SELECT_FAILURES = ("SELECT key, benchmark, config, scheme, kind, attempts,"
+                    " worker, error, traceback FROM failures")
+
 #: SQLite limits ``IN (...)`` parameter lists; chunk batched lookups.
 _IN_CHUNK = 500
 
@@ -145,44 +165,31 @@ _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 #: Recognised failure classes (see the failure-model contract in
 #: :mod:`repro.harness`): ``deterministic`` — the simulation raised;
 #: ``poisoned`` — the cell killed every worker that ran it.  No backend
-#: settles ``poisoned`` today, but stores written by earlier builds
-#: hold such records.
+#: settles ``poisoned`` yet; it is kept for the pool's requeue of cells
+#: whose worker process died.
 FAILURE_KINDS = ("poisoned", "deterministic")
 
 
+@dataclass(frozen=True)
 class CellFailure:
-    """A structured record of one cell the campaign could not complete."""
+    """A structured record of one cell the campaign could not complete:
+    one row of the store's ``failures`` table, its fields the row's
+    columns in order."""
 
-    __slots__ = ("key", "benchmark", "config_name", "scheme_name", "kind",
-                 "attempts", "worker", "error", "traceback")
+    key: str
+    benchmark: str
+    config_name: str
+    scheme_name: str
+    kind: str
+    attempts: int = 1
+    worker: str = None
+    error: str = ""
+    traceback: str = None
 
-    def __init__(self, key, benchmark, config_name, scheme_name, kind,
-                 attempts=1, worker=None, error="", traceback=None):
-        if kind not in FAILURE_KINDS:
+    def __post_init__(self):
+        if self.kind not in FAILURE_KINDS:
             raise ValueError("unknown failure kind %r (choose from %s)"
-                             % (kind, ", ".join(FAILURE_KINDS)))
-        self.key = key
-        self.benchmark = benchmark
-        self.config_name = config_name
-        self.scheme_name = scheme_name
-        self.kind = kind
-        self.attempts = int(attempts)
-        self.worker = worker
-        self.error = str(error)
-        self.traceback = traceback
-
-    def to_dict(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{slot: data.get(slot) for slot in cls.__slots__
-                      if slot in data})
-
-    def __repr__(self):
-        return ("CellFailure(%s/%s/%s, kind=%s, attempts=%d, error=%r)"
-                % (self.benchmark, self.config_name, self.scheme_name,
-                   self.kind, self.attempts, self.error))
+                             % (self.kind, ", ".join(FAILURE_KINDS)))
 
 
 def encode_envelope(envelope):
@@ -487,9 +494,10 @@ class ResultStore:
 
     def _insert_envelope(self, envelope, stats=None):
         """Store one envelope as its cell's row: one INSERT, replacing
-        any earlier row for the key.  Without ``stats`` the row holds
-        no stats blob, and lazy results decode statistics from the
-        record."""
+        any earlier row for the key, and the DELETE of the cell's
+        failure row, in one transaction.  Without ``stats`` the row
+        holds no stats blob, and lazy results decode statistics from
+        the record."""
         record, raw_length = encode_envelope(envelope)
         data = envelope["result"]
         row = (envelope["key"], data.get("program_name"),
@@ -501,6 +509,7 @@ class ResultStore:
             db = self._db(create=True)
             with db:
                 db.execute(_INSERT, row)
+                db.execute(_DELETE_FAILURE, (envelope["key"],))
 
     def _read_envelope(self, key):
         """One cell's decoded envelope: :class:`KeyError` when the
@@ -600,7 +609,8 @@ class ResultStore:
             return None
 
     def save(self, key, result, meta=None):
-        """Persist one result as its cell's row (one INSERT).
+        """Persist one result as its cell's row (one INSERT), deleting
+        the cell's failure record in the same transaction.
 
         When ``meta`` names the cell's benchmark, scale and seed, as
         the runner's does, the memory image is stored as the words that
@@ -619,7 +629,8 @@ class ResultStore:
         self._insert_envelope(envelope, stats=result.stats)
 
     def clear(self):
-        """Delete every stored cell (keeps the directory)."""
+        """Delete every stored cell and failure record (keeps the
+        directory)."""
         with self._lock:
             self.close()
             for suffix in ("", "-wal", "-shm"):
@@ -630,89 +641,40 @@ class ResultStore:
 
     # -- failure records --------------------------------------------------
 
-    @property
-    def failures_dir(self):
-        return self.root / "failures"
-
-    def _failure_path(self, key):
-        for path in self.failures_dir.glob("*__%s.json" % key[:12]):
-            return path
-        return None
-
     def save_failure(self, failure):
-        """Persist one :class:`CellFailure` atomically; returns its path.
-
-        Failures live under ``failures/`` with browsable prefix +
-        digest names (:func:`cell_filename`).  Saving is idempotent
-        per key (atomic replace), so a failure re-recorded by a
-        retried campaign never duplicates.
-        """
-        directory = self.failures_dir
-        directory.mkdir(parents=True, exist_ok=True)
-        name = cell_filename(failure.benchmark, failure.config_name or "-",
-                             failure.scheme_name, failure.key)
-        path = directory / name
-        fd, tmp = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(failure.to_dict(), handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        """Persist one :class:`CellFailure` as its cell's failure row,
+        replacing any earlier one, so a failure re-recorded by a
+        retried campaign never duplicates."""
+        with self._lock:
+            db = self._db(create=True)
+            with db:
+                db.execute("INSERT OR REPLACE INTO failures"
+                           " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                           astuple(failure))
 
     def load_failure(self, key):
         """The persisted :class:`CellFailure` for ``key``, or ``None``."""
-        path = self._failure_path(key)
-        if path is None:
-            return None
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            if data.get("key") != key:
-                return None  # digest-prefix collision
-            return CellFailure.from_dict(data)
-        except (OSError, ValueError, TypeError):
-            return None
+        rows = self._query(_SELECT_FAILURES + " WHERE key=?", (key,))
+        return CellFailure(*rows[0]) if rows else None
 
     def failures(self):
-        """Every readable failure record, sorted by benchmark/config."""
-        return self.read_failures()[0]
-
-    def read_failures(self):
-        """``(records, unreadable)``: every readable failure record, as
-        :meth:`failures` returns them, and the sorted file names under
-        ``failures/`` that hold none (truncated, not JSON, or of a
-        failure kind this release does not know)."""
-        records = []
-        unreadable = []
-        for path in sorted(self.failures_dir.glob("*.json")):
-            try:
-                with open(path) as handle:
-                    records.append(CellFailure.from_dict(json.load(handle)))
-            except (OSError, ValueError, TypeError, AttributeError):
-                unreadable.append(path.name)
-        return records, unreadable
+        """Every failure record, ordered by benchmark, config and
+        scheme."""
+        return [CellFailure(*row) for row in self._query(
+            _SELECT_FAILURES + " ORDER BY benchmark, config, scheme, key")]
 
     def clear_failure(self, key):
-        """Drop the failure record for ``key``.
+        """Drop the failure record for ``key``; True when one went.
 
-        Called whenever a result for the cell lands, such as a retry
-        that succeeded, so a cell is never simultaneously a result and
-        a failure.  Returns True when a record was removed.
+        :meth:`save` already drops it with the cell's result; this is
+        for tooling that retires a record without a result.
         """
-        path = self._failure_path(key)
-        if path is None:
-            return False
-        try:
-            path.unlink()
-        except OSError:
-            return False
-        return True
+        with self._lock:
+            db = self._db()
+            if db is None:
+                return False
+            with db:
+                return db.execute(_DELETE_FAILURE, (key,)).rowcount > 0
 
     # -- eviction / integrity ---------------------------------------------
 
@@ -792,11 +754,12 @@ class ResultStore:
     def stats(self):
         """Store-level accounting for ``python -m repro store stats``:
         ``live_bytes`` sums the compressed records, ``raw_bytes`` their
-        sizes before compression."""
+        sizes before compression, and ``failures`` counts the failure
+        rows."""
         rows = self._query("SELECT COUNT(*), COALESCE(SUM(LENGTH(record)), 0),"
-                           " COALESCE(SUM(raw_length), 0) FROM cells")
-        cells, live, raw = rows[0] if rows else (0, 0, 0)
-        failures, unreadable = self.read_failures()
+                           " COALESCE(SUM(raw_length), 0),"
+                           " (SELECT COUNT(*) FROM failures) FROM cells")
+        cells, live, raw, failures = rows[0] if rows else (0, 0, 0, 0)
         return {
             "root": str(self.root),
             "format": FORMAT_VERSION,
@@ -805,6 +768,5 @@ class ResultStore:
             "live_bytes": live,
             "raw_bytes": raw,
             "compression_ratio": (raw / live) if live else None,
-            "failures": len(failures),
-            "unreadable_failures": unreadable,
+            "failures": failures,
         }

@@ -57,18 +57,21 @@ class PackedImage(Mapping):
     reads.  A word costs 16 bytes, plus 8 in a run out of order, where a
     dict of Python ints costs about 90.
 
-    Addresses and values must fit a signed 64-bit word.  There is no
-    item assignment: a program's image is read-only once built.
+    Addresses lie in ``[0, 2**63)`` and values fit a signed 64-bit
+    word: ``array('q')`` holds only signed 64-bit words, and a run may
+    not start below address 0.  So an image is always in the range a
+    core loads without normalising.  There is no item assignment: a
+    program's image is read-only once built.
     """
 
     __slots__ = ("_runs", "_addresses", "_values", "_slots", "_starts",
                  "_stops", "_columns")
 
     def __init__(self, runs, addresses, values, slots):
-        """Wrap :meth:`columns` output.  Raises ``ValueError`` when the
-        runs are not ascending and disjoint, or their lengths and column
-        indices disagree with the columns; the words themselves are not
-        checked."""
+        """Wrap :meth:`columns` output.  Raises ``ValueError`` when a
+        run starts below address 0, the runs are not ascending and
+        disjoint, or their lengths and column indices disagree with the
+        columns; the words themselves are not checked."""
         self._runs = [[start, length, first] for start, length, first in runs]
         self._addresses = addresses
         self._values = values
@@ -78,6 +81,8 @@ class PackedImage(Mapping):
         words = taken = 0
         shuffled = memoryview(slots)
         for start, length, first in self._runs:
+            if start < 0:
+                raise ValueError("image run starts at address %d" % start)
             if length <= 0 or (self._stops and start < self._stops[-1]):
                 raise ValueError("image runs are not ascending and disjoint")
             if first is None:
@@ -243,9 +248,10 @@ class Program:
           :meth:`validate` passed (a failure raises and records
           nothing), so a program is checked once, not once per core;
         - ``("image-in-range", length)``, recorded by the first
-          :class:`~repro.pipeline.core.OoOCore`: whether the image
-          already holds unsigned addresses and signed 64-bit values, so
-          a core copies it without normalising;
+          :class:`~repro.pipeline.core.OoOCore`, or by the program
+          cache for the :class:`PackedImage` it packs or loads: whether
+          the image already holds unsigned addresses and signed 64-bit
+          values, so a core uses it without normalising;
         - ``("warm-l2", sets, ways, line_words, length)``, recorded by
           the first warm core: the L2 that
           :meth:`~repro.memsys.hierarchy.MemoryHierarchy.warm` leaves

@@ -33,16 +33,17 @@ Two layers:
   (24 in its shuffled pointer ring), where a dict of Python ints costs
   about 90.  Cores record per-program facts on a shared program
   (:attr:`~repro.isa.program.Program.start_state`, such as its warmed
-  L2), so :func:`clear_cache` drops those with the programs.
+  L2), so :func:`clear_cache` drops those with the programs.  The
+  cache records one fact itself, for each program it packs or loads:
+  a packed image is in range by construction, so no core walks it to
+  check.
 * **Disk (optional)** — :func:`configure_disk_cache` points the cache
-  at a directory (the CLI uses ``<store-dir>/programs``; the
-  ``REPRO_PROGRAM_CACHE_DIR`` environment variable seeds the default),
-  and programs persist as one JSON file per key, so *separate
-  processes* — repeated CLI runs, freshly spawned cluster workers —
-  reuse generations across their lifetimes.  Writes are atomic (temp
-  file + rename) and corrupt or unreadable files fall back to
-  regeneration; content addressing makes sharing one directory between
-  concurrent writers safe (same key => byte-identical program).
+  at a directory (the CLI uses ``<store-dir>/programs``), and programs
+  persist as one JSON file per key, so *separate processes* — repeated
+  CLI runs — reuse generations across their lifetimes.  Writes are
+  atomic (temp file + rename) and corrupt or unreadable files fall back
+  to regeneration; content addressing makes sharing one directory
+  between concurrent writers safe (same key => byte-identical program).
 
   A program file is ``<key>.<PROGRAM_FORMAT_VERSION>.json``, one JSON
   object holding ``name``, ``entry``, ``instructions`` (one
@@ -194,10 +195,6 @@ def disk_cache_dir():
     return _DISK_DIR
 
 
-if os.environ.get("REPRO_PROGRAM_CACHE_DIR"):
-    configure_disk_cache(os.environ["REPRO_PROGRAM_CACHE_DIR"])
-
-
 def _program_path(key):
     return _DISK_DIR / ("%s.%s.json" % (key, PROGRAM_FORMAT_VERSION))
 
@@ -240,6 +237,16 @@ def _program_from_payload(payload):
     )
 
 
+def _in_range(program):
+    """Record the ``("image-in-range", length)`` start-state fact a
+    program's :class:`PackedImage` holds by construction (addresses in
+    ``[0, 2**63)``, signed 64-bit values), so its first core need not
+    walk the image to find it; returns ``program``."""
+    image = program.initial_memory
+    program.start_state[("image-in-range", len(image))] = True
+    return program
+
+
 def _disk_load(key):
     if _DISK_DIR is None:
         return None
@@ -248,7 +255,7 @@ def _disk_load(key):
         with open(path) as handle:
             program = _program_from_payload(json.load(handle))
         program.validate()
-        return program
+        return _in_range(program)
     except (OSError, ValueError, KeyError, TypeError):
         return None  # missing/corrupt/stale: fall back to regeneration
 
@@ -332,6 +339,7 @@ def _cached_program(key, profile, seed):
     # Finish the build before anything else sees the program: pack its
     # image.  The validation generate_program recorded still holds.
     program.initial_memory = PackedImage.pack(program.initial_memory)
+    _in_range(program)
     _disk_store(key, program)
     with _LOCK:
         return _CACHE.setdefault(key, program)

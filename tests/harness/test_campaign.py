@@ -30,8 +30,8 @@ SUBSET = ("503.bwaves", "548.exchange2")
 def test_run_simulates_through_simulate_cell(monkeypatch):
     # run() takes the cell path every executor takes: one simulate_cell
     # call with the spec _cell_spec builds, and the same result.
+    from repro.harness import executor as executor_module
     from repro.harness import parallel
-    from repro.harness import runner as runner_module
 
     calls = []
 
@@ -39,7 +39,7 @@ def test_run_simulates_through_simulate_cell(monkeypatch):
         calls.append(spec)
         return parallel.simulate_cell(spec)
 
-    monkeypatch.setattr(runner_module, "simulate_cell", counting)
+    monkeypatch.setattr(executor_module, "simulate_cell", counting)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     result = runner.run(BENCH, SMALL, "stt-rename", split_store_taints=True)
     spec = runner._cell_spec(BENCH, SMALL, "stt-rename",
@@ -54,8 +54,8 @@ def test_run_simulates_through_simulate_cell(monkeypatch):
 def test_scheme_aliases_share_one_cell(monkeypatch):
     # The registry accepts underscored spellings everywhere; a runner
     # asked for both spellings must simulate (and cache) one cell.
+    from repro.harness import executor as executor_module
     from repro.harness import parallel
-    from repro.harness import runner as runner_module
 
     calls = []
 
@@ -63,7 +63,7 @@ def test_scheme_aliases_share_one_cell(monkeypatch):
         calls.append(spec)
         return parallel.simulate_cell(spec)
 
-    monkeypatch.setattr(runner_module, "simulate_cell", counting)
+    monkeypatch.setattr(executor_module, "simulate_cell", counting)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     result = runner.run(BENCH, SMALL, "stt-rename")
     assert runner.run(BENCH, SMALL, "stt_rename") is result
@@ -93,8 +93,9 @@ def test_runner_keys_each_cell_once(monkeypatch, tmp_path):
     # identical config is the same cell.
     assert runner.run(BENCH, SMALL.scaled(name="renamed"),
                       "stt-rename") is first[0]
-    assert runner.preload_from_store(cells) == 0
-    assert runner.run_cell_batch(cells)["cached"] == len(SUBSET)
+    assert runner.run_cell_batch(cells) == {
+        "total": len(SUBSET), "cached": len(SUBSET), "from_store": 0,
+        "simulated": 0, "failed": 0}
     assert len(calls) == len(SUBSET)
 
     # Scheme kwargs are part of the identity: a cell of its own.
@@ -240,23 +241,59 @@ def test_store_load_many_bulk(tmp_path):
     assert store.load_many([missing]) == {}
 
 
-def test_runner_preload_from_store(tmp_path):
+def test_runner_preload_from_store(tmp_path, monkeypatch):
+    # A runner over a filled store reads a batch in one bulk read and
+    # simulates nothing; run() and suite_results() take the same path.
+    from repro.harness import executor as executor_module
+
     writer = CampaignRunner(scale=0.05, benchmarks=(BENCH,),
                             store=ResultStore(tmp_path))
     expected = writer.run(BENCH, SMALL, "baseline")
 
+    def refuse(spec):
+        raise AssertionError("a stored cell was simulated")
+
+    monkeypatch.setattr(executor_module, "simulate_cell", refuse)
     reader = CampaignRunner(scale=0.05, benchmarks=(BENCH,),
                             store=ResultStore(tmp_path))
-    assert reader.preload_from_store([(BENCH, SMALL, "baseline")]) == 1
+    summary = reader.run_cell_batch([(BENCH, SMALL, "baseline")])
+    assert (summary["from_store"], summary["simulated"]) == (1, 0)
     key = reader.cell_key(BENCH, SMALL, "baseline")
     assert key in reader._cache
-    # suite_results is served from the preloaded cache, not a fresh
-    # simulation (identity check: run() returns the cached object).
+    # suite_results is served from the cache the batch filled, not a
+    # fresh simulation (identity check: run() returns the cached object).
     results = reader.suite_results(SMALL, "baseline")
     assert results[0] is reader._cache[key]
     assert results[0].stats.to_dict() == expected.stats.to_dict()
-    # Second preload is a no-op (everything already cached).
-    assert reader.preload_from_store([(BENCH, SMALL, "baseline")]) == 0
+    # A second batch is served from the in-process cache.
+    assert reader.run_cell_batch([(BENCH, SMALL, "baseline")])["cached"] == 1
+    # A fresh runner's suite_results and run() read the store alike.
+    fresh = CampaignRunner(scale=0.05, benchmarks=(BENCH,),
+                           store=ResultStore(tmp_path))
+    (suite,) = fresh.suite_results(SMALL, "baseline")
+    assert suite.stats.to_dict() == expected.stats.to_dict()
+    other = CampaignRunner(scale=0.05, benchmarks=(BENCH,),
+                           store=ResultStore(tmp_path))
+    assert other.run(BENCH, SMALL, "baseline").stats.to_dict() \
+        == expected.stats.to_dict()
+
+
+def test_run_result_deletes_the_cells_failure_record(tmp_path):
+    # Every runner path persists through ResultStore.save, which drops
+    # the cell's failure record with the INSERT: a cell is never both.
+    from repro.harness.store import CellFailure
+
+    store = ResultStore(tmp_path)
+    runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,), store=store)
+    key = runner.cell_key(BENCH, SMALL, "baseline")
+    store.save_failure(CellFailure(
+        key=key, benchmark=BENCH, config_name="small",
+        scheme_name="baseline", kind="deterministic", error="boom"))
+    assert store.load_failure(key) is not None
+    runner.run(BENCH, SMALL, "baseline")
+    assert key in store
+    assert store.failures() == []
+    assert store.stats()["failures"] == 0
 
 
 def test_store_verify_drops_corrupt_and_stale(tmp_path):
@@ -302,17 +339,17 @@ def test_store_failure_records_round_trip(tmp_path):
     from repro.harness.store import CellFailure
 
     store = ResultStore(tmp_path)
-    assert store.failures() == []  # no failures/ dir yet: empty, no error
+    assert store.failures() == []  # no database yet: empty, no error
     failure = CellFailure(key="f" * 64, benchmark="503.bwaves",
                           config_name="small", scheme_name="baseline",
                           kind="poisoned", attempts=3, worker="w1",
                           error="worker died 3 time(s)", traceback=None)
     store.save_failure(failure)
-    loaded = store.load_failure("f" * 64)
-    assert loaded.to_dict() == failure.to_dict()
-    records = store.failures()
-    assert len(records) == 1 and records[0].key == "f" * 64
-    # Failure records live under failures/ and are invisible to the
+    store.save_failure(failure)  # re-recorded: still one row
+    assert store.load_failure("f" * 64) == failure
+    assert store.failures() == [failure]
+    assert store.stats()["failures"] == 1
+    # Failure records are rows of their own table, invisible to the
     # result index and to verify().
     assert len(store) == 0
     assert store.verify()["scanned"] == 0
@@ -321,6 +358,18 @@ def test_store_failure_records_round_trip(tmp_path):
     assert not store.clear_failure("f" * 64)  # idempotent
     assert store.load_failure("f" * 64) is None
     assert store.failures() == []
+
+
+def test_clear_drops_failure_records_with_the_cells(tmp_path):
+    from repro.harness.store import CellFailure
+
+    store = ResultStore(tmp_path)
+    store.save_failure(CellFailure(
+        key="f" * 64, benchmark=BENCH, config_name="small",
+        scheme_name="baseline", kind="deterministic", error="boom"))
+    store.clear()
+    assert store.failures() == []
+    assert not any(tmp_path.iterdir())
 
 
 def test_cell_failure_rejects_unknown_kind():

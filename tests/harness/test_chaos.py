@@ -34,7 +34,7 @@ from repro.harness.cluster import (
 from repro.harness.cluster import worker
 from repro.harness.executor import PoolExecutor
 from repro.harness.runner import CampaignRunner
-from repro.harness.store import ResultStore
+from repro.harness.store import MANIFEST_NAME, ResultStore
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.pipeline.config import SMALL
 from repro.pipeline.core import SimulationResult
@@ -43,6 +43,10 @@ from tests.conftest import bounded
 
 SUBSET = ("503.bwaves", "548.exchange2")
 SCALE = 0.05
+
+#: Everything a store directory may hold: its database, and SQLite's
+#: write-ahead log and index while a connection is open.
+STORE_FILES = {MANIFEST_NAME, MANIFEST_NAME + "-wal", MANIFEST_NAME + "-shm"}
 
 
 def store_bytes(root):
@@ -147,12 +151,16 @@ def test_raising_cell_settles_deterministic_and_rerun_clears_it(
     assert (failure.benchmark, failure.scheme_name) == ("503.bwaves", "nda")
     assert failure.error == "ValueError: model bug"
     assert "model bug" in failure.traceback
+    # The record is a row of the store's one database file.
+    assert not (root / "failures").exists()
+    assert {path.name for path in root.iterdir()} <= STORE_FILES
 
     monkeypatch.setattr(worker, "simulate_cell", simulate)
     summary = grid(root, ClusterExecutor(local_workers=2))
     assert summary["from_store"] == 3 and summary["simulated"] == 1
     assert ResultStore(root).failures() == []
     assert store_bytes(root) == expected
+    assert {path.name for path in root.iterdir()} <= STORE_FILES
 
 
 # ----------------------------------------------------------------------

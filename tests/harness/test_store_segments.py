@@ -8,6 +8,7 @@ dropped, stores of another format refused and left untouched, and
 campaign cells whose memory is stored as the words they changed.
 """
 
+import json
 import sqlite3
 import struct
 import sys
@@ -392,6 +393,43 @@ def write_segments_v1_store(root):
     conn.close()
 
 
+#: The schema of format ``sqlite-v1``, whose stores kept failure
+#: records as JSON files under ``failures/`` beside the database.
+SQLITE_V1_SCHEMA = """
+CREATE TABLE meta (k TEXT PRIMARY KEY, v TEXT NOT NULL);
+CREATE TABLE cells (
+    key TEXT PRIMARY KEY, benchmark TEXT, config TEXT, scheme TEXT,
+    halted INTEGER, result_cycles INTEGER, raw_length INTEGER NOT NULL,
+    stats BLOB, record BLOB NOT NULL);
+"""
+
+
+def write_sqlite_v1_store(root):
+    """One cell and one failure record in the ``sqlite-v1`` layout: a
+    WAL-mode database of 1 KiB pages and a ``failures/*.json`` file."""
+    key = synthetic_key(0)
+    result = synthetic_result(0)
+    record, raw_length = encode_envelope(
+        {"key": key, "model_version": MODEL_VERSION, "meta": {},
+         "result": result.to_dict()})
+    conn = sqlite3.connect(str(root / MANIFEST_NAME), isolation_level=None)
+    conn.execute("PRAGMA page_size=1024")
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.executescript(SQLITE_V1_SCHEMA)
+    conn.execute("INSERT INTO meta VALUES ('format', 'sqlite-v1')")
+    conn.execute("INSERT INTO cells VALUES (?, ?, ?, ?, 1, ?, ?, NULL, ?)",
+                 (key, result.program_name, result.config_name,
+                  result.scheme_name, result.cycles, raw_length, record))
+    conn.close()
+    failed = synthetic_key(1)
+    (root / "failures").mkdir()
+    (root / "failures" / ("b__c__s__%s.json" % failed[:12])).write_text(
+        json.dumps({"key": failed, "benchmark": "b", "config_name": "c",
+                    "scheme_name": "s", "kind": "deterministic",
+                    "attempts": 1, "worker": "local-1", "error": "boom",
+                    "traceback": None}, sort_keys=True))
+
+
 def test_foreign_manifest_format_names_formats_and_path(tmp_path):
     older = tmp_path / "older-format"
     older.mkdir()
@@ -400,11 +438,15 @@ def test_foreign_manifest_format_names_formats_and_path(tmp_path):
     with conn:
         conn.execute("UPDATE meta SET v='sqlite-v0' WHERE k='format'")
     conn.close()
+    previous = tmp_path / "sqlite-v1"
+    previous.mkdir()
+    write_sqlite_v1_store(previous)
     segments = tmp_path / "segments-v1"
     segments.mkdir()
     write_segments_v1_store(segments)
 
-    for root, found in ((older, "sqlite-v0"), (segments, "segments-v1")):
+    for root, found in ((older, "sqlite-v0"), (previous, "sqlite-v1"),
+                        (segments, "segments-v1")):
         before = snapshot(root)
         with pytest.raises(RuntimeError) as info:
             len(ResultStore(root))
@@ -413,6 +455,8 @@ def test_foreign_manifest_format_names_formats_and_path(tmp_path):
         assert str(root) in message
         with pytest.raises(RuntimeError):
             ResultStore(root).save(synthetic_key(1), synthetic_result(1))
+        with pytest.raises(RuntimeError):
+            ResultStore(root).failures()
         # Refused before anything is written: the store is left as it
         # was, to be moved aside or read by the build that wrote it.
         assert snapshot(root) == before

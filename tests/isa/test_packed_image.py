@@ -2,6 +2,7 @@
 exactly like the dict it packs."""
 
 import pickle
+from array import array
 
 import pytest
 
@@ -106,3 +107,13 @@ def test_digest_is_the_dicts():
     reordered = dict(sorted(MEMORY.items()))
     assert Program([], initial_memory=reordered).image_digest \
         == Program([], initial_memory=image).image_digest
+
+
+def test_a_run_below_address_zero_is_refused():
+    # array('q') bounds every word above; a run's start bounds its
+    # addresses below, so a packed image is always in a core's range.
+    with pytest.raises(ValueError, match="address -2"):
+        PackedImage([[-2, 3, 0]], array("q", [-2, -1, 0]),
+                    array("q", [1, 2, 3]), array("q"))
+    with pytest.raises(ValueError):
+        PackedImage.pack({-1: 5, 0: 6})

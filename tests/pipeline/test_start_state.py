@@ -179,9 +179,11 @@ def test_clear_cache_drops_the_snapshots():
     gc.collect()
     assert program_ref() is None
     fresh = cached_spec_program("548.exchange2", scale=0.05)
-    # Only generate_program's validation verdict, no core's facts.
+    # Only the cache's own facts (generate_program's validation
+    # verdict and the packed image's range), no core's.
     assert fresh.start_state == {
-        ("valid", fresh.entry, len(fresh.instructions)): True}
+        ("valid", fresh.entry, len(fresh.instructions)): True,
+        ("image-in-range", len(fresh.initial_memory)): True}
     clear_cache()
 
 

@@ -280,6 +280,20 @@ def test_cached_images_are_the_generated_ones(disk, tmp_path):
     assert cache_stats()["disk_hits"] == (len(SPEC_PROFILES) if disk else 0)
 
 
+@pytest.mark.parametrize("disk", [False, True], ids=["generated", "loaded"])
+def test_cached_program_is_in_range_before_its_first_core(disk, tmp_path):
+    """The cache records its packed image's range verdict, so no core
+    walks a cached image to find it."""
+    if disk:
+        configure_disk_cache(tmp_path)
+        cached_spec_program("503.bwaves", scale=0.05)
+        clear_cache()
+    program = cached_spec_program("503.bwaves", scale=0.05)
+    assert cache_stats()["disk_hits"] == (1 if disk else 0)
+    length = len(program.initial_memory)
+    assert program.start_state[("image-in-range", length)] is True
+
+
 #: Bytes a loaded program may retain per image word: two 8-byte columns,
 #: 8 more bytes a word in its shuffled pointer ring, and the
 #: instructions (18.4 for this program).  A dict of Python ints retains
