@@ -18,9 +18,11 @@ Subcommands:
     every cell and drops corrupt and stale ones, ``store gc`` evicts
     everything outside the standard campaign grid for the given
     scale/seed and reports the bytes reclaimed, ``store stats`` prints
-    the format, cell count, bytes on disk, compression ratio and
-    failure count, and ``store failures`` lists recorded cell failures
-    (exit 1 when any exists).
+    the format, cell count, bytes on disk, the bytes of the cells'
+    payloads (statistics and records, as stored and before
+    compression) with their compression ratio, and the failure count,
+    and ``store failures`` lists recorded cell failures (exit 1 when
+    any exists).
 ``schemes``
     List every registered speculation scheme straight from the scheme
     registry: canonical name, grid membership, kwargs schema, and the
@@ -340,7 +342,7 @@ def cmd_store(args):
         stats = store.stats()
         print("store stats (%s): format %s" % (store.root, stats["format"]))
         print("  cells: %d" % stats["cells"])
-        print("  disk: %s (live records %s of raw %s, ratio %s)"
+        print("  disk: %s (statistics and records %s of raw %s, ratio %s)"
               % (_format_bytes(stats["disk_bytes"]),
                  _format_bytes(stats["live_bytes"]),
                  _format_bytes(stats["raw_bytes"]),

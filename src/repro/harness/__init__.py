@@ -15,18 +15,26 @@ workload scale/seed, and a model version stamp.  Display names carry
 no identity, so same-named-but-different configurations can never
 alias.
 
-**Store layout** (format ``sqlite-v2``).  With a
+**Store layout** (format ``sqlite-v3``).  With a
 :class:`~repro.harness.store.ResultStore` attached, a store is one
 SQLite database file, and each cell is one row of it::
 
     results/store/
         manifest.db               # one ``cells`` row per cell, one
-                                  # ``failures`` row per failed cell
+                                  # ``failures`` row per failed cell,
+                                  # ``meta`` rows: format, dictionary
 
-A row's last column is its record: the envelope ``{"key",
-"model_version", "meta", "result"}`` as canonical JSON,
-zlib-compressed.  Inside ``result`` the final memory image is packed
-as contiguous runs in ascending address order,
+A row holds each cell's statistics once.  Its ``stats`` column is the
+cell's ``SimStats`` as a pickle, and its ``record`` column is the
+envelope ``{"key", "model_version", "meta", "result"}`` without
+``result.stats``, as canonical JSON.  Both are deflated against the
+store's preset dictionary, a template statistics pickle and record
+that the store builds and writes as a ``meta`` row when it creates the
+database; every connection reads the dictionary back from that row,
+so a later template never misreads an existing store.
+``load_envelope`` and ``load`` put the statistics back, so the
+envelopes callers see are whole.  Inside ``result`` the final memory
+image is packed as contiguous runs in ascending address order,
 ``[[base, [v0, v1, ...]], ...]`` (see
 :meth:`~repro.pipeline.core.SimulationResult.to_dict`).  A campaign
 cell packs only the words that differ from its program's initial
@@ -39,26 +47,29 @@ every read path — ``load``, ``load_many``, the lazy results'
 program's own image, shared rather than copied.  Records without
 ``memory_base`` hold the whole image: packed, or, if written by 1.1.0
 before the packed form, a ``{"address": value}`` object; both still
-load, so such stores stay valid under the same model version.  The
-row's other columns are the *full* 64-hex key, the
-benchmark/config/scheme names, the halted flag and cycle count, the
-record's size before compression, and a per-cell statistics blob:
-``keys()`` and ``len()`` are pure index reads, and
-``load_many`` and ``iter_results`` return lazily-decoded results —
-statistics come from the row, records decompress only when touched —
-so analysis passes that read statistics decode no record.  A save is
-one transaction — the cell's INSERT and the DELETE of its failure row
-— so a cell is stored whole or not at all, and concurrent writers,
-threads or processes, share the one WAL-mode database.
+load.  The row's other columns are the *full* 64-hex key, the
+benchmark/config/scheme names, the halted flag and cycle count, and
+the two payloads' size before compression: ``keys()`` and ``len()``
+are pure index reads, and ``load_many`` and ``iter_results`` return
+lazily-decoded results — statistics come from the ``stats`` column,
+records decompress only when touched — so analysis passes that read
+statistics decode no record.  A row whose ``stats`` column does not
+decode is damaged, like one whose record does not: ``store verify``
+drops it.  A save is one transaction — the cell's INSERT and the
+DELETE of its failure row — so a cell is stored whole or not at all,
+and concurrent writers, threads or processes, share the one WAL-mode
+database.
 
 **Stores of another format.**  The database's ``meta`` table names
 its format, and the store reads it before writing anything.  A
-directory of another format — such as ``sqlite-v1``, whose failure
-records were JSON files under ``failures/``, or ``segments-v1``, the
-segment files and manifest earlier releases wrote — is refused with an
-error naming both formats and the directory, and left as it was; its
-cells are simulated again in a fresh directory, as after a
-model-version bump.  There is no migration.
+directory of another format — such as ``sqlite-v2``, whose rows held
+the statistics twice, pickled and again inside a record compressed
+without a dictionary, ``sqlite-v1``, whose failure records were JSON
+files under ``failures/``, or ``segments-v1``, the segment files and
+manifest earlier releases wrote — is refused with an error naming both
+formats and the directory, and left as it was; its cells are simulated
+again in a fresh directory, as after a model-version bump.  There is
+no migration.
 
 **Version invalidation and maintenance.**  The model version stamp
 (:data:`~repro.harness.store.MODEL_VERSION`, the package version)

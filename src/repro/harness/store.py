@@ -18,31 +18,40 @@ distinct configurations that happen to share a name (two ad-hoc
 other's results.  Bumping the package version invalidates every stored
 cell at once, because the stamp participates in the hash.
 
-On disk the store is one SQLite database (format ``sqlite-v2``)::
+On disk the store is one SQLite database (format ``sqlite-v3``)::
 
     results/store/
         manifest.db            one ``cells`` row per cell, one
-                               ``failures`` row per failed cell
+                               ``failures`` row per failed cell, and
+                               the ``meta`` rows naming the format and
+                               holding the deflate dictionary
 
 A ``cells`` row holds the cell's full 64-hex key, its
-benchmark/config/scheme names, halted flag and cycle count, its
-pickled statistics, the size of its record before compression and,
-as the last column, the record: the envelope ``{"key",
-"model_version", "meta", "result"}`` as canonical JSON (sorted keys,
-compact separators), zlib-compressed.  ``keys()``/``__len__`` read
-only the key index, and ``load_many``/``iter_results`` return
-lazily-decoded results whose statistics come from the row — a pass
-that reads only statistics never decompresses a record.  A save is
-one transaction, so a cell is stored whole or not at all, and WAL
-journaling lets any number of readers and writers, threads or
-processes, share one store.
+benchmark/config/scheme names, halted flag and cycle count, the size
+of its two payload columns before compression, and the payloads: its
+statistics, the one copy of its :class:`SimStats`, as a pickle, and
+its record, the envelope ``{"key", "model_version", "meta",
+"result"}`` without ``result.stats`` as canonical JSON (sorted keys,
+compact separators).  Both are deflated against one preset
+dictionary (:func:`template_dictionary`: a template statistics pickle
+and a template record), which the store writes to its ``meta`` table
+when it creates the database and every connection reads back from
+there, so a later template never misreads an existing store.
+``load_envelope`` and ``load`` put the statistics back into the
+envelope, so every envelope a caller sees is whole.  ``keys()``/
+``__len__`` read only the key index, and ``load_many``/
+``iter_results`` return lazily-decoded results whose statistics come
+from the row — a pass that reads only statistics never decompresses a
+record.  A save is one transaction, so a cell is stored whole or not
+at all, and WAL journaling lets any number of readers and writers,
+threads or processes, share one store.
 
 A campaign cell's record stores its final memory image as the few
 words that differ from its program's initial image (see
-:meth:`~repro.pipeline.core.SimulationResult.to_dict`), about 2 KiB
-instead of up to 116 kB.  Finding those words costs O(words the cell
-wrote), not O(image): a result from a core, from the process pool or
-from such a record holds its memory as a
+:meth:`~repro.pipeline.core.SimulationResult.to_dict`), a few hundred
+bytes of JSON instead of up to 116 kB.  Finding those words costs
+O(words the cell wrote), not O(image): a result from a core, from the
+process pool or from such a record holds its memory as a
 :class:`~repro.pipeline.core.MemoryImage` over its program's image,
 and :meth:`save` codes it against the very program object the program
 cache holds.  Any other result, such as one built by hand, is scanned
@@ -54,9 +63,11 @@ shares rather than copies — lazily, when ``memory`` is read.  Records
 whose meta names no SPEC proxy, and those written before deltas, hold
 the whole image and load unchanged.
 
-A directory written in another store format, such as a ``sqlite-v1``
-database with its ``failures/*.json`` files or the segment files and
-manifest of format ``segments-v1``, is refused when the store first
+A directory written in another store format — a ``sqlite-v2``
+database, whose rows held the statistics twice, once pickled and once
+inside a record compressed without a dictionary; a ``sqlite-v1``
+database with its ``failures/*.json`` files; the segment files and
+manifest of format ``segments-v1`` — is refused when the store first
 opens it, before anything is written there: its cells are simulated
 again, as after a model-version bump.
 
@@ -74,14 +85,15 @@ import json
 import os
 import pathlib
 import pickle
-import re
 import sqlite3
 import threading
 import zlib
 from dataclasses import astuple, dataclass
 
 from repro import __version__
-from repro.core.registry import canonical_name
+from repro.core.registry import canonical_name, grid_scheme_names, make_scheme
+from repro.memsys.hierarchy import MemoryHierarchy
+from repro.obs.account import LEAF_CAUSES, CycleAccount
 from repro.pipeline.core import SimulationResult, decode_memory
 from repro.pipeline.stats import SimStats
 from repro.workloads.program_cache import cached_spec_program
@@ -90,27 +102,22 @@ from repro.workloads.program_cache import cached_spec_program
 #: version are invisible (their keys differ), never silently reused.
 MODEL_VERSION = __version__
 
-#: Default on-disk location, overridable via the environment.
-DEFAULT_STORE_DIR = os.environ.get("REPRO_STORE_DIR", "results/store")
+#: Default on-disk location (the CLI's ``--store-dir`` relocates it).
+DEFAULT_STORE_DIR = "results/store"
 
 #: The store's database file under its root.
 MANIFEST_NAME = "manifest.db"
 
 #: Store format generation (``meta`` table, key ``format``).
-FORMAT_VERSION = "sqlite-v2"
+FORMAT_VERSION = "sqlite-v3"
 
-#: Database page size, set before the file's first write.  A row is
-#: about 2.3 KiB, most of it in overflow pages, and the last page of
-#: each row's chain is partly empty, so smaller pages waste less.
-#: Measured on perfbench's campaign-cluster and rerun-warm stores
-#: (SQLite 3.40): 2,405 and 2,341 B/cell on disk with 1 KiB pages;
-#: 3,041 and 2,870 with SQLite's default 4 KiB, which is 18% more than
-#: the 2,442 the segment files this format replaced took on rerun-warm.
-PAGE_SIZE = 1024
-
-#: zlib level for records: decompression speed over ratio — bulk reads
-#: decompress every record they touch.
-COMPRESS_LEVEL = 1
+#: zlib level for both payload columns.  Against the store's
+#: dictionary, level 6 stores a cell of perfbench's campaigns in about
+#: 390 B of payload against 440 at level 1, at the same ~20 µs a column
+#: (2 vCPUs, CPython 3.11).  Only a record of many incompressible words,
+#: such as a synthetic storebench cell's 192, deflates slower at 6 (about
+#: 150 against 80 µs).  Inflating costs the same at either level.
+COMPRESS_LEVEL = 6
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -125,7 +132,7 @@ CREATE TABLE IF NOT EXISTS cells (
     halted INTEGER,
     result_cycles INTEGER,
     raw_length INTEGER NOT NULL,
-    stats BLOB,
+    stats BLOB NOT NULL,
     record BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS failures (
@@ -160,8 +167,6 @@ _SELECT_FAILURES = ("SELECT key, benchmark, config, scheme, kind, attempts,"
 #: SQLite limits ``IN (...)`` parameter lists; chunk batched lookups.
 _IN_CHUNK = 500
 
-_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
-
 #: Recognised failure classes (see the failure-model contract in
 #: :mod:`repro.harness`): ``deterministic`` — the simulation raised;
 #: ``poisoned`` — the cell killed every worker that ran it.  No backend
@@ -192,29 +197,79 @@ class CellFailure:
                              % (self.kind, ", ".join(FAILURE_KINDS)))
 
 
-def encode_envelope(envelope):
-    """Canonical JSON + zlib: the stored record of one envelope.
+def template_dictionary():
+    """The preset deflate dictionary a new store writes to its ``meta``
+    table: the pickle of a template :class:`SimStats` — every field,
+    each grid scheme's counters, the hierarchy's, and every
+    ``cycacct.`` leaf, scheme label and occupancy name, in the order a
+    core emits them — then the canonical JSON of a template record.
+    Deterministic: the same code builds the same bytes."""
+    extra, labels = {}, {}
+    for name in grid_scheme_names():
+        scheme = make_scheme(name)
+        extra.update(scheme.extra_stats())
+        if scheme.delay_label:
+            labels[scheme.delay_label] = 0
+    extra.update(MemoryHierarchy().stats())
+    extra["cycacct.width"] = extra["cycacct.cycles"] = 0
+    for prefix, names in (("", sorted(LEAF_CAUSES)), ("scheme.", labels),
+                          ("issue_blocks.", labels),
+                          ("occ.", CycleAccount().occupancy)):
+        for name in names:
+            extra["cycacct." + prefix + name] = 0
+    record = {
+        "key": "0" * 64, "model_version": MODEL_VERSION,
+        "meta": {"benchmark": "", "config": "mega", "scale": 1.0,
+                 "scheme": "baseline", "scheme_kwargs": {}, "seed": 2017},
+        "result": {"config_name": "mega", "cycles": 0, "extra": {},
+                   "halted": True, "memory": [[0, [0]]],
+                   "memory_base": "0" * 64, "program_name": "",
+                   "regs": [0] * 32, "scheme_name": "baseline"},
+    }
+    return (pickle.dumps(SimStats(extra=extra), protocol=4)
+            + _canonical(record))
+
+
+def _canonical(obj):
+    return json.dumps(obj, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def _deflate(raw, zdict):
+    compressor = zlib.compressobj(COMPRESS_LEVEL, zdict=zdict)
+    return compressor.compress(raw) + compressor.flush()
+
+
+def _inflate(blob, zdict):
+    """Inverse of :func:`_deflate`; :class:`ValueError` on damaged or
+    truncated bytes (zlib's Adler-32 checksum covers the whole
+    payload)."""
+    decompressor = zlib.decompressobj(zdict=zdict)
+    try:
+        raw = decompressor.decompress(blob)
+    except zlib.error as exc:
+        raise ValueError("undecodable store payload: %s" % exc) from None
+    if not decompressor.eof:
+        raise ValueError("undecodable store payload: truncated")
+    return raw
+
+
+def encode_envelope(envelope, zdict):
+    """Canonical JSON deflated against ``zdict``: the stored record of
+    one envelope (one without ``result.stats``, which the row's
+    statistics column holds).
 
     Returns ``(record, raw_length)`` — the compressed bytes and the
-    size before compression (kept in the row for compression-ratio
-    accounting).
+    size before compression.
     """
-    raw = json.dumps(envelope, sort_keys=True,
-                     separators=(",", ":")).encode("utf-8")
-    return zlib.compress(raw, COMPRESS_LEVEL), len(raw)
+    raw = _canonical(envelope)
+    return _deflate(raw, zdict), len(raw)
 
 
-def decode_envelope(record):
-    """Inverse of :func:`encode_envelope`.
-
-    Raises :class:`ValueError` on damaged bytes; zlib's Adler-32
-    checksum covers the whole record.
-    """
-    try:
-        raw = zlib.decompress(record)
-    except zlib.error as exc:
-        raise ValueError("undecodable store record: %s" % exc) from None
-    return json.loads(raw.decode("utf-8"))
+def decode_envelope(record, zdict):
+    """Inverse of :func:`encode_envelope`; :class:`ValueError` on
+    damaged bytes."""
+    return json.loads(_inflate(record, zdict).decode("utf-8"))
 
 
 def simulation_key(benchmark, config, scheme_name, scheme_kwargs=None,
@@ -243,14 +298,6 @@ def simulation_key(benchmark, config, scheme_name, scheme_kwargs=None,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def cell_filename(benchmark, config_name, scheme_name, key):
-    """Browsable filename for one cell: readable prefix + digest."""
-    prefix = "__".join(
-        _SAFE.sub("-", part) for part in (benchmark, config_name, scheme_name)
-    )
-    return "%s__%s.json" % (prefix, key[:12])
-
-
 class _StatsUnpickler(pickle.Unpickler):
     """Unpickler restricted to the one class stats blobs may hold."""
 
@@ -261,24 +308,44 @@ class _StatsUnpickler(pickle.Unpickler):
             "stats blob references %s.%s" % (module, name))
 
 
-def _pickle_stats(stats):
-    try:
-        return pickle.dumps(stats, protocol=4)
-    except Exception:
-        return None
+def _damaged(key):
+    return ValueError("the stored record of cell %s is damaged — run"
+                      " 'python -m repro store verify'" % key)
 
 
-def _unpickle_stats(blob):
-    """Decode a row's stats blob, or ``None`` when it cannot be
-    trusted (missing, truncated, foreign class) — callers fall back to
-    the authoritative record."""
-    if not blob:
-        return None
+def _decode_stats(key, blob, zdict):
+    """One row's :class:`SimStats`: :class:`ValueError` naming ``store
+    verify`` when its statistics column is damaged (undecodable,
+    truncated, a foreign class)."""
     try:
-        obj = _StatsUnpickler(io.BytesIO(bytes(blob))).load()
+        stats = _StatsUnpickler(io.BytesIO(_inflate(blob, zdict))).load()
     except Exception:
-        return None
-    return obj if isinstance(obj, SimStats) else None
+        stats = None
+    if not isinstance(stats, SimStats):
+        raise _damaged(key)
+    return stats
+
+
+def _decode_record(key, record, zdict):
+    """One row's record, its envelope without ``result.stats``:
+    :class:`ValueError` naming ``store verify`` when it is damaged or
+    names another key."""
+    try:
+        env = decode_envelope(record, zdict)
+        if env["key"] == key:
+            return env
+    except (ValueError, KeyError, TypeError):
+        pass
+    raise _damaged(key)
+
+
+def _decode_row(key, stats, record, zdict):
+    """One row's whole envelope, its statistics put back into
+    ``result.stats``: errors as :func:`_decode_record`'s and
+    :func:`_decode_stats`'."""
+    env = _decode_record(key, record, zdict)
+    env["result"]["stats"] = _decode_stats(key, stats, zdict).to_dict()
+    return env
 
 
 def _cell_program(meta):
@@ -297,47 +364,49 @@ class StoreFormatError(RuntimeError):
 
 
 def _connect(path):
-    """Open the store database at ``path``, creating it when new.
+    """Open the store database at ``path``, creating it when new;
+    returns the connection and the store's deflate dictionary.
 
     The format is read before anything is written, so a database of
     another format is refused with :class:`StoreFormatError` and left
-    as it was.
+    as it was.  A new database gets its schema, its format and
+    :func:`template_dictionary` in one transaction, so a concurrent
+    opener sees both ``meta`` rows or neither.
     """
     conn = sqlite3.connect(str(path), timeout=30.0, check_same_thread=False)
     conn.row_factory = sqlite3.Row
     try:
-        row = conn.execute("SELECT v FROM meta WHERE k='format'").fetchone()
+        meta = dict(conn.execute("SELECT k, v FROM meta").fetchall())
     except sqlite3.OperationalError:  # no meta table: a new database
-        row = None
-    if row is None:
-        conn.execute("PRAGMA page_size=%d" % PAGE_SIZE)
+        meta = {}
+    if "format" not in meta:
         try:
             conn.execute("PRAGMA journal_mode=WAL")
         except sqlite3.DatabaseError:
             pass  # WAL unsupported (exotic fs): the default journal works
         conn.executescript(_SCHEMA)
-        conn.execute("INSERT OR IGNORE INTO meta VALUES ('format', ?)",
-                     (FORMAT_VERSION,))
+        conn.executemany("INSERT OR IGNORE INTO meta VALUES (?, ?)",
+                         (("format", FORMAT_VERSION),
+                          ("dictionary", template_dictionary())))
         conn.commit()
-    elif row[0] != FORMAT_VERSION:
+        meta = dict(conn.execute("SELECT k, v FROM meta").fetchall())
+    if meta["format"] != FORMAT_VERSION:
         conn.close()
         raise StoreFormatError(
             "store manifest %s was written in store format %r; this build"
             " reads only %r.  Move the store directory %s aside (its cells"
             " will be simulated again) or read it with the build that"
-            " wrote it" % (path, row[0], FORMAT_VERSION, path.parent))
+            " wrote it" % (path, meta["format"], FORMAT_VERSION, path.parent))
     conn.execute("PRAGMA synchronous=NORMAL")
-    return conn
+    return conn, meta["dictionary"]
 
 
-def _verdict(key, record):
-    """``"kept"``, ``"stale"`` or ``"corrupt"``: one row's record
+def _verdict(key, stats, record, zdict):
+    """``"kept"``, ``"stale"`` or ``"corrupt"``: one row's columns
     decoded, its key matched and its result round-tripped (a delta
     record against its cell's program)."""
     try:
-        env = decode_envelope(record)
-        if env["key"] != key:
-            return "corrupt"
+        env = _decode_row(key, stats, record, zdict)
         SimulationResult.from_dict(env["result"],
                                    _cell_program(env.get("meta")))
     except (ValueError, KeyError, TypeError):
@@ -357,7 +426,7 @@ class _StoredResult(SimulationResult):
     campaign cell's record holds only the words it changed, and its
     view over the program's image needs the cell's program, which
     reading ``regs``, ``extra`` or the statistics never generates.
-    The pickled statistics are dropped once decoded, so a result holds
+    The statistics column is dropped once decoded, so a result holds
     its ``SimStats`` once.
     """
 
@@ -377,11 +446,8 @@ class _StoredResult(SimulationResult):
 
     def _materialise(self):
         d = self.__dict__
-        env = self._store._read_envelope(d["_key"])
+        env = self._store._read_record(d["_key"])
         data = env["result"]
-        if "_stats" not in d:
-            d["_stats"] = SimStats.from_dict(data["stats"])
-        d.pop("_stats_blob", None)
         d["_regs"] = list(data["regs"])
         d["_extra"] = dict(data.get("extra", {}))
         d["_envelope"] = env
@@ -389,12 +455,12 @@ class _StoredResult(SimulationResult):
     @property
     def stats(self):
         d = self.__dict__
-        if "_stats" not in d:
-            cached = _unpickle_stats(d.pop("_stats_blob", None))
-            if cached is not None:
-                d["_stats"] = cached
-            else:
-                self._materialise()
+        # ``_stats`` is set before the column goes, so a thread that
+        # finds no column finds the statistics.
+        blob = d.get("_stats_blob")
+        if blob is not None:
+            d["_stats"] = _decode_stats(d["_key"], blob, self._store._zdict)
+            d.pop("_stats_blob", None)
         return d["_stats"]
 
     @stats.setter
@@ -456,6 +522,9 @@ class ResultStore:
     def __init__(self, root=None):
         self.root = pathlib.Path(root or DEFAULT_STORE_DIR)
         self._conn = None
+        #: The deflate dictionary read from ``meta`` when the
+        #: connection opens; kept across ``close`` for lazy results.
+        self._zdict = None
         self._lock = threading.RLock()
 
     @property
@@ -470,7 +539,7 @@ class ResultStore:
             if not create and not self.manifest_path.exists():
                 return None
             self.root.mkdir(parents=True, exist_ok=True)
-            self._conn = _connect(self.manifest_path)
+            self._conn, self._zdict = _connect(self.manifest_path)
         return self._conn
 
     def _query(self, sql, params=()):
@@ -492,40 +561,46 @@ class ResultStore:
         except Exception:
             pass
 
-    def _insert_envelope(self, envelope, stats=None):
-        """Store one envelope as its cell's row: one INSERT, replacing
-        any earlier row for the key, and the DELETE of the cell's
-        failure row, in one transaction.  Without ``stats`` the row
-        holds no stats blob, and lazy results decode statistics from
-        the record."""
-        record, raw_length = encode_envelope(envelope)
+    def _insert_envelope(self, envelope, stats):
+        """Store one cell as its row: ``stats``, its :class:`SimStats`,
+        in the statistics column and ``envelope``, which holds no
+        ``result.stats``, as the record.  One INSERT, replacing any
+        earlier row for the key, and the DELETE of the cell's failure
+        row, in one transaction."""
+        with self._lock:
+            self._db(create=True)
+            zdict = self._zdict
+        record, raw_length = encode_envelope(envelope, zdict)
+        pickled = pickle.dumps(stats, protocol=4)
         data = envelope["result"]
         row = (envelope["key"], data.get("program_name"),
                data.get("config_name"), data.get("scheme_name"),
                1 if data.get("halted") else 0, data.get("cycles", 0),
-               raw_length, None if stats is None else _pickle_stats(stats),
-               record)
+               raw_length + len(pickled), _deflate(pickled, zdict), record)
         with self._lock:
             db = self._db(create=True)
             with db:
                 db.execute(_INSERT, row)
                 db.execute(_DELETE_FAILURE, (envelope["key"],))
 
-    def _read_envelope(self, key):
-        """One cell's decoded envelope: :class:`KeyError` when the
-        store holds no row for ``key``, :class:`ValueError` naming
-        ``store verify`` when its record is damaged."""
+    def _read_record(self, key):
+        """One cell's decoded record, its envelope without
+        ``result.stats``: :class:`KeyError` when the store holds no row
+        for ``key``, :class:`ValueError` naming ``store verify`` when
+        the record is damaged."""
         rows = self._query("SELECT record FROM cells WHERE key=?", (key,))
         if not rows:
             raise KeyError("cell %s is not in the store" % key)
-        try:
-            env = decode_envelope(rows[0][0])
-            if env["key"] == key:
-                return env
-        except (ValueError, KeyError, TypeError):
-            pass
-        raise ValueError("the stored record of cell %s is damaged — run"
-                         " 'python -m repro store verify'" % key)
+        return _decode_record(key, rows[0][0], self._zdict)
+
+    def _read_envelope(self, key):
+        """One cell's whole envelope, its statistics put back: errors
+        as :meth:`_read_record`'s, for either column."""
+        rows = self._query("SELECT stats, record FROM cells WHERE key=?",
+                           (key,))
+        if not rows:
+            raise KeyError("cell %s is not in the store" % key)
+        return _decode_row(key, rows[0][0], rows[0][1], self._zdict)
 
     # -- membership / keys ------------------------------------------------
 
@@ -620,13 +695,15 @@ class ResultStore:
         docstring).
         """
         meta = dict(meta or {})
+        data = result.to_dict(_cell_program(meta))
+        del data["stats"]  # the row's statistics column holds them
         envelope = {
             "key": key,
             "model_version": MODEL_VERSION,
             "meta": meta,
-            "result": result.to_dict(_cell_program(meta)),
+            "result": data,
         }
-        self._insert_envelope(envelope, stats=result.stats)
+        self._insert_envelope(envelope, result.stats)
 
     def clear(self):
         """Delete every stored cell and failure record (keeps the
@@ -681,10 +758,10 @@ class ResultStore:
     def verify(self):
         """Integrity sweep: delete corrupt and stale rows.
 
-        Every row's record is decoded and checked: zlib's Adler-32
-        checksum, the JSON, the key match, and a
-        :meth:`SimulationResult.from_dict` round trip, a delta record
-        against its cell's program.  Corrupt rows are deleted, so the
+        Both columns of every row are decoded and checked: zlib's
+        Adler-32 checksums, the statistics pickle, the record's JSON,
+        the key match, and a :meth:`SimulationResult.from_dict` round
+        trip, a delta record against its cell's program.  Corrupt rows are deleted, so the
         next campaign simulates their cells again.  Rows whose
         ``model_version`` stamp differs from the running
         :data:`MODEL_VERSION` are *stale*: unreachable anyway (their
@@ -698,8 +775,9 @@ class ResultStore:
             db = self._db()
             if db is None:
                 return summary
-            for key, record in db.execute("SELECT key, record FROM cells"):
-                verdict = _verdict(key, record)
+            for key, stats, record in db.execute(
+                    "SELECT key, stats, record FROM cells"):
+                verdict = _verdict(key, stats, record, self._zdict)
                 summary["scanned"] += 1
                 summary[verdict] += 1
                 if verdict != "kept":
@@ -753,10 +831,12 @@ class ResultStore:
 
     def stats(self):
         """Store-level accounting for ``python -m repro store stats``:
-        ``live_bytes`` sums the compressed records, ``raw_bytes`` their
-        sizes before compression, and ``failures`` counts the failure
+        ``live_bytes`` sums both payload columns of every row, the
+        statistics and the record, as stored, ``raw_bytes`` their sizes
+        before compression, and ``failures`` counts the failure
         rows."""
-        rows = self._query("SELECT COUNT(*), COALESCE(SUM(LENGTH(record)), 0),"
+        rows = self._query("SELECT COUNT(*),"
+                           " COALESCE(SUM(LENGTH(stats) + LENGTH(record)), 0),"
                            " COALESCE(SUM(raw_length), 0),"
                            " (SELECT COUNT(*) FROM failures) FROM cells")
         cells, live, raw, failures = rows[0] if rows else (0, 0, 0, 0)

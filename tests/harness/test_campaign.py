@@ -307,10 +307,11 @@ def test_store_verify_drops_corrupt_and_stale(tmp_path):
     runner.run_cell_batch(cells)
     key, damaged = (runner.cell_key(*cell) for cell in cells)
     # A stale stamp beside the two grid cells.
-    stale_data = dict(store.load_envelope(key))
+    stale_data = store.load_envelope(key)
     stale_data["model_version"] = "0.0.0-ancient"
     stale_data["key"] = "d" * 64
-    store._insert_envelope(stale_data)
+    stats = SimStats.from_dict(stale_data["result"].pop("stats"))
+    store._insert_envelope(stale_data, stats)
     # Damage one row's record in place.
     conn = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
     (record,) = conn.execute("SELECT record FROM cells WHERE key=?",

@@ -11,9 +11,14 @@ repeats where resident-set figures do not.
 The core that made a result is not kept either: once it halts it holds
 no reference cycle, so it is freed as its last reference goes, without
 waiting for the cyclic collector.
+
+A stored cell is small too: its statistics, stored once, and its
+record, both deflated against the store's dictionary.
 """
 
 import gc
+import sqlite3
+import statistics
 import tracemalloc
 import weakref
 
@@ -24,7 +29,7 @@ from repro.core.registry import grid_scheme_names
 from repro.harness.executor import PoolExecutor
 from repro.harness.parallel import simulate_cell
 from repro.harness.runner import CampaignRunner
-from repro.harness.store import ResultStore
+from repro.harness.store import MANIFEST_NAME, ResultStore
 from repro.obs import CycleAccount
 from repro.pipeline.config import MEGA
 from repro.pipeline.core import OoOCore, SimulationResult
@@ -45,6 +50,15 @@ MAX_RETAINED_BYTES = 32 * 1024
 
 SPECS = [(BENCHMARK, MEGA, scheme, (), SCALE, SEED)
          for scheme in grid_scheme_names()]
+
+#: Median payload bytes (statistics plus record, as stored) of one
+#: campaign cell: 1.3x the 400 B measured over :data:`DENSITY_CAMPAIGN`
+#: (a store that held the statistics twice took 1,901 B).
+MAX_CELL_PAYLOAD_BYTES = 520
+
+#: Real cells, not synthetic ones: a synthetic result's 192 random
+#: whole-image words would dominate its payload.
+DENSITY_CAMPAIGN = ("503.bwaves", "548.exchange2")
 
 
 def retained_per_result(build):
@@ -109,6 +123,25 @@ def test_stored_results_share_their_program_image(cells, tmp_path):
         for loaded in (store.load(key), lazy[key]):
             assert loaded.memory.base is program.initial_memory
             assert loaded.memory == result.memory
+
+
+def test_a_stored_cell_is_a_few_hundred_bytes(tmp_path):
+    runner = CampaignRunner(scale=SCALE, seed=SEED,
+                            benchmarks=DENSITY_CAMPAIGN,
+                            store=ResultStore(tmp_path))
+    runner.run_grid(configs=(MEGA,), schemes=grid_scheme_names())
+    runner.store.close()
+    conn = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    try:
+        sizes = [size for (size,) in conn.execute(
+            "SELECT LENGTH(stats) + LENGTH(record) FROM cells")]
+    finally:
+        conn.close()
+    assert len(sizes) == len(DENSITY_CAMPAIGN) * len(grid_scheme_names())
+    median = statistics.median(sizes)
+    assert median <= MAX_CELL_PAYLOAD_BYTES, (
+        "a stored cell's median payload is %.0f bytes, above the %d-byte"
+        " bound" % (median, MAX_CELL_PAYLOAD_BYTES))
 
 
 @pytest.mark.parametrize("scheme", grid_scheme_names())

@@ -3,12 +3,15 @@
 Complements the API-contract tests in ``test_campaign.py`` with the
 format-level guarantees of the one-file store: full-key indexing (no
 digest-prefix ambiguity), key listing and statistics scans that decode
-no record, writer/reader interleaving, damaged records found and
-dropped, stores of another format refused and left untouched, and
-campaign cells whose memory is stored as the words they changed.
+no record, writer/reader interleaving, damaged records and statistics
+found and dropped, stores of another format refused and left
+untouched, campaign cells whose memory is stored as the words they
+changed, and statistics stored once, beside a record that holds none,
+yet read back into every whole envelope.
 """
 
 import json
+import pickle
 import sqlite3
 import struct
 import sys
@@ -24,10 +27,11 @@ from repro.harness.store import (
     MODEL_VERSION,
     ResultStore,
     _StoredResult,
-    encode_envelope,
 )
 from repro.harness.storebench import synthetic_key, synthetic_result
 from repro.pipeline.core import SimulationResult
+from repro.pipeline.stats import SimStats
+from repro.workloads.program_cache import cached_spec_program
 
 
 def populate(root, count, start=0):
@@ -41,15 +45,27 @@ def populate(root, count, start=0):
     return keys
 
 
-def damage(root, key):
-    """Flip four bytes inside one row's record, in place."""
+def damage(root, key, column="record"):
+    """Flip four bytes inside one column of one row, in place."""
     conn = sqlite3.connect(str(root / MANIFEST_NAME))
-    (record,) = conn.execute("SELECT record FROM cells WHERE key=?",
-                             (key,)).fetchone()
+    (blob,) = conn.execute("SELECT %s FROM cells WHERE key=?" % column,
+                           (key,)).fetchone()
     with conn:
-        conn.execute("UPDATE cells SET record=? WHERE key=?",
-                     (record[:10] + b"\xff" * 4 + record[14:], key))
+        conn.execute("UPDATE cells SET %s=? WHERE key=?" % column,
+                     (blob[:10] + b"\xff" * 4 + blob[14:], key))
     conn.close()
+
+
+def insert_envelope(store, envelope):
+    """Store a whole envelope as ``save`` stores one: its statistics in
+    the row's statistics column, the rest as the record."""
+    data = dict(envelope["result"])
+    stats = SimStats.from_dict(data.pop("stats"))
+    store._insert_envelope(dict(envelope, result=data), stats)
+
+
+def canonical(envelope):
+    return json.dumps(envelope, sort_keys=True)
 
 
 def snapshot(root):
@@ -84,7 +100,7 @@ def test_keys_len_and_stats_scan_never_decode_records(tmp_path,
     keys = populate(tmp_path, 25)
     store = ResultStore(tmp_path)
 
-    def refuse(record):
+    def refuse(*args):
         raise AssertionError("a record was decoded")
 
     # keys()/len()/contains answer from the key index alone...
@@ -118,12 +134,13 @@ def test_save_load_round_trip_bit_identical(tmp_path):
     assert isinstance(row, _StoredResult)
     assert row.stats.to_dict() == result.stats.to_dict()
     assert row.to_dict() == result.to_dict()
-    # Decoding the record first sets the statistics from it and drops
-    # the pickled copy too.
+    # The record holds no statistics: decoding it first leaves them to
+    # the statistics column, which is dropped once they are read.
     lazy = store.load_many([key])[key]
     assert lazy.regs == result.regs
-    assert "_stats_blob" not in lazy.__dict__
+    assert "_stats" not in lazy.__dict__
     assert lazy.stats.to_dict() == result.stats.to_dict()
+    assert "_stats_blob" not in lazy.__dict__
 
 
 def test_dict_form_memory_from_1_1_0_envelopes_still_loads(tmp_path):
@@ -136,7 +153,7 @@ def test_dict_form_memory_from_1_1_0_envelopes_still_loads(tmp_path):
     data["memory"] = {str(addr): value
                       for addr, value in result.memory.items()}
     store = ResultStore(tmp_path)
-    store._insert_envelope({"key": key, "model_version": MODEL_VERSION,
+    insert_envelope(store, {"key": key, "model_version": MODEL_VERSION,
                             "meta": {}, "result": data})
     want = SimulationResult.from_dict(data).memory
     assert want == result.memory
@@ -270,13 +287,33 @@ def test_verify_drops_a_corrupt_row_and_keeps_the_rest(tmp_path):
                               "stale": 0}
 
 
+def test_damaged_statistics_are_a_damaged_row(tmp_path):
+    # The statistics column is their only copy: a row whose column does
+    # not decode is corrupt, never read from anywhere else.
+    keys = populate(tmp_path, 3)
+    damage(tmp_path, keys[0], column="stats")
+    store = ResultStore(tmp_path)
+    lazy = store.load_many(keys)[keys[0]]
+    with pytest.raises(ValueError, match="store verify"):
+        lazy.stats
+    with pytest.raises(ValueError, match="store verify"):
+        next(row for row in store.iter_results()
+             if row._key == keys[0]).stats
+    assert lazy.regs == synthetic_result(0).regs  # the record is whole
+    assert store.load(keys[0]) is None
+    assert store.load_envelope(keys[0]) is None
+    assert store.verify() == {"scanned": 3, "kept": 2, "corrupt": 1,
+                              "stale": 0}
+    assert sorted(store.keys()) == sorted(keys[1:])
+
+
 def test_verify_drops_stale_model_versions(tmp_path):
     store = ResultStore(tmp_path)
     store.save(synthetic_key(1), synthetic_result(1))
     stale = dict(store.load_envelope(synthetic_key(1)))
     stale["key"] = "e" * 64
     stale["model_version"] = "0.0.0-ancient"
-    store._insert_envelope(stale)
+    insert_envelope(store, stale)
     assert len(store) == 2
     summary = store.verify()
     assert summary == {"scanned": 2, "kept": 1, "corrupt": 0, "stale": 1}
@@ -315,6 +352,51 @@ def test_store_stats_accounting(tmp_path):
     assert stats["raw_bytes"] > stats["live_bytes"]  # compression won
     assert stats["compression_ratio"] > 1.0
     assert stats["disk_bytes"] >= stats["live_bytes"]
+    # Both payload columns count, as stored and before compression.
+    conn = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    (live,) = conn.execute("SELECT SUM(LENGTH(stats) + LENGTH(record))"
+                           " FROM cells").fetchone()
+    conn.close()
+    assert stats["live_bytes"] == live
+    raw = 0
+    for index in range(12):
+        result = synthetic_result(index)
+        data = result.to_dict()
+        del data["stats"]
+        record = {"key": synthetic_key(index), "model_version": MODEL_VERSION,
+                  "meta": {"index": index}, "result": data}
+        raw += len(pickle.dumps(result.stats, protocol=4)) + len(json.dumps(
+            record, sort_keys=True, separators=(",", ":")))
+    assert stats["raw_bytes"] == raw
+
+
+def test_a_store_keeps_the_dictionary_it_was_created_with(tmp_path,
+                                                        monkeypatch):
+    keys = populate(tmp_path, 3)
+    conn = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    assert conn.execute("SELECT v FROM meta WHERE k='dictionary'"
+                        ).fetchone() == (store_module.template_dictionary(),)
+    conn.close()
+    # A later build's template does not change how an existing store
+    # reads or writes: every connection reads the store's own row.
+    monkeypatch.setattr(store_module, "template_dictionary",
+                        lambda: b"another template entirely")
+    store = ResultStore(tmp_path)
+    store.save(synthetic_key(3), synthetic_result(3))
+    keys.append(synthetic_key(3))
+    loaded = store.load_many(keys)
+    for index, key in enumerate(keys):
+        assert store.load(key).to_dict() == synthetic_result(index).to_dict()
+        assert loaded[key].to_dict() == synthetic_result(index).to_dict()
+    assert store.verify()["kept"] == 4
+    # A store created under the new template stores and reads with it.
+    fresh = ResultStore(tmp_path / "fresh")
+    fresh.save(keys[0], synthetic_result(0))
+    assert fresh.load(keys[0]).to_dict() == synthetic_result(0).to_dict()
+    conn = sqlite3.connect(str(tmp_path / "fresh" / MANIFEST_NAME))
+    assert conn.execute("SELECT v FROM meta WHERE k='dictionary'"
+                        ).fetchone() == (b"another template entirely",)
+    conn.close()
 
 
 def test_disk_bytes_are_the_database_at_rest(tmp_path):
@@ -346,6 +428,16 @@ def test_clear_removes_the_database(tmp_path):
 # Stores of another format.
 # ----------------------------------------------------------------------
 
+def whole_record(key, result):
+    """The record formats before ``sqlite-v3`` stored: the whole
+    envelope, statistics included, as canonical JSON compressed
+    without a dictionary.  Returns ``(record, raw_length)``."""
+    raw = json.dumps({"key": key, "model_version": MODEL_VERSION,
+                      "meta": {}, "result": result.to_dict()},
+                     sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return zlib.compress(raw, 1), len(raw)
+
+
 #: The manifest schema of format ``segments-v1``, which earlier
 #: releases wrote beside append-only segment files.
 SEGMENTS_V1_SCHEMA = """
@@ -370,9 +462,7 @@ def write_segments_v1_store(root):
     payload`` in ``segments/seg-000001.seg``."""
     key = synthetic_key(0)
     result = synthetic_result(0)
-    payload, raw_length = encode_envelope(
-        {"key": key, "model_version": MODEL_VERSION, "meta": {},
-         "result": result.to_dict()})
+    payload, raw_length = whole_record(key, result)
     record = struct.pack(">4sII", b"SBR1", len(payload),
                          zlib.crc32(payload)) + payload
     (root / "segments").mkdir()
@@ -409,9 +499,7 @@ def write_sqlite_v1_store(root):
     WAL-mode database of 1 KiB pages and a ``failures/*.json`` file."""
     key = synthetic_key(0)
     result = synthetic_result(0)
-    record, raw_length = encode_envelope(
-        {"key": key, "model_version": MODEL_VERSION, "meta": {},
-         "result": result.to_dict()})
+    record, raw_length = whole_record(key, result)
     conn = sqlite3.connect(str(root / MANIFEST_NAME), isolation_level=None)
     conn.execute("PRAGMA page_size=1024")
     conn.execute("PRAGMA journal_mode=WAL")
@@ -430,6 +518,43 @@ def write_sqlite_v1_store(root):
                     "traceback": None}, sort_keys=True))
 
 
+#: The schema of format ``sqlite-v2``: today's tables, but a row held
+#: its statistics twice, pickled and inside the record.
+SQLITE_V2_SCHEMA = """
+CREATE TABLE meta (k TEXT PRIMARY KEY, v TEXT NOT NULL) WITHOUT ROWID;
+CREATE TABLE cells (
+    key TEXT PRIMARY KEY, benchmark TEXT, config TEXT, scheme TEXT,
+    halted INTEGER, result_cycles INTEGER, raw_length INTEGER NOT NULL,
+    stats BLOB, record BLOB NOT NULL);
+CREATE TABLE failures (
+    key TEXT PRIMARY KEY, benchmark TEXT, config TEXT, scheme TEXT,
+    kind TEXT NOT NULL, attempts INTEGER, worker TEXT, error TEXT,
+    traceback TEXT) WITHOUT ROWID;
+"""
+
+
+def write_sqlite_v2_store(root):
+    """One cell and one failure row in the ``sqlite-v2`` layout: a
+    WAL-mode database of 1 KiB pages whose row holds the statistics
+    pickled and the whole envelope as its record."""
+    key = synthetic_key(0)
+    result = synthetic_result(0)
+    record, raw_length = whole_record(key, result)
+    conn = sqlite3.connect(str(root / MANIFEST_NAME), isolation_level=None)
+    conn.execute("PRAGMA page_size=1024")
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.executescript(SQLITE_V2_SCHEMA)
+    conn.execute("INSERT INTO meta VALUES ('format', 'sqlite-v2')")
+    conn.execute("INSERT INTO cells VALUES (?, ?, ?, ?, 1, ?, ?, ?, ?)",
+                 (key, result.program_name, result.config_name,
+                  result.scheme_name, result.cycles, raw_length,
+                  pickle.dumps(result.stats, protocol=4), record))
+    conn.execute("INSERT INTO failures VALUES (?, 'b', 'c', 's',"
+                 " 'deterministic', 1, 'local-1', 'boom', NULL)",
+                 (synthetic_key(1),))
+    conn.close()
+
+
 def test_foreign_manifest_format_names_formats_and_path(tmp_path):
     older = tmp_path / "older-format"
     older.mkdir()
@@ -444,9 +569,12 @@ def test_foreign_manifest_format_names_formats_and_path(tmp_path):
     segments = tmp_path / "segments-v1"
     segments.mkdir()
     write_segments_v1_store(segments)
+    last = tmp_path / "sqlite-v2"
+    last.mkdir()
+    write_sqlite_v2_store(last)
 
     for root, found in ((older, "sqlite-v0"), (previous, "sqlite-v1"),
-                        (segments, "segments-v1")):
+                        (segments, "segments-v1"), (last, "sqlite-v2")):
         before = snapshot(root)
         with pytest.raises(RuntimeError) as info:
             len(ResultStore(root))
@@ -498,6 +626,35 @@ def test_campaign_cell_stores_only_the_words_it_changed(campaign_cell):
                               "stale": 0}
 
 
+@pytest.mark.parametrize("cell", ["campaign", "synthetic"])
+def test_envelopes_are_whole_though_statistics_are_stored_once(
+        cell, campaign_cell, tmp_path):
+    if cell == "campaign":
+        root, key, result = campaign_cell
+        meta = {"benchmark": "503.bwaves", "config": "mega",
+                "scheme": "stt-rename", "scheme_kwargs": {}, "scale": 0.05,
+                "seed": 2017}
+        program = cached_spec_program("503.bwaves", scale=0.05, seed=2017)
+    else:
+        root, key, result = tmp_path, synthetic_key(5), synthetic_result(5)
+        meta, program = {"index": 5}, None
+        ResultStore(root).save(key, result, meta)
+    saved = {"key": key, "model_version": MODEL_VERSION, "meta": meta,
+             "result": result.to_dict(program)}
+    assert ("memory_base" in saved["result"]) == (cell == "campaign")
+    store = ResultStore(root)
+    assert canonical(store.load_envelope(key)) == canonical(saved)
+    assert store.load_many([key])[key].stats == result.stats
+    assert next(store.iter_results()).stats == result.stats
+    # One copy: the record holds no statistics.
+    conn = sqlite3.connect(str(root / MANIFEST_NAME))
+    (record,) = conn.execute("SELECT record FROM cells WHERE key=?",
+                             (key,)).fetchone()
+    conn.close()
+    assert b"committed_instructions" not in zlib.decompressobj(
+        zdict=store._zdict).decompress(record)
+
+
 def test_whole_image_envelope_of_a_campaign_cell_still_loads(
         campaign_cell, tmp_path):
     # Written before deltas: the same meta, the whole image, no base.
@@ -506,7 +663,7 @@ def test_whole_image_envelope_of_a_campaign_cell_still_loads(
     envelope["result"] = result.to_dict()
     assert "memory_base" not in envelope["result"]
     store = ResultStore(tmp_path)
-    store._insert_envelope(envelope)
+    insert_envelope(store, envelope)
     assert store.load(key).memory == result.memory
     assert store.load_many([key])[key].memory == result.memory
     assert store.verify()["kept"] == 1
@@ -518,7 +675,7 @@ def test_delta_named_against_another_program_does_not_load(
     envelope = ResultStore(root).load_envelope(key)
     envelope["meta"]["benchmark"] = "505.mcf"
     store = ResultStore(tmp_path)
-    store._insert_envelope(envelope)
+    insert_envelope(store, envelope)
     assert store.load(key) is None  # a miss: the runner re-simulates
     with pytest.raises(ValueError, match="delta against image"):
         store.load_many([key])[key].memory

@@ -7,7 +7,7 @@ that claim to data: a small scheme x config x workload grid was
 simulated with the pre-fast-path kernel and stored under
 ``golden_store/`` next to this file, one JSON envelope (``{"key",
 "model_version", "meta", "result"}``, sorted keys) per cell, named by
-:func:`~repro.harness.store.cell_filename`.  The session fixture
+:func:`cell_filename`.  The session fixture
 ``golden_results`` (``tests/conftest.py``) reads them.  Every test
 re-simulates one cell with the current kernel and asserts a
 bit-identical result: cycles, IPC, every stall and replay counter, and
@@ -24,13 +24,14 @@ Regenerate (only when an *intentional* model change invalidates it)::
 
 import json
 import pathlib
+import re
 import sys
 from dataclasses import replace
 
 import pytest
 
 from repro.core.factory import make_scheme
-from repro.harness.store import MODEL_VERSION, cell_filename, simulation_key
+from repro.harness.store import MODEL_VERSION, simulation_key
 from repro.isa.trace import record_trace
 from repro.pipeline.config import MEGA, SMALL
 from repro.pipeline.core import OoOCore
@@ -93,6 +94,17 @@ def golden_programs():
             seed=7,
         ),
     ]
+
+
+_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
+
+
+def cell_filename(benchmark, config_name, scheme_name, key):
+    """Browsable filename for one golden cell: readable prefix + digest."""
+    prefix = "__".join(
+        _SAFE.sub("-", part) for part in (benchmark, config_name, scheme_name)
+    )
+    return "%s__%s.json" % (prefix, key[:12])
 
 
 def cell_key(program_name, config, scheme_name, scheme_kwargs):
