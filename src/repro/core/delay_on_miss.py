@@ -26,11 +26,10 @@ wake consumers early, and the removed kill/replay network is the same
 timing/area credit.
 """
 
-from repro.core.nda import NDAScheme
+from repro.core.nda import NDAScheme, _power
 from repro.core.registry import SchemeSpec, SchemeTiming, register
 from repro.timing.area import YROT_TAG_BITS, spec_hit_luts
 from repro.timing.critpath import spec_hit_bypass_delay
-from repro.timing.power import E_BROADCAST
 
 
 class DelayOnMissScheme(NDAScheme):
@@ -83,10 +82,6 @@ def _area_luts(cfg):
         + cfg.mem_width * 140           # split mux + hit/miss gate
         - spec_hit_luts(cfg)            # removed replay logic
     )
-
-
-def _power(stats):
-    return E_BROADCAST * stats.deferred_broadcasts
 
 
 register(SchemeSpec(

@@ -45,8 +45,6 @@ class FenceScheme(SchemeBase):
     """
 
     name = "fence"
-    allows_spec_hit_wakeup = True
-    uses_taint_checkpoints = False
 
     #: Class default; an instance constructed with ``loads_only=True``
     #: shadows it and swaps in the narrowed ready mask below (keeping

@@ -26,23 +26,9 @@ while a releasable load is stuck behind the per-cycle ``mem_width``
 budget.  Idle windows with only un-releasable pending loads cost
 nothing and fast-forward freely.
 
-Budget-blocked drains are *batch-scheduled*: when one trigger exposes
-more releasable loads than one cycle's budget (a long shadow resolving
-over a pile of completed loads — the shadowed-miss regime), the scheme
-partitions the whole backlog once, releases the first budget's worth,
-and precomputes the remaining releases as per-cycle batches, each
-carrying its own release cycle.  Subsequent wakes validate a
-``(visibility point, d_version)`` stamp and, while it matches, pop the
-due batch in O(budget) instead of rescanning the backlog — the
-release *cadence* (budget per cycle, age order) is untouched, so
-results stay byte-identical; any gate movement invalidates the stamp
-and the next wake rebuilds from scratch.
-
 The mechanism depends only on *whether* a load is speculative, never on
 the loaded value, so it introduces no new leakage.
 """
-
-from collections import deque
 
 from repro.core.plugin import SchemeBase
 from repro.core.registry import SchemeSpec, SchemeTiming, register
@@ -56,26 +42,18 @@ class NDAScheme(SchemeBase):
 
     name = "nda"
     allows_spec_hit_wakeup = False
-    uses_taint_checkpoints = False
     delay_label = "nda-budget-block"
 
     def __init__(self):
         super().__init__()
         # Completed loads whose broadcast is withheld, kept seq-sorted.
         self._pending = []
-        # Precomputed release batches: (cycle, [uop, ...]) in age order,
-        # one budget's worth per cycle, valid only while _stamp matches
-        # the core's (vp_now, d_version) — see the module docstring.
-        self._sched = deque()
-        self._stamp = None
         self.deferred = 0
         self.immediate = 0
 
     def attach(self, core):
         super().attach(core)
         self._pending = []
-        self._sched = deque()
-        self._stamp = None
 
     # -- memory -----------------------------------------------------------
 
@@ -96,10 +74,6 @@ class NDAScheme(SchemeBase):
         """Observability probe: is a source's broadcast withheld?"""
         withheld = {u.prd for u in self._pending
                     if not u.killed and u.prd is not None}
-        for _due, batch in self._sched:
-            for u in batch:
-                if not u.killed and u.prd is not None:
-                    withheld.add(u.prd)
         if withheld and (uop.prs1 in withheld or uop.prs2 in withheld):
             return self.delay_label
         return None
@@ -111,60 +85,31 @@ class NDAScheme(SchemeBase):
 
         At most ``mem_width`` broadcasts per cycle (Section 5.1), in
         age order — matching the in-order advance of the visibility
-        point over the ROB.  A backlog larger than one budget is
-        partitioned *once* into per-cycle batches that release on the
-        stamp-validated fast path below; when nothing remains
-        scheduled, the pending loads are inert until the next
-        visibility or memory-dependence event and need no further
-        calls.
+        point over the ROB.  While a releasable load still waits on
+        the budget, the next cycle is booked; otherwise the pending
+        loads are inert until the next visibility or memory-dependence
+        event and need no further calls.
         """
-        core = self.core
-        stamp = (core.vp_now, core.d_version)
-        sched = self._sched
-        if sched and stamp == self._stamp:
-            # Fast path: no release gate moved since the schedule was
-            # built, so the due batch drains as precomputed — O(budget)
-            # instead of a backlog rescan.
-            while sched and sched[0][0] <= cycle:
-                _due, batch = sched.popleft()
-                for uop in batch:
-                    if not uop.killed:
-                        self._release(uop, cycle)
-            if sched:
-                core.schedule_scheme_wake(sched[0][0])
-            return
-        if sched:
-            # A gate moved under a live schedule: fold the unreleased
-            # batches back and repartition against the new stamp.
-            pending = self._pending
-            for _due, batch in sched:
-                pending.extend(batch)
-            sched.clear()
-            pending.sort(key=lambda u: u.seq)
-        self._stamp = stamp
         if not self._pending:
             return
+        core = self.core
         vp = core.vp_now
-        budget = core.config.mem_width
         d_pending = core.d_pending
-        releasable = []
-        remaining = []
+        budget = core.config.mem_width
+        waiting = []
+        blocked = False
         for uop in self._pending:
             if uop.killed:
                 continue
             if uop.seq <= vp and uop.seq not in d_pending:
-                releasable.append(uop)
-            else:
-                remaining.append(uop)
-        self._pending = remaining
-        for uop in releasable[:budget]:
-            self._release(uop, cycle)
-        if len(releasable) > budget:
-            # One future batch per cycle, each carrying its own release
-            # cycle — identical cadence and age order to releasing
-            # budget-at-a-time from a rescanned backlog.
-            for i in range(budget, len(releasable), budget):
-                sched.append((cycle + i // budget, releasable[i:i + budget]))
+                if budget:
+                    budget -= 1
+                    self._release(uop, cycle)
+                    continue
+                blocked = True
+            waiting.append(uop)
+        self._pending = waiting
+        if blocked:
             core.schedule_scheme_wake(cycle + 1)
 
     def _release(self, uop, cycle):
@@ -186,30 +131,14 @@ class NDAScheme(SchemeBase):
     # -- recovery ------------------------------------------------------------
 
     def on_checkpoint_restore(self, uop, checkpoint):
-        pending = self._pending
-        if self._sched:
-            # Scheduled batches may hold squashed loads: fold everything
-            # back and let the next wake rebuild against fresh gates.
-            for _due, batch in self._sched:
-                pending.extend(batch)
-            self._sched.clear()
-            pending.sort(key=lambda u: u.seq)
-        self._stamp = None
-        self._pending = [u for u in pending if not u.killed]
+        self._pending = [u for u in self._pending if not u.killed]
 
     def on_flush_all(self):
         """Full flush: the pipeline empties, so every surviving pending
         load is by definition bound-to-commit — release immediately so
         later consumers (renamed against the architectural RAT) do not
         wait forever on a broadcast that would otherwise never come."""
-        pending = self._pending
-        if self._sched:
-            for _due, batch in self._sched:
-                pending.extend(batch)
-            self._sched.clear()
-            pending.sort(key=lambda u: u.seq)
-        self._stamp = None
-        for uop in pending:
+        for uop in self._pending:
             if not uop.killed:
                 self.core.prf.set_ready(uop.prd)
         self._pending = []

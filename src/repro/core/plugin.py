@@ -60,8 +60,6 @@ class SchemeBase:
     #: Whether loads may speculatively wake consumers assuming an L1
     #: hit (NDA removes this logic; Section 5.1).
     allows_spec_hit_wakeup = True
-    #: Whether rename checkpoints carry extra scheme state (area model).
-    uses_taint_checkpoints = False
     #: Attribution label for cycles/issues this scheme delays (see
     #: :mod:`repro.obs`); ``None`` for schemes that never delay.
     delay_label = None
@@ -143,8 +141,6 @@ class BaselineScheme(SchemeBase):
     Vulnerable to Spectre-style speculative side channels by
     construction — the attack tests assert exactly that.
     """
-
-    name = "baseline"
 
 
 register(SchemeSpec(

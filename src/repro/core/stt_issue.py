@@ -20,13 +20,14 @@ independently, so partial address generation usually proceeds
 untainted (Section 9.2's advantage over the unified STT-Rename store).
 
 The untaint *broadcast* (the delayed visibility-point copy used for
-ready-masking) follows the same event-scheduled catch-up protocol as
-STT-Rename: the core invokes the visibility hook on changes, and the
-scheme books one wake for the cycle the broadcast needs to catch up.
+ready-masking) is STT-Rename's, from
+:class:`~repro.core.stt.STTSchemeBase`.  Back-propagated YRoTs only
+exist after a first nop-issue (Figure 4, step 5), so delay attribution
+engages from that point.
 """
 
-from repro.core.plugin import SchemeBase
 from repro.core.registry import SchemeSpec, SchemeTiming, register
+from repro.core.stt import STTSchemeBase
 from repro.pipeline.uop import ADDR, DATA, WHOLE
 from repro.timing.area import YROT_TAG_BITS
 from repro.timing.power import E_BROADCAST
@@ -34,28 +35,19 @@ from repro.timing.power import E_BROADCAST
 import math
 
 
-class STTIssueScheme(SchemeBase):
+class STTIssueScheme(STTSchemeBase):
     """Speculative Taint Tracking with issue-time taint computation."""
 
     name = "stt-issue"
-    allows_spec_hit_wakeup = True
-    uses_taint_checkpoints = False
-    delay_label = "stt-taint-not-cleared"
 
     def __init__(self):
         super().__init__()
         self._taint_unit = []
-        self._broadcast_vp = -1
-        self._prev_vp = -1
-        self.taints_applied = 0
-        self.loads_tainted = 0
         self.nops_issued = 0
 
     def attach(self, core):
         super().attach(core)
         self._taint_unit = [None] * core.config.num_phys_regs
-        self._broadcast_vp = -1
-        self._prev_vp = -1
 
     # -- rename ---------------------------------------------------------
 
@@ -105,17 +97,6 @@ class STTIssueScheme(SchemeBase):
             return False
         return root > self._broadcast_vp or root in self.core.d_pending
 
-    def delay_subcause(self, uop):
-        # Back-propagated YRoTs only exist after a first nop-issue
-        # (Figure 4, step 5), so attribution engages from that point.
-        if uop.op_is_store:
-            if not uop.addr_issued and self.blocks_issue(uop, ADDR):
-                return self.delay_label
-            if not uop.data_issued and self.blocks_issue(uop, DATA):
-                return self.delay_label
-            return None
-        return self.delay_label if self.blocks_issue(uop, WHOLE) else None
-
     def on_issue(self, uop, half, cycle):
         vp_now = self.core.vp_now
 
@@ -153,26 +134,11 @@ class STTIssueScheme(SchemeBase):
                 self.taints_applied += 1
         return True
 
-    # -- visibility phase ---------------------------------------------------
-
-    def on_visibility_update(self, cycle):
-        # Same event-scheduled broadcast catch-up as STT-Rename: one
-        # wake while the one-cycle delay line still lags.
-        self._broadcast_vp = self._prev_vp
-        vp = self.core.vp_now
-        self._prev_vp = vp
-        if self._broadcast_vp != vp:
-            self.core.schedule_scheme_wake(cycle + 1)
-
     def on_flush_all(self):
         self._taint_unit = [None] * self.core.config.num_phys_regs
 
     def extra_stats(self):
-        return {
-            "taints_applied": self.taints_applied,
-            "loads_tainted": self.loads_tainted,
-            "stt_issue_nops": self.nops_issued,
-        }
+        return {**super().extra_stats(), "stt_issue_nops": self.nops_issued}
 
 
 # -- timing-model contributions (Section 4.3, Figure 4) -------------------

@@ -10,14 +10,9 @@ what costs STT-Rename timing on wide cores (the registered
 *behaviour*).
 
 Untainting is a broadcast: when the visibility point advances past a
-root, issue-queue entries observe it one cycle later (the scheme keeps
-a one-cycle-delayed copy of the visibility point for ready-masking).
-This is the one-cycle disadvantage versus STT-Issue of Section 9.1.
-The delay line is *event-scheduled*: the core invokes
-:meth:`~STTRenameScheme.on_visibility_update` when the visibility
-point changes, and the scheme books exactly one catch-up wake for the
-following cycle while the broadcast still lags — stable cycles cost
-nothing and never block idle-cycle fast-forward.
+root, issue-queue entries observe it one cycle later (the delay line
+shared with STT-Issue, :class:`~repro.core.stt.STTSchemeBase`).  This
+is the one-cycle disadvantage versus STT-Issue of Section 9.1.
 
 Checkpointing (Section 4.2): every branch checkpoint carries a copy of
 the taint RAT.  Restored entries may be stale — roots may have become
@@ -30,39 +25,27 @@ two taints per store (address and data operand) so that address
 generation is not blocked by a tainted data operand.
 """
 
-from repro.core.plugin import SchemeBase
 from repro.core.registry import KwargSpec, SchemeSpec, SchemeTiming, register
+from repro.core.stt import STTSchemeBase
 from repro.isa.registers import NUM_ARCH_REGS
-from repro.pipeline.uop import ADDR, DATA, WHOLE
+from repro.pipeline.uop import ADDR
 from repro.timing.area import YROT_TAG_BITS
 from repro.timing.power import E_BROADCAST
 
 
-class STTRenameScheme(SchemeBase):
+class STTRenameScheme(STTSchemeBase):
     """Speculative Taint Tracking with rename-time taint computation."""
 
     name = "stt-rename"
-    allows_spec_hit_wakeup = True
-    uses_taint_checkpoints = True
-    delay_label = "stt-taint-not-cleared"
 
     def __init__(self, split_store_taints=False):
         super().__init__()
         self.split_store_taints = split_store_taints
         self._taint_rat = [None] * NUM_ARCH_REGS
-        # Visibility point as last *broadcast* to the issue queue: lags
-        # the live value by one cycle.  Roots are sequence numbers, so
-        # -1 means "no untaint broadcast seen yet".
-        self._broadcast_vp = -1
-        self._prev_vp = -1
-        self.taints_applied = 0
-        self.loads_tainted = 0
 
     def attach(self, core):
         super().attach(core)
         self._taint_rat = [None] * NUM_ARCH_REGS
-        self._broadcast_vp = -1
-        self._prev_vp = -1
 
     # -- taint reads ------------------------------------------------------
 
@@ -177,35 +160,6 @@ class STTRenameScheme(SchemeBase):
         if root is None:
             return False
         return root > self._broadcast_vp or root in self.core.d_pending
-
-    def delay_subcause(self, uop):
-        if uop.op_is_store:
-            if not uop.addr_issued and self.blocks_issue(uop, ADDR):
-                return self.delay_label
-            if not uop.data_issued and self.blocks_issue(uop, DATA):
-                return self.delay_label
-            return None
-        return self.delay_label if self.blocks_issue(uop, WHOLE) else None
-
-    # -- visibility phase ---------------------------------------------------
-
-    def on_visibility_update(self, cycle):
-        # Promote last cycle's visibility point to "broadcast" status:
-        # the issue queue observes untaints one cycle after resolution.
-        # Invoked when the visibility point moves; while the broadcast
-        # still lags, one catch-up wake keeps the delay line ticking —
-        # the cycle after that, state is stable and needs no calls.
-        self._broadcast_vp = self._prev_vp
-        vp = self.core.vp_now
-        self._prev_vp = vp
-        if self._broadcast_vp != vp:
-            self.core.schedule_scheme_wake(cycle + 1)
-
-    def extra_stats(self):
-        return {
-            "taints_applied": self.taints_applied,
-            "loads_tainted": self.loads_tainted,
-        }
 
 
 # -- timing-model contributions (Sections 4.1/4.2, Figure 3) -------------

@@ -133,12 +133,6 @@ def test_nda_disables_spec_hit_wakeup():
     assert BaselineScheme().allows_spec_hit_wakeup is True
 
 
-def test_taint_checkpoint_flags():
-    assert STTRenameScheme().uses_taint_checkpoints is True
-    assert STTIssueScheme().uses_taint_checkpoints is False
-    assert NDAScheme().uses_taint_checkpoints is False
-
-
 def test_stt_issue_taints_fewer_loads_than_rename():
     """Section 4.3 advantage (1): issue-time taint checks are more
     precise than rename-time, so fewer destinations get tainted."""

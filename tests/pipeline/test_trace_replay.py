@@ -44,7 +44,7 @@ def _programs():
     * ``forwarding`` — ordering violations, partial store issue, and
       store-forwarded values: the impure-address masking case;
     * ``shadowed-miss`` — NDA/STT release windows over piles of
-      completed loads (the batch-release path);
+      completed loads;
     * ``mixed``/``squashy`` — generated blends with data-dependent
       branches: dense squash/re-entry traffic on the trace position.
     """
