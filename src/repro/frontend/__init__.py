@@ -1,21 +1,15 @@
 """Front-end components: branch direction predictors, BTB, fetch helpers."""
 
 from repro.frontend.branch_predictor import (
-    AlwaysTakenPredictor,
-    BimodalPredictor,
     BranchTargetBuffer,
     GSharePredictor,
     TagePredictor,
-    TournamentPredictor,
     make_predictor,
 )
 
 __all__ = [
-    "AlwaysTakenPredictor",
-    "BimodalPredictor",
     "BranchTargetBuffer",
     "GSharePredictor",
     "TagePredictor",
-    "TournamentPredictor",
     "make_predictor",
 ]

@@ -16,56 +16,6 @@ All predictors share one interface:
 """
 
 
-class AlwaysTakenPredictor:
-    """Degenerate predictor: predicts every conditional branch taken."""
-
-    def predict(self, pc):
-        return True
-
-    def update(self, pc, taken):
-        pass
-
-    def snapshot(self):
-        return None
-
-    def restore(self, state):
-        pass
-
-    def push_history(self, taken):
-        pass
-
-
-class BimodalPredictor:
-    """Per-PC two-bit saturating counters."""
-
-    def __init__(self, table_bits=10):
-        self.table_size = 1 << table_bits
-        self.counters = [2] * self.table_size  # weakly taken
-
-    def _index(self, pc):
-        return pc % self.table_size
-
-    def predict(self, pc):
-        return self.counters[self._index(pc)] >= 2
-
-    def update(self, pc, taken):
-        index = self._index(pc)
-        count = self.counters[index]
-        if taken:
-            self.counters[index] = min(count + 1, 3)
-        else:
-            self.counters[index] = max(count - 1, 0)
-
-    def snapshot(self):
-        return None
-
-    def restore(self, state):
-        pass
-
-    def push_history(self, taken):
-        pass
-
-
 class GSharePredictor:
     """Global-history XOR-indexed two-bit counters."""
 
@@ -140,7 +90,8 @@ class TagePredictor:
     """
 
     def __init__(self, base_bits=10, num_tables=4, table_bits=9, min_history=4):
-        self.base = BimodalPredictor(table_bits=base_bits)
+        # Base bimodal: per-PC two-bit saturating counters, weakly taken.
+        self.base = [2] * (1 << base_bits)
         self.tables = []
         history = min_history
         for _ in range(num_tables):
@@ -178,7 +129,7 @@ class TagePredictor:
                 provider_index = index
                 break
         if provider is None:
-            return None, 0, self.base.predict(pc)
+            return None, 0, self.base[pc % len(self.base)] >= 2
         prediction = self.tables[provider].counters[provider_index] >= 4
         return provider, provider_index, prediction
 
@@ -190,7 +141,10 @@ class TagePredictor:
     def update(self, pc, taken):
         provider, entry_index, prediction = self._lookup(pc)
         if provider is None:
-            self.base.update(pc, taken)
+            base = self.base
+            index = pc % len(base)
+            base[index] = (min(base[index] + 1, 3) if taken
+                           else max(base[index] - 1, 0))
         else:
             table = self.tables[provider]
             counter = table.counters[entry_index]
@@ -222,42 +176,6 @@ class TagePredictor:
         self.ghr = ((self.ghr << 1) | (1 if taken else 0)) & self.history_mask
 
 
-class TournamentPredictor:
-    """Chooser between a bimodal and a gshare component."""
-
-    def __init__(self, table_bits=11, history_bits=11):
-        self.bimodal = BimodalPredictor(table_bits=table_bits)
-        self.gshare = GSharePredictor(table_bits=table_bits, history_bits=history_bits)
-        self.chooser = [2] * (1 << table_bits)
-
-    def predict(self, pc):
-        local = self.bimodal.predict(pc)
-        global_ = self.gshare.predict(pc)
-        use_global = self.chooser[pc % len(self.chooser)] >= 2
-        return global_ if use_global else local
-
-    def update(self, pc, taken):
-        local = self.bimodal.counters[self.bimodal._index(pc)] >= 2
-        global_ = self.gshare.counters[self.gshare._index(pc)] >= 2
-        index = pc % len(self.chooser)
-        if local != global_:
-            if global_ == taken:
-                self.chooser[index] = min(self.chooser[index] + 1, 3)
-            else:
-                self.chooser[index] = max(self.chooser[index] - 1, 0)
-        self.bimodal.update(pc, taken)
-        self.gshare.update(pc, taken)
-
-    def snapshot(self):
-        return self.gshare.snapshot()
-
-    def restore(self, state):
-        self.gshare.restore(state)
-
-    def push_history(self, taken):
-        self.gshare.push_history(taken)
-
-
 class BranchTargetBuffer:
     """Direct-mapped BTB for indirect-jump (jalr) target prediction."""
 
@@ -280,16 +198,13 @@ class BranchTargetBuffer:
 
 
 _PREDICTORS = {
-    "always-taken": AlwaysTakenPredictor,
-    "bimodal": BimodalPredictor,
     "gshare": GSharePredictor,
     "tage": TagePredictor,
-    "tournament": TournamentPredictor,
 }
 
 
 def make_predictor(name, **kwargs):
-    """Build a predictor by name: always-taken/bimodal/gshare/tage/tournament."""
+    """Build a predictor by name: gshare or tage."""
     try:
         cls = _PREDICTORS[name]
     except KeyError:

@@ -43,7 +43,6 @@ class LoadStoreUnit:
 
     def __init__(self, core):
         self.core = core
-        self.config = core.config
         self.ldq = deque()
         self.stq = deque()
         self._l1_latency = core.config.mem.l1_latency
@@ -59,16 +58,6 @@ class LoadStoreUnit:
         self._pending_store_waiters = {}
         #: address -> executed loads at that address (violation index).
         self._ldq_by_addr = {}
-
-    # -- capacity ---------------------------------------------------------
-
-    @property
-    def ldq_full(self):
-        return len(self.ldq) >= self.config.ldq_entries
-
-    @property
-    def stq_full(self):
-        return len(self.stq) >= self.config.stq_entries
 
     # -- load execution -----------------------------------------------------
 

@@ -3,19 +3,14 @@
 import pytest
 
 from repro.frontend import (
-    AlwaysTakenPredictor,
-    BimodalPredictor,
     BranchTargetBuffer,
     GSharePredictor,
     TagePredictor,
-    TournamentPredictor,
     make_predictor,
 )
 
 
-@pytest.mark.parametrize("name", [
-    "always-taken", "bimodal", "gshare", "tage", "tournament",
-])
+@pytest.mark.parametrize("name", ["gshare", "tage"])
 def test_factory_and_interface(name):
     predictor = make_predictor(name)
     taken = predictor.predict(100)
@@ -29,16 +24,6 @@ def test_factory_and_interface(name):
 def test_factory_rejects_unknown():
     with pytest.raises(ValueError):
         make_predictor("oracle")
-
-
-def test_bimodal_learns_bias():
-    predictor = BimodalPredictor(table_bits=4)
-    for _ in range(4):
-        predictor.update(5, False)
-    assert predictor.predict(5) is False
-    for _ in range(8):
-        predictor.update(5, True)
-    assert predictor.predict(5) is True
 
 
 def test_gshare_learns_alternating_pattern():
@@ -77,18 +62,6 @@ def test_tage_learns_bias():
     for _ in range(64):
         predictor.update(9, True)
     assert predictor.predict(9) is True
-
-
-def test_tournament_prefers_better_component():
-    predictor = TournamentPredictor(table_bits=6, history_bits=6)
-    for _ in range(64):
-        predictor.update(3, True)
-    assert predictor.predict(3) is True
-
-
-def test_always_taken():
-    predictor = AlwaysTakenPredictor()
-    assert predictor.predict(1) is True
 
 
 def test_btb_miss_then_hit():
