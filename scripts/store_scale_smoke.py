@@ -5,8 +5,9 @@ Builds a synthetic campaign store (the cells
 :mod:`repro.harness.storebench` generates), then drives every
 maintenance and analysis path a large campaign depends on —
 ``store verify``, ``store stats``, ``store gc`` with its ``VACUUM``,
-bulk ``load_many``, the statistics-only ``metrics`` scan — and asserts
-each answer is correct, not just alive.
+bulk ``load_many``, the statistics-only ``metrics`` scan and its
+conservation check — and asserts each answer is correct, not just
+alive.
 The whole run must finish inside a time budget, so CI catches store
 operations degrading from an index scan toward a decode per cell.
 
@@ -22,6 +23,7 @@ import sys
 import tempfile
 import time
 
+from repro.analysis.stalls import store_stall_breakdown
 from repro.harness.store import ResultStore
 from repro.harness.storebench import synthetic_key, synthetic_result
 
@@ -87,16 +89,19 @@ def main(argv=None):
             return fail("load_many round-trip drifted for cell %d" % index)
         lap("load_many")
 
-        # The metrics hot path: a full-store scan that reads only
-        # statistics, served from the rows.
-        cycles = 0
-        rows = 0
-        for row in store.iter_results():
-            cycles += row.stats.cycles
-            rows += 1
-        if rows != args.cells or cycles <= 0:
-            return fail("metrics scan saw %d rows (want %d)"
+        # The metrics hot path: ``python -m repro metrics``'s scan,
+        # which reads only statistics, served from the rows.  Every
+        # cell's account conserves, so every rollup must.
+        breakdown = store_stall_breakdown(store)
+        rows = sum(entry["cells"] for entry in breakdown.values())
+        if rows != args.cells:
+            return fail("metrics rolled up %d cells (want %d)"
                         % (rows, args.cells))
+        violated = sorted(scheme for scheme, entry in breakdown.items()
+                          if not entry["conserved"])
+        if violated:
+            return fail("metrics conservation VIOLATED for %s"
+                        % ", ".join(violated))
         lap("metrics scan")
 
         keep = keys[: args.cells // 2]

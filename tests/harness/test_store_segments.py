@@ -20,6 +20,8 @@ import zlib
 
 import pytest
 
+from repro.analysis.stalls import store_stall_breakdown
+from repro.core.registry import grid_scheme_names
 from repro.harness import store as store_module
 from repro.harness.store import (
     FORMAT_VERSION,
@@ -119,6 +121,17 @@ def test_keys_len_and_stats_scan_never_decode_records(tmp_path,
     for cell in rows + list(lazy.values()):
         assert "_stats_blob" not in cell.__dict__
     assert store.stats()["cells"] == 25
+
+
+def test_synthetic_cells_roll_up_like_a_campaign(tmp_path):
+    """Synthetic cells name real grid schemes and carry accounts that
+    conserve, so ``metrics`` over a synthetic store reads ok."""
+    schemes = grid_scheme_names()
+    populate(tmp_path, 2 * len(schemes))
+    breakdown = store_stall_breakdown(ResultStore(tmp_path))
+    assert sorted(breakdown) == sorted(schemes)
+    for scheme, entry in breakdown.items():
+        assert entry["cells"] == 2 and entry["conserved"], scheme
 
 
 def test_save_load_round_trip_bit_identical(tmp_path):
