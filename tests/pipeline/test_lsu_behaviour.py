@@ -1,5 +1,7 @@
 """Behavioural tests for LSU forwarding, violations, and replay."""
 
+import pytest
+
 from repro import MEGA, OoOCore, assemble, make_scheme
 from repro.workloads.kernels import chase_kernel, forwarding_kernel, streaming_kernel
 
@@ -60,6 +62,82 @@ def test_violation_index_flags_exactly_matching_younger_loads():
     assert result.stats.stl_forward_errors == 2
     assert result.stats.order_violation_flushes == 1
     assert_matches_reference(program, result, "late-store")
+
+
+# Each gadget reaches one guard of the ordering-violation check: a
+# same-address load younger than a late-resolving store S1 is flagged
+# unless it took (or waits for) its value from a store younger than S1,
+# or is flagged already.  ``div`` (12 cycles) and ``mul`` (3) chains
+# delay store addresses and data; ``add t6, sp, zero`` twice delays the
+# load until the early store's address is known.
+_GUARD_GADGETS = {
+    # S2 (younger, early address and data) forwards to L, so S1's late
+    # resolution finds L served by a younger store: no error.
+    "forwarded-from-younger-store": ("""
+        li   sp, 0x1000
+        li   t0, 7
+        li   t5, 42
+        div  t1, t0, t0
+        add  t2, t1, t1
+        sub  t2, t2, t2
+        add  t4, t2, sp
+        sw   t0, 0(t4)        # S1: address waits on the div chain
+        sw   t5, 0(sp)        # S2: address and data early
+        add  t6, sp, zero
+        add  t6, t6, zero
+        lw   a1, 0(t6)        # L: forwards 42 from S2
+        add  s1, a1, a1
+        halt
+    """, 0, 0),
+    # L waits on S2's data (a div) when S1's address (a shorter mul
+    # chain) resolves: L will forward from a younger store, no error.
+    "waiting-on-younger-store": ("""
+        li   sp, 0x1000
+        li   t0, 7
+        mul  t1, t0, t0
+        sub  t1, t1, t1
+        add  t4, t1, sp
+        div  t5, t0, t0
+        sw   t0, 0(t4)        # S1: address waits on the mul chain
+        sw   t5, 0(sp)        # S2: early address, data waits on the div
+        add  t6, sp, zero
+        add  t6, t6, zero
+        lw   a1, 0(t6)        # L: waits to forward from S2
+        add  s1, a1, a1
+        halt
+    """, 0, 0),
+    # Both stores resolve late to L's address, the younger first: L is
+    # flagged once, and the older store's resolution counts no second
+    # error.
+    "flagged-once": ("""
+        li   sp, 0x1000
+        li   t0, 7
+        li   t3, 9
+        div  t1, t0, t0
+        sub  t2, t1, t1
+        add  t4, t2, sp
+        mul  t5, t0, t0
+        sub  t5, t5, t5
+        add  t6, t5, sp
+        sw   t0, 0(t4)        # S1: address waits on the div chain
+        sw   t3, 0(t6)        # S2: address waits on the mul chain
+        lw   a1, 0(sp)        # L: runs past both, reads memory
+        add  s1, a1, a1
+        halt
+    """, 1, 1),
+}
+
+
+@pytest.mark.parametrize("gadget", sorted(_GUARD_GADGETS))
+def test_store_resolution_guards(gadget):
+    """Pin the violation check's three guards: each gadget's exact
+    error and flush counts change when its guard is removed."""
+    source, errors, flushes = _GUARD_GADGETS[gadget]
+    program = assemble(source, name=gadget)
+    result = OoOCore(program, config=MEGA).run()
+    assert result.stats.stl_forward_errors == errors
+    assert result.stats.order_violation_flushes == flushes
+    assert_matches_reference(program, result, gadget)
 
 
 def test_violation_detection_stable_across_ldq_sizes():
