@@ -22,16 +22,17 @@ Recycling is safe against stale references because of two invariants:
   can be handed back from several cleanup paths (commit sweep, squash
   sweep, scheme recovery) without ever entering the free list twice.
 
-Lazily-discarded index registrations (issue-queue waiter sets, LSU
-forward/violation indexes) may still name a recycled object; their
-existing per-entry guards — status, ``killed``, generation, seq, and
-address checks against the object's *current* life — make every such
+Lazily-discarded issue-queue waiter registrations may still name a
+recycled object; their per-entry guards — status, ``killed`` and
+operand checks against the object's *current* life — make every such
 stale entry inert, exactly as they did for departed-but-unrecycled
-objects.  The one holder that outlives retirement is a
-delayed-broadcast scheme (NDA family) whose budget-blocked load commits
-before its broadcast releases; the core's commit sweep detects that
-(the destination register is still not READY) and simply skips
-recycling that one micro-op.
+objects.  The LSU holds micro-ops only in its queues, which commit,
+squash and flush leave before the pool takes them back.  The one
+holder that outlives retirement is a delayed-broadcast scheme (NDA
+family) whose budget-blocked load commits before its broadcast
+releases; the core's commit sweep detects that (the destination
+register is still not READY) and simply skips recycling that one
+micro-op.
 
 **Slot groups.**  Re-arming is split by read discipline so the rename
 hot loop only touches fields that could actually leak between lives:
@@ -47,9 +48,9 @@ hot loop only touches fields that could actually leak between lives:
 * :data:`MEM_SLOTS` — :meth:`MicroOp.reset_mem` — fields only ever
   read under a load/store classification guard (LSQ state, purity
   flags, the store-half issue state, ``issue_cycle`` which only stores
-  read-before-write).  The core re-arms them only for memory micro-ops;
-  the LSU's waiter registries snapshot ``(uop, gen)`` so a recycled
-  non-memory life can never satisfy a stale memory-side lookup.
+  read-before-write).  The core re-arms them only for memory micro-ops,
+  and the LSU reads them only on the loads and stores in its queues,
+  which rename re-armed for their current life.
 * :data:`DEFERRED_SLOTS` — :meth:`MicroOp.reset_deferred` — fields
   every reader observes strictly after this life's writer (branch
   resolution results, completion results, commit timestamps).  The hot
@@ -94,7 +95,7 @@ PREDICTION_SLOTS = (
 )
 
 MEM_SLOTS = (
-    "address", "mem_value", "ldq_index", "stq_index",
+    "address", "mem_value",
     "forwarded_from", "waiting_on_store", "pending_stores",
     "addr_done", "data_done", "l1_miss",
     "addr_issued", "data_issued", "issue_cycle",
@@ -142,8 +143,6 @@ class MicroOp:
         # Memory.
         "address",
         "mem_value",
-        "ldq_index",
-        "stq_index",
         "forwarded_from",
         "order_violation",
         "addr_done",
@@ -260,8 +259,6 @@ class MicroOp:
         """Re-arm the memory slot group (loads and stores only)."""
         self.address = None
         self.mem_value = None
-        self.ldq_index = None
-        self.stq_index = None
         self.forwarded_from = None
         self.waiting_on_store = None
         self.pending_stores = None

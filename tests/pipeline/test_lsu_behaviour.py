@@ -36,9 +36,9 @@ def test_stt_rename_causes_forwarding_errors():
 
 
 def test_violation_index_flags_exactly_matching_younger_loads():
-    """The address-indexed violation scan must flag precisely the
-    same-address loads younger than a late-resolving store — no more
-    (the different-address load stays clean), no fewer (both victims
+    """Store-address resolution must flag precisely the same-address
+    loads younger than a late-resolving store — no more (the
+    different-address load stays clean), no fewer (both victims
     counted)."""
     source = """
         li   sp, 0x1000
@@ -141,8 +141,8 @@ def test_store_resolution_guards(gadget):
 
 
 def test_violation_detection_stable_across_ldq_sizes():
-    """Growing the LDQ (the scan the index replaced was O(younger
-    loads)) must not change what is detected."""
+    """Growing the LDQ (store resolution walks its younger loads)
+    must not change what is detected."""
     program = forwarding_kernel(iterations=120)
     big = MEGA.scaled(name="mega-big-ldq", ldq_entries=64, stq_entries=64)
     big_ldq = OoOCore(program, config=big,
@@ -152,9 +152,10 @@ def test_violation_detection_stable_across_ldq_sizes():
 
 
 def test_store_resolution_clears_memory_dependence_sets():
-    """A store address resolution must clear exactly its waiters'
-    pending sets (and their D-shadows) — pinned via NDA, whose releases
-    gate on ``d_pending``: a leaked entry would deadlock the run."""
+    """A store address resolution must clear itself from exactly the
+    pending sets that name it (and the D-shadows it empties) — pinned
+    via NDA, whose releases gate on ``d_pending``: a leaked entry would
+    deadlock the run."""
     program = forwarding_kernel(iterations=80, slots=8)
     result = OoOCore(program, config=MEGA, scheme=make_scheme("nda")).run()
     assert result.halted
