@@ -30,6 +30,9 @@ The mechanism depends only on *whether* a load is speculative, never on
 the loaded value, so it introduces no new leakage.
 """
 
+from bisect import insort
+from operator import attrgetter
+
 from repro.core.plugin import SchemeBase
 from repro.core.registry import SchemeSpec, SchemeTiming, register
 from repro.timing.area import YROT_TAG_BITS, spec_hit_luts
@@ -65,8 +68,7 @@ class NDAScheme(SchemeBase):
         return False
 
     def _defer(self, uop):
-        self._pending.append(uop)
-        self._pending.sort(key=lambda u: u.seq)
+        insort(self._pending, uop, key=attrgetter("seq"))
         self.deferred += 1
         self.core.stats.deferred_broadcasts += 1
 
