@@ -49,7 +49,8 @@ Registered schemes:
   delay: only L1-missing speculative loads defer their broadcast.
 
 The :class:`~repro.core.shadows.ShadowTracker` implements Section 6's
-speculation tracking (C and D shadows, visibility point).
+C-shadows and the visibility point; D-shadows are kept per load (the
+core's ``d_pending``).
 """
 
 from repro.core.shadows import ShadowTracker

@@ -2,48 +2,47 @@
 
 A *shadow* marks a source of speculation; every younger instruction is
 speculative until the shadow resolves.  This work, like the paper,
-tracks:
+tracks two kinds:
 
 * **C-shadows** — unresolved control flow: conditional branches and
   indirect jumps, cast at rename, resolved when the branch executes.
-* **D-shadows** — potential store-to-load forwarding errors: stores
-  whose address is not yet known, cast at rename, resolved at address
-  generation.
+  This tracker holds them.
+* **D-shadows** — potential store-to-load forwarding errors, kept per
+  load: a load that executed past older stores with unknown addresses
+  names them in its ``pending_stores``, and the core lists it in
+  ``d_pending`` until the last of those stores resolves its address
+  (:mod:`repro.pipeline.lsu`).  A load is bound-to-commit when it is
+  at or before the visibility point and not in ``d_pending``
+  (:meth:`~repro.pipeline.core.OoOCore.is_load_safe`).
 
-The *visibility point* is the oldest active shadow; instructions older
-than it are bound-to-commit (non-speculative).  Shadows resolve in any
-order but the visibility point only advances monotonically within one
-speculation epoch (squashes can remove younger shadows).
+The *visibility point* is the oldest active C-shadow; instructions
+older than it are bound-to-commit with respect to control flow.
+Shadows resolve in any order but the visibility point only advances
+monotonically within one speculation epoch (squashes can remove
+younger shadows).
 """
-
-C_SHADOW = "C"
-D_SHADOW = "D"
 
 
 class ShadowTracker:
-    """Active speculation shadows and the visibility point."""
+    """Active C-shadows and the visibility point."""
 
     def __init__(self):
-        # seq -> shadow kind.  Small (bounded by in-flight branches +
-        # stores), so min() scans are cheap.
-        self._active = {}
+        # Seqs of the shadow-casting instructions.  Small (bounded by
+        # in-flight branches), so min() scans are cheap.
+        self._active = set()
         self._vp_cache = None
         self._vp_dirty = True
-        self.shadows_cast = 0
-        self.shadows_resolved = 0
 
-    def cast(self, seq, kind):
+    def cast(self, seq):
         """Register a new shadow for the instruction with ``seq``."""
-        self._active[seq] = kind
+        self._active.add(seq)
         self._vp_dirty = True
-        self.shadows_cast += 1
 
     def resolve(self, seq):
-        """Resolve a shadow (branch executed / store address known)."""
+        """Resolve a shadow (the branch executed)."""
         if seq in self._active:
-            del self._active[seq]
+            self._active.remove(seq)
             self._vp_dirty = True
-            self.shadows_resolved += 1
 
     def squash_younger(self, seq):
         """Drop shadows cast by squashed instructions (younger than seq)."""
@@ -52,8 +51,7 @@ class ShadowTracker:
             return
         stale = [s for s in active if s > seq]
         if stale:
-            for s in stale:
-                del active[s]
+            active.difference_update(stale)
             self._vp_dirty = True
 
     def clear(self):
@@ -86,6 +84,5 @@ class ShadowTracker:
         return len(self._active)
 
     def active_shadows(self):
-        """Snapshot of (seq, kind) pairs, oldest first (for debugging)."""
-        return sorted(self._active.items())
-
+        """Seqs of the active shadows, oldest first (for debugging)."""
+        return sorted(self._active)

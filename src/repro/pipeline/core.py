@@ -158,7 +158,7 @@ from operator import itemgetter
 
 from repro.core.factory import make_scheme
 from repro.core.plugin import SchemeBase, overridden_hook
-from repro.core.shadows import C_SHADOW, ShadowTracker
+from repro.core.shadows import ShadowTracker
 from repro.frontend.branch_predictor import BranchTargetBuffer, make_predictor
 from repro.isa.instructions import Opcode
 from repro.isa.interp import (
@@ -1338,7 +1338,7 @@ class OoOCore:
                 # the RAT pass) is equivalent: nothing reads the shadow
                 # set until the scheme hook, and a younger shadow never
                 # changes an older seq's safety verdict.
-                shadows.cast(uop.seq, C_SHADOW)
+                shadows.cast(uop.seq)
                 n_cps += 1
         if not n:
             return  # first entry blocked: stall charged, nothing to do

@@ -117,11 +117,11 @@ def test_signed_unsigned_round_trip(value):
 @settings(max_examples=25, deadline=None)
 @given(seqs=st.lists(st.integers(0, 1000), min_size=1, max_size=30, unique=True))
 def test_shadow_tracker_vp_is_min(seqs):
-    from repro.core.shadows import C_SHADOW, ShadowTracker
+    from repro.core.shadows import ShadowTracker
 
     tracker = ShadowTracker()
     for seq in seqs:
-        tracker.cast(seq, C_SHADOW)
+        tracker.cast(seq)
     assert tracker.visibility_point() == min(seqs)
     tracker.resolve(min(seqs))
     rest = [s for s in seqs if s != min(seqs)]
