@@ -45,15 +45,14 @@ every read path — ``load``, ``load_many``, the lazy results'
 :func:`~repro.pipeline.core.decode_memory` to a read-only
 :class:`~repro.pipeline.core.MemoryImage`: the record's words over the
 program's own image, shared rather than copied.  Records without
-``memory_base`` hold the whole image: packed, or, if written by 1.1.0
-before the packed form, a ``{"address": value}`` object; both still
-load.  The row's other columns are the *full* 64-hex key, the
-benchmark/config/scheme names, the halted flag and cycle count, and
-the two payloads' size before compression: ``keys()`` and ``len()``
-are pure index reads, and ``load_many`` and ``iter_results`` return
-lazily-decoded results — statistics come from the ``stats`` column,
-records decompress only when touched — so analysis passes that read
-statistics decode no record.  A row whose ``stats`` column does not
+``memory_base`` hold the whole image, packed.  The row's other
+columns are the *full* 64-hex key, the benchmark/config/scheme names,
+the halted flag and cycle count, and the two payloads' size before
+compression: ``keys()`` and ``len()`` are pure index reads, and
+``load_many`` and ``iter_results`` return lazily-decoded results —
+statistics come from the ``stats`` column, records decompress only
+when touched — so analysis passes that read statistics decode no
+record.  A row whose ``stats`` column does not
 decode is damaged, like one whose record does not: ``store verify``
 drops it.  A save is one transaction — the cell's INSERT and the
 DELETE of its failure row — so a cell is stored whole or not at all,

@@ -60,8 +60,7 @@ the runner writes beside each result names that program, so every read
 path decodes the record to a view over the image of
 :func:`~repro.workloads.program_cache.cached_spec_program`, which it
 shares rather than copies — lazily, when ``memory`` is read.  Records
-whose meta names no SPEC proxy, and those written before deltas, hold
-the whole image and load unchanged.
+whose meta names no SPEC proxy hold the whole image.
 
 A directory written in another store format — a ``sqlite-v2``
 database, whose rows held the statistics twice, once pickled and once

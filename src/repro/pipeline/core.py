@@ -217,8 +217,9 @@ def pack_memory(memory):
 
 def unpack_memory(data):
     """``{address: value}`` from :func:`pack_memory` output, or from the
-    legacy ``{"address": value}`` object that stores and golden fixtures
-    written before the packed form still hold."""
+    ``{"address": value}`` object that the golden fixture's envelopes
+    (``tests/pipeline/golden_store``), written before the packed form,
+    still hold; no store holds that form."""
     if isinstance(data, dict):
         return dict(zip(map(int, data), data.values()))
     memory = {}
@@ -365,9 +366,9 @@ class SimulationResult:
         or when the final image lacks one of the initial image's
         addresses (the core normalises out-of-range initial addresses),
         the runs hold the whole image and ``memory_base`` is absent.
-        :meth:`from_dict` also reads the legacy ``{"address": value}``
-        object (see :func:`unpack_memory`), so results stored before the
-        packed form load unchanged.
+        :meth:`from_dict` also reads the older ``{"address": value}``
+        object (see :func:`unpack_memory`), which only the golden
+        fixture's envelopes hold.
 
         Finding the delta costs O(delta), not O(image), when ``memory``
         is a :class:`MemoryImage` over ``program``'s own initial image,
